@@ -218,7 +218,7 @@ fn bench_rule_engine(c: &mut Criterion) {
 /// bench-gate modes assert end to end.
 fn bench_kernels(c: &mut Criterion) {
     use subtab_kernels::{
-        nearest_centroid_scalar, scan_codes, scan_f64, CentroidScan, CmpOp, NumericScan,
+        nearest_centroid_scalar, scan_codes, scan_f64, CmpOp, NumericScan, PointBlocks,
     };
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
@@ -228,13 +228,11 @@ fn bench_kernels(c: &mut Criterion) {
     let n = 4096usize;
     let points: Vec<f32> = (0..n * dim).map(|i| (i % 97) as f32 * 0.125).collect();
     let centroids: Vec<f32> = points[..k * dim].to_vec();
-    let scan = CentroidScan::new(&centroids, dim, true);
+    let blocks = PointBlocks::new(&points, dim);
+    let mut assignments = vec![0usize; n];
+    let mut dists = vec![0.0f32; n];
     group.bench_function("nearest_centroid_simd", |b| {
-        b.iter(|| {
-            for p in points.chunks_exact(dim) {
-                black_box(scan.nearest(p));
-            }
-        })
+        b.iter(|| black_box(blocks.assign(&centroids, 0, &mut assignments, &mut dists)))
     });
     group.bench_function("nearest_centroid_scalar", |b| {
         b.iter(|| {

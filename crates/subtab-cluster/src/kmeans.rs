@@ -1,10 +1,9 @@
 //! Lloyd's k-means with k-means++ initialisation.
 
-use crate::distance::squared_euclidean;
 use crate::matrix::MatrixView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use subtab_kernels::{nearest_centroid_scalar, CentroidScan};
+use subtab_kernels::{Isa, PointBlocks};
 
 /// Below this many points a parallel assignment pass costs more in thread
 /// setup than it saves; the sequential path is used regardless of `threads`.
@@ -28,17 +27,21 @@ pub struct KMeansResult {
 /// K-means clustering with deterministic seeding.
 ///
 /// Points are supplied as a contiguous row-major [`MatrixView`] — one flat
-/// buffer instead of a heap allocation per point. The assignment step (the
-/// O(n·k·dim) hot loop) can fan out across scoped worker threads via
-/// [`KMeans::threads`]; every point's nearest centroid is an independent
-/// read-only computation, so the result is bit-identical at any thread count.
+/// buffer instead of a heap allocation per point. A fit transposes them once
+/// into the point-lane blocks of the best available ISA tier
+/// ([`PointBlocks`]); k-means++ seeding, every assignment pass and the
+/// update step's accumulation run on those blocks, and the copy is dropped
+/// when the fit returns. Every tier is bit-identical to the scalar twins.
+/// The assignment step (the O(n·k·dim) hot loop) can fan out across scoped
+/// worker threads via [`KMeans::threads`]; every point's nearest centroid is
+/// an independent read-only computation, so the result is bit-identical at
+/// any thread count.
 #[derive(Debug, Clone)]
 pub struct KMeans {
     k: usize,
     max_iterations: usize,
     seed: u64,
     threads: usize,
-    deterministic: bool,
 }
 
 impl KMeans {
@@ -49,7 +52,6 @@ impl KMeans {
             max_iterations: 100,
             seed,
             threads: 1,
-            deterministic: true,
         }
     }
 
@@ -66,20 +68,6 @@ impl KMeans {
         self
     }
 
-    /// Controls the bit-compatibility discipline of the assignment kernels
-    /// (default `true`).
-    ///
-    /// Deterministic fits use the no-reassociation SIMD distance scan that
-    /// is bit-identical to the pinned scalar twin on every ISA tier.
-    /// Passing `false` permits the fused multiply-add variant, which is
-    /// marginally faster but rounds differently, so results may differ in
-    /// the last bit (and under exact ties of rounded sums, in assignment)
-    /// across ISA tiers.
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
-        self
-    }
-
     /// Runs k-means on the given points.
     ///
     /// Degenerate inputs are handled gracefully: with no points the result is
@@ -87,7 +75,16 @@ impl KMeans {
     /// cluster 0 and no centroids are returned; with `k >= n` every point
     /// becomes its own centroid.
     pub fn fit(&self, points: MatrixView) -> KMeansResult {
-        let n = points.num_rows();
+        self.fit_blocks(&PointBlocks::new(points.data(), points.dim()))
+    }
+
+    /// [`fit`](KMeans::fit) on points already prepared as [`PointBlocks`],
+    /// so a caller that also searches representatives
+    /// ([`select_representatives_blocks`](crate::select_representatives_blocks))
+    /// transposes once. The tier of `points` decides the kernels the fit
+    /// runs on; every tier gives the same result.
+    pub fn fit_blocks(&self, points: &PointBlocks) -> KMeansResult {
+        let n = points.len();
         if n == 0 || self.k == 0 {
             return KMeansResult {
                 centroids: Vec::new(),
@@ -102,8 +99,7 @@ impl KMeans {
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         // Centroids live in one contiguous `k × dim` buffer for the duration
-        // of the fit (the assignment hot loop scans them sequentially per
-        // point); they are only split into per-centroid vectors for the
+        // of the fit; they are only split into per-centroid vectors for the
         // returned result.
         let mut centroids = kmeanspp_init(points, k, &mut rng);
         let mut assignments = vec![0usize; n];
@@ -116,25 +112,11 @@ impl KMeans {
         for iter in 0..self.max_iterations {
             iterations = iter + 1;
             // Assignment step.
-            let changed = assign_points(
-                points,
-                &centroids,
-                dim,
-                &mut assignments,
-                &mut dists,
-                threads,
-                self.deterministic,
-            );
+            let changed = assign_blocks(points, &centroids, &mut assignments, &mut dists, threads);
             // Update step.
             sums.fill(0.0);
             counts.fill(0);
-            for (i, p) in points.rows().enumerate() {
-                let c = assignments[i];
-                counts[c] += 1;
-                for (s, x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
-                    *s += x;
-                }
-            }
+            points.accumulate(&assignments, &mut sums, &mut counts);
             let mut empty = Vec::new();
             for (c, &count) in counts.iter().enumerate() {
                 if count > 0 {
@@ -150,7 +132,7 @@ impl KMeans {
                 }
             }
             if !empty.is_empty() {
-                reseed_empty_clusters(points, &mut centroids, dim, &empty);
+                reseed_empty_clusters(points, &mut centroids, &empty);
             }
             // With unchanged assignments and no re-seeding, this update
             // recomputed bit-identical centroids, so `assignments`/`dists`
@@ -170,15 +152,7 @@ impl KMeans {
         // against the final centroids so the reported triple is
         // self-consistent; at a clean convergent exit the pass is skipped.
         if stale {
-            assign_points(
-                points,
-                &centroids,
-                dim,
-                &mut assignments,
-                &mut dists,
-                threads,
-                self.deterministic,
-            );
+            assign_blocks(points, &centroids, &mut assignments, &mut dists, threads);
         }
         let inertia = dists.iter().sum();
         KMeansResult {
@@ -203,16 +177,9 @@ fn resolve_threads(configured: usize) -> usize {
 /// Assigns every point to its nearest centroid, recording the squared
 /// distance, and reports whether any assignment changed.
 ///
-/// The centroid set is packed once into a SIMD [`CentroidScan`] (one lane
-/// per centroid, best available ISA tier) and shared by every worker; with
-/// `deterministic = true` (the [`KMeans`] default) the scan is bit-identical
-/// to [`assign_points_scalar`], which the `kernel_equivalence` suite pins.
-///
-/// With `threads > 1` (and enough points to amortise thread setup) the
-/// points are split into contiguous chunks processed by scoped workers; each
-/// point's result is independent of the others, so the outcome is identical
-/// to the sequential pass.
-#[allow(clippy::too_many_arguments)]
+/// Transposes the points into [`PointBlocks`] of the best available ISA tier
+/// and runs [`assign_blocks`]; bit-identical to [`assign_points_scalar`],
+/// which the `kernel_equivalence` suite pins.
 pub fn assign_points(
     points: MatrixView,
     centroids: &[f32],
@@ -220,17 +187,14 @@ pub fn assign_points(
     assignments: &mut [usize],
     dists: &mut [f32],
     threads: usize,
-    deterministic: bool,
 ) -> bool {
-    let dim = dim.max(1);
-    let scan = CentroidScan::new(centroids, dim, deterministic);
-    assign_points_impl(points, dim, assignments, dists, threads, &|p| {
-        scan.nearest(p)
-    })
+    let blocks = PointBlocks::new(points.data(), dim);
+    assign_blocks(&blocks, centroids, assignments, dists, threads)
 }
 
 /// The pinned scalar twin of [`assign_points`]: the 4-way blocked scalar
-/// scan ([`nearest_centroid_scalar`]) with the same chunked threading.
+/// scan ([`nearest_centroid_scalar`](subtab_kernels::nearest_centroid_scalar))
+/// per point, with the same chunked threading.
 pub fn assign_points_scalar(
     points: MatrixView,
     centroids: &[f32],
@@ -239,47 +203,40 @@ pub fn assign_points_scalar(
     dists: &mut [f32],
     threads: usize,
 ) -> bool {
-    let dim = dim.max(1);
-    assign_points_impl(points, dim, assignments, dists, threads, &|p| {
-        nearest_centroid_scalar(p, centroids, dim)
-    })
+    let blocks = PointBlocks::with_isa(Isa::Scalar, points.data(), dim);
+    assign_blocks(&blocks, centroids, assignments, dists, threads)
 }
 
-fn assign_points_impl(
-    points: MatrixView,
-    dim: usize,
+/// The assignment pass over prepared [`PointBlocks`]: nearest centroid of
+/// every point over the flat `k × dim` buffer `centroids`.
+///
+/// With `threads > 1` (and enough points to amortise thread setup) the
+/// points are split into contiguous runs of whole blocks processed by scoped
+/// workers; each point's result is independent of the others, so the outcome
+/// is identical to the sequential pass.
+pub fn assign_blocks(
+    points: &PointBlocks,
+    centroids: &[f32],
     assignments: &mut [usize],
     dists: &mut [f32],
     threads: usize,
-    nearest: &(dyn Fn(&[f32]) -> (usize, f32) + Sync),
 ) -> bool {
-    let assign_chunk = |pts: &[f32], asg: &mut [usize], ds: &mut [f32]| -> bool {
-        let mut changed = false;
-        for ((p, a), d) in pts.chunks_exact(dim).zip(asg.iter_mut()).zip(ds.iter_mut()) {
-            let (best, best_d) = nearest(p);
-            if *a != best {
-                *a = best;
-                changed = true;
-            }
-            *d = best_d;
-        }
-        changed
-    };
-    if threads <= 1 || points.num_rows() < PARALLEL_MIN_POINTS {
-        return assign_chunk(points.data(), assignments, dists);
+    let n = points.len();
+    if threads <= 1 || n < PARALLEL_MIN_POINTS {
+        return points.assign(centroids, 0, assignments, dists);
     }
-    let chunk = points.num_rows().div_ceil(threads);
+    let lanes = points.lanes();
+    let chunk = n.div_ceil(threads).div_ceil(lanes) * lanes;
     let changed = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for ((pts, asg), ds) in points
-            .data()
-            .chunks(chunk * dim)
-            .zip(assignments.chunks_mut(chunk))
+        for (t, (asg, ds)) in assignments
+            .chunks_mut(chunk)
             .zip(dists.chunks_mut(chunk))
+            .enumerate()
         {
             let changed = &changed;
             scope.spawn(move || {
-                if assign_chunk(pts, asg, ds) {
+                if points.assign(centroids, t * chunk, asg, ds) {
                     changed.store(true, std::sync::atomic::Ordering::Relaxed);
                 }
             });
@@ -296,32 +253,32 @@ fn assign_points_impl(
 /// in order, each taking the next unclaimed one, so two clusters emptied in
 /// the same iteration can no longer be re-seeded onto the same point (which
 /// produced duplicate centroids).
-fn reseed_empty_clusters(points: MatrixView, centroids: &mut [f32], dim: usize, empty: &[usize]) {
-    let dists: Vec<f32> = points
-        .rows()
-        .map(|p| nearest_centroid_scalar(p, centroids, dim).1)
-        .collect();
-    let mut order: Vec<usize> = (0..points.num_rows()).collect();
+fn reseed_empty_clusters(points: &PointBlocks, centroids: &mut [f32], empty: &[usize]) {
+    let (n, dim) = (points.len(), points.dim());
+    let mut nearest = vec![0usize; n];
+    let mut dists = vec![0.0f32; n];
+    points.assign(centroids, 0, &mut nearest, &mut dists);
+    let mut order: Vec<usize> = (0..n).collect();
     // Farthest first; the stable sort keeps ties in index order so the
     // re-seeding stays deterministic.
     order.sort_by(|&a, &b| dists[b].total_cmp(&dists[a]));
+    let rows = points.rows();
     for (&c, &far) in empty.iter().zip(order.iter()) {
-        centroids[c * dim..(c + 1) * dim].copy_from_slice(points.row(far));
+        centroids[c * dim..(c + 1) * dim].copy_from_slice(&rows[far * dim..(far + 1) * dim]);
     }
 }
 
 /// k-means++ seeding: the first centroid is uniform, subsequent centroids are
 /// drawn with probability proportional to the squared distance to the nearest
 /// already-chosen centroid. Returns the seeds as one flat `k × dim` buffer.
-fn kmeanspp_init(points: MatrixView, k: usize, rng: &mut StdRng) -> Vec<f32> {
-    let n = points.num_rows();
-    let dim = points.dim();
+fn kmeanspp_init(points: &PointBlocks, k: usize, rng: &mut StdRng) -> Vec<f32> {
+    let (n, dim, rows) = (points.len(), points.dim(), points.rows());
+    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
     let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
-    centroids.extend_from_slice(points.row(rng.gen_range(0..n)));
-    let mut dists: Vec<f32> = points
-        .rows()
-        .map(|p| squared_euclidean(p, &centroids[..dim]))
-        .collect();
+    centroids.extend_from_slice(row(rng.gen_range(0..n)));
+    let mut dists = vec![0.0f32; n];
+    points.distances_to(&centroids[..dim], &mut dists);
+    let mut latest = vec![0.0f32; n];
     while centroids.len() < k * dim {
         let total: f32 = dists.iter().sum();
         let next = if total <= f32::EPSILON {
@@ -339,12 +296,15 @@ fn kmeanspp_init(points: MatrixView, k: usize, rng: &mut StdRng) -> Vec<f32> {
             }
             chosen
         };
-        centroids.extend_from_slice(points.row(next));
-        let latest = &centroids[centroids.len() - dim..];
-        for (i, p) in points.rows().enumerate() {
-            let d = squared_euclidean(p, latest);
-            if d < dists[i] {
-                dists[i] = d;
+        centroids.extend_from_slice(row(next));
+        // The last seed's distances would feed no further draw.
+        if centroids.len() == k * dim {
+            break;
+        }
+        points.distances_to(&centroids[centroids.len() - dim..], &mut latest);
+        for (d, &l) in dists.iter_mut().zip(&latest) {
+            if l < *d {
+                *d = l;
             }
         }
     }
@@ -355,6 +315,7 @@ fn kmeanspp_init(points: MatrixView, k: usize, rng: &mut StdRng) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use subtab_kernels::{nearest_centroid_scalar, squared_euclidean};
 
     fn blobs() -> Matrix {
         let mut pts = Matrix::with_capacity(60, 2);
@@ -449,7 +410,8 @@ mod tests {
             2,
         );
         let mut centroids = vec![0.0, 0.0, 500.0, 500.0, 600.0, 600.0];
-        reseed_empty_clusters(points.view(), &mut centroids, 2, &[1, 2]);
+        let blocks = PointBlocks::new(points.data(), 2);
+        reseed_empty_clusters(&blocks, &mut centroids, &[1, 2]);
         assert_ne!(
             centroids[2..4],
             centroids[4..6],
@@ -554,15 +516,7 @@ mod tests {
                 let n = pts.num_rows();
                 let (mut a_simd, mut d_simd) = (vec![0usize; n], vec![0.0f32; n]);
                 let (mut a_ref, mut d_ref) = (vec![0usize; n], vec![0.0f32; n]);
-                assign_points(
-                    pts.view(),
-                    &centroids,
-                    3,
-                    &mut a_simd,
-                    &mut d_simd,
-                    threads,
-                    true,
-                );
+                assign_points(pts.view(), &centroids, 3, &mut a_simd, &mut d_simd, threads);
                 assign_points_scalar(pts.view(), &centroids, 3, &mut a_ref, &mut d_ref, threads);
                 assert_eq!(a_simd, a_ref, "k {k} threads {threads}");
                 let bits_simd: Vec<u32> = d_simd.iter().map(|d| d.to_bits()).collect();

@@ -19,9 +19,16 @@
 //!   to each centroid is selected, with duplicates resolved to the next
 //!   nearest unused point),
 //! * [`distance`] — the Euclidean distance helpers, re-exported from the
-//!   shared `subtab-kernels` crate (which also provides the SIMD centroid
-//!   scan the assignment step dispatches to).
+//!   shared `subtab-kernels` crate.
 //!
+//! All distance work runs on the point-lane kernel of `subtab-kernels`
+//! ([`PointBlocks`]): a fit transposes its points once into SIMD blocks of
+//! 8 or 16 points and uses them for seeding, every assignment pass, the
+//! update step and — through [`select_k_representatives_threaded`] or
+//! [`KMeans::fit_blocks`] + [`select_representatives_blocks`] — the
+//! representative search. Every ISA tier is bit-identical to the scalar
+//! twins ([`assign_points_scalar`]), which stay as the runtime fallback.
+
 //! ```
 //! use subtab_cluster::{KMeans, Matrix, select_representatives};
 //!
@@ -45,8 +52,10 @@ pub mod matrix;
 pub mod representative;
 
 pub use distance::{euclidean, squared_euclidean};
-pub use kmeans::{assign_points, assign_points_scalar, KMeans, KMeansResult};
+pub use kmeans::{assign_blocks, assign_points, assign_points_scalar, KMeans, KMeansResult};
 pub use matrix::{Matrix, MatrixView};
 pub use representative::{
     select_k_representatives, select_k_representatives_threaded, select_representatives,
+    select_representatives_blocks,
 };
+pub use subtab_kernels::PointBlocks;

@@ -8,31 +8,43 @@
 //! its next-nearest unused point so that exactly `k` distinct indices are
 //! returned.
 
-use crate::distance::squared_euclidean;
 use crate::kmeans::{KMeans, KMeansResult};
 use crate::matrix::MatrixView;
+use subtab_kernels::PointBlocks;
 
 /// For each centroid of `result`, the index of the nearest point in `points`,
 /// with duplicates resolved to the next nearest unused point.
 pub fn select_representatives(points: MatrixView, result: &KMeansResult) -> Vec<usize> {
+    select_representatives_blocks(&PointBlocks::new(points.data(), points.dim()), result)
+}
+
+/// [`select_representatives`] over the point-lane blocks a fit already
+/// prepared ([`KMeans::fit_blocks`]): one kernel pass per centroid computes
+/// every point's distance to it, then a linear scan picks the nearest unused
+/// point.
+pub fn select_representatives_blocks(points: &PointBlocks, result: &KMeansResult) -> Vec<usize> {
+    let n = points.len();
     let mut chosen: Vec<usize> = Vec::with_capacity(result.centroids.len());
+    let mut used = vec![false; n];
+    let mut dists = vec![0.0f32; n];
     for centroid in &result.centroids {
+        points.distances_to(centroid, &mut dists);
         // Linear argmin over the unused points. The original implementation
         // stably argsorted all points by distance and took the first unused
         // one; a strict `<` scan in index order picks the same point (lowest
         // index among the minimal unused distances) in O(n) instead of
         // O(n log n) with a distance evaluation per comparison.
         let mut best: Option<(usize, f32)> = None;
-        for (i, p) in points.rows().enumerate() {
-            if chosen.contains(&i) {
+        for (i, &d) in dists.iter().enumerate() {
+            if used[i] {
                 continue;
             }
-            let d = squared_euclidean(p, centroid);
             if best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
                 best = Some((i, d));
             }
         }
         if let Some((idx, _)) = best {
+            used[idx] = true;
             chosen.push(idx);
         }
     }
@@ -62,13 +74,17 @@ pub fn select_k_representatives_threaded(
     if points.num_rows() <= k {
         return (0..points.num_rows()).collect();
     }
-    let result = KMeans::new(k, seed).threads(threads).fit(points);
-    select_representatives(points, &result)
+    // One transposed copy serves the fit and the representative search, and
+    // is dropped before returning.
+    let blocks = PointBlocks::new(points.data(), points.dim());
+    let result = KMeans::new(k, seed).threads(threads).fit_blocks(&blocks);
+    select_representatives_blocks(&blocks, &result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::squared_euclidean;
     use crate::matrix::Matrix;
 
     #[test]

@@ -1,14 +1,20 @@
 //! Equivalence suite for the shared SIMD kernel layer: on every planted
 //! dataset, the vectorised predicate scans behind `leaf_bitmap` must be
 //! bit-identical to the pinned scalar twin `leaf_bitmap_scalar` (and to the
-//! per-row `Predicate::matches` reference), and the SIMD centroid scan
-//! behind `assign_points` must be bit-identical to `assign_points_scalar`
-//! across thread counts and dimensions — distances compared via `to_bits`,
-//! not approximately. The suite also pins the explicit-ISA scan entry
-//! points against each other and honours the `SUBTAB_FORCE_SCALAR_KERNELS`
+//! per-row `Predicate::matches` reference), and the point-lane k-means
+//! kernel behind `assign_points` must be bit-identical to
+//! `assign_points_scalar` across thread counts and dimensions — distances
+//! compared via `to_bits`, not approximately. Whole `KMeans` fits plus
+//! representative searches run on every available tier and must match the
+//! scalar tier in assignments, centroid bits, inertia bits, iterations and
+//! representatives. The suite also pins the explicit-ISA scan entry points
+//! against each other and honours the `SUBTAB_FORCE_SCALAR_KERNELS`
 //! override used by CI.
 
-use subtab_cluster::{assign_points, assign_points_scalar, KMeans, Matrix};
+use subtab_cluster::{
+    assign_points, assign_points_scalar, select_representatives, select_representatives_blocks,
+    KMeans, KMeansResult, Matrix, PointBlocks,
+};
 use subtab_core::select::select_sub_table;
 use subtab_core::{
     leaf_bitmap, leaf_bitmap_scalar, PreprocessedTable, SelectionParams, SubTabConfig,
@@ -217,7 +223,6 @@ fn simd_assignments_match_the_scalar_twin_across_dims_and_threads() {
                     &mut assign,
                     &mut dists,
                     threads,
-                    true,
                 );
                 assert_eq!(
                     assign, ref_assign,
@@ -313,9 +318,7 @@ fn forced_scalar_override_pins_default_dispatch() {
 }
 
 /// End-to-end: the full compiled selection pipeline stays bit-identical
-/// across thread counts on top of the kernel layer, and the
-/// non-deterministic (fused) clustering path still produces a valid
-/// clustering of the same shape.
+/// across thread counts on top of the kernel layer.
 #[test]
 fn selection_pipeline_stays_deterministic_on_top_of_the_kernels() {
     let dataset = DatasetKind::Spotify.build(DatasetSize::Tiny, 9);
@@ -329,11 +332,126 @@ fn selection_pipeline_stays_deterministic_on_top_of_the_kernels() {
         assert_eq!(got.row_indices, reference.row_indices);
         assert_eq!(got.columns, reference.columns);
     }
+}
 
-    // The reassociating fused variant is opt-in and must still converge to a
-    // complete clustering (it only relaxes bit-identity, not correctness).
-    let points = planted_points(DatasetKind::Spotify, pre.table(), 16);
-    let fused = KMeans::new(4, 42).deterministic(false).fit(points.view());
-    assert_eq!(fused.assignments.len(), points.num_rows());
-    assert!(fused.assignments.iter().all(|&a| a < 4));
+/// The vector tiers the CPU can run (the scalar tier is the reference).
+fn vector_tiers() -> Vec<Isa> {
+    [Isa::Avx512, Isa::Avx2Fma]
+        .into_iter()
+        .filter(|isa| isa.available())
+        .collect()
+}
+
+/// A whole fit plus representative search on one tier.
+fn fit_on(
+    isa: Isa,
+    points: &Matrix,
+    k: usize,
+    seed: u64,
+    threads: usize,
+) -> (KMeansResult, Vec<usize>) {
+    let blocks = PointBlocks::with_isa(isa, points.data(), points.dim());
+    let fit = KMeans::new(k, seed).threads(threads).fit_blocks(&blocks);
+    let reps = select_representatives_blocks(&blocks, &fit);
+    (fit, reps)
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Fits `points` on every vector tier and at every thread count and
+/// requires the scalar tier's single-threaded result, bit for bit.
+fn assert_tiers_match_scalar(label: &str, points: &Matrix, k: usize, threads: &[usize]) {
+    let seed = 0x5eed ^ (points.num_rows() * 31 + k) as u64;
+    let (want, want_reps) = fit_on(Isa::Scalar, points, k, seed, 1);
+    let want_centroids: Vec<Vec<u32>> = want.centroids.iter().map(|c| bits(c)).collect();
+    for isa in vector_tiers().into_iter().chain([Isa::Scalar]) {
+        for &t in threads {
+            let ctx = format!("{label} n {} k {k}: {isa:?} threads {t}", points.num_rows());
+            let (got, reps) = fit_on(isa, points, k, seed, t);
+            assert_eq!(got.assignments, want.assignments, "{ctx}: assignments");
+            let centroids: Vec<Vec<u32>> = got.centroids.iter().map(|c| bits(c)).collect();
+            assert_eq!(centroids, want_centroids, "{ctx}: centroid bits");
+            assert_eq!(
+                got.inertia.to_bits(),
+                want.inertia.to_bits(),
+                "{ctx}: inertia bits"
+            );
+            assert_eq!(got.iterations, want.iterations, "{ctx}: iterations");
+            assert_eq!(reps, want_reps, "{ctx}: representatives");
+        }
+    }
+    // The public entry points (default dispatch, transposing per call) agree
+    // too.
+    let fit = KMeans::new(k, seed).fit(points.view());
+    assert_eq!(
+        fit.assignments, want.assignments,
+        "{label}: default-dispatch fit"
+    );
+    assert_eq!(
+        select_representatives(points.view(), &fit),
+        want_reps,
+        "{label}"
+    );
+}
+
+#[test]
+fn fits_on_planted_row_and_column_matrices_match_the_scalar_tier() {
+    for kind in ALL_KINDS {
+        let dataset = kind.build(DatasetSize::Tiny, 9);
+        let pre = PreprocessedTable::new(dataset.table, &SubTabConfig::fast()).unwrap();
+        let rows = pre.full_row_vectors();
+        let all_rows: Vec<usize> = (0..pre.table().num_rows()).collect();
+        let all_cols: Vec<usize> = (0..pre.table().num_columns()).collect();
+        let dim = rows.dim();
+        let columns = Matrix::new(
+            pre.embedding()
+                .column_vectors(pre.plane(), &all_cols, &all_rows, 1),
+            dim,
+        );
+        let label = kind.label();
+        assert_tiers_match_scalar(&format!("{label} rows"), &rows, 10, &[1, 2, 4]);
+        assert_tiers_match_scalar(&format!("{label} columns"), &columns, 10, &[1]);
+    }
+}
+
+#[test]
+fn fits_on_random_matrices_match_the_scalar_tier() {
+    let mut matrix_seed = 1u64;
+    for n in [1usize, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025, 1500] {
+        // Thread counts only change the schedule above the parallel
+        // threshold; below it every count runs the sequential pass.
+        let threads: &[usize] = if n >= 1023 { &[1, 2, 4] } else { &[1] };
+        for dim in [1usize, 3, 8, 13, 32, 64] {
+            matrix_seed += 1;
+            let data: Vec<f32> = (0..n * dim)
+                .map(|i| mixed_unit(matrix_seed, i as u64))
+                .collect();
+            let points = Matrix::new(data, dim);
+            for k in [1usize, 2, 9, 10, 17] {
+                assert_tiers_match_scalar("random", &points, k, threads);
+            }
+        }
+    }
+}
+
+#[test]
+fn fits_with_duplicate_points_and_exact_ties_match_the_scalar_tier() {
+    // Points drawn from a handful of integer-valued prototypes: many exact
+    // duplicates, exactly tied distances, fewer distinct points than
+    // clusters (k-means++ falls back to uniform draws and empty clusters are
+    // re-seeded).
+    for (n, dim, protos) in [(40usize, 3usize, 3usize), (1100, 8, 5), (1500, 13, 12)] {
+        let data: Vec<f32> = (0..n * dim)
+            .map(|i| {
+                let (p, d) = ((i / dim * 7) % protos, i % dim);
+                ((p * 3 + d) % 4) as f32 - 1.5
+            })
+            .collect();
+        let points = Matrix::new(data, dim);
+        for k in [1usize, 2, 9, 10, 17] {
+            assert_tiers_match_scalar("duplicates", &points, k, &[1, 2, 4]);
+        }
+    }
 }

@@ -2,9 +2,10 @@
 //! scalar twins.
 //!
 //! Every hot inner loop of the workspace that benefits from SIMD lives here:
-//! squared-euclidean distance with a lane-parallel argmin centroid scan (the
-//! k-means assignment step in `subtab-cluster`), and columnar predicate
-//! scans that compare a typed value plane against a constant and emit `u64`
+//! the point-lane k-means kernel ([`PointBlocks`]: k-means++ seeding
+//! distances, the assignment argmin, the update step's accumulation and the
+//! representative search in `subtab-cluster`), and columnar predicate scans
+//! that compare a typed value plane against a constant and emit `u64`
 //! bitmap words directly (the compiled query leaves in `subtab-core`). The
 //! feature-detection and FMA helpers that used to be trapped inside
 //! `subtab-embed`'s SGNS trainer are exported from [`dispatch`] so every
@@ -29,17 +30,17 @@
 //! - Predicate scans are exact boolean functions of each row (IEEE compares
 //!   plus the sign-flipped integer total-order key for `f64::total_cmp`
 //!   semantics), so every tier produces the same words by construction.
-//! - The centroid scan vectorises *across centroids* — one SIMD lane per
-//!   centroid — and accumulates each lane with separate subtract, multiply
-//!   and add instructions in element order: exactly the operation sequence
-//!   of the scalar per-centroid loop, with no reassociation and no fused
-//!   multiply-add (an FMA skips the intermediate rounding and changes the
-//!   low bits). Argmin comparisons run in centroid order with a strict `<`,
-//!   so ties keep the earlier centroid on every tier.
-//!
-//! A *reassociating* fused variant of the centroid scan exists for callers
-//! that opt out of determinism (`deterministic = false` in the consumer's
-//! config); it is never selected by default.
+//! - The k-means kernel vectorises *across points*: the point set is
+//!   transposed once into blocks of 8 (AVX2) or 16 (AVX-512) points stored
+//!   `block[d][lane]`, and each lane accumulates its own point's distance
+//!   with separate subtract, multiply and add instructions in element order —
+//!   exactly the operation sequence of [`squared_euclidean`], with no
+//!   reassociation and no fused multiply-add (an FMA skips the intermediate
+//!   rounding and changes the low bits). Several centroids (or blocks) are
+//!   evaluated at once with independent accumulators, which hides the add
+//!   latency without changing any lane's order. Argmin comparisons run in
+//!   centroid order with a strict `<`, so ties keep the earlier centroid on
+//!   every tier, exactly like [`nearest_centroid_scalar`].
 
 pub mod aligned;
 pub mod dequant;
@@ -53,7 +54,7 @@ pub use dequant::{
     f32_to_f16,
 };
 pub use dispatch::{detect, fma_select, has_avx2_fma, has_avx512f, Isa};
-pub use distance::{euclidean, nearest_centroid_scalar, squared_euclidean, CentroidScan};
+pub use distance::{euclidean, nearest_centroid_scalar, squared_euclidean, PointBlocks};
 pub use scan::{
     scan_bools, scan_bools_masked, scan_codes, scan_codes_masked, scan_codes_with_isa, scan_f64,
     scan_f64_masked, scan_f64_with_isa, scan_i64, scan_i64_masked, scan_i64_with_isa, CmpOp,

@@ -1,6 +1,7 @@
 //! Cell coverage (Definition 3.6).
 
 use subtab_binning::BinnedTable;
+use subtab_data::Bitmap;
 use subtab_rules::RuleSet;
 
 /// Pre-computed data for evaluating the cell coverage of sub-tables of one
@@ -11,12 +12,20 @@ use subtab_rules::RuleSet;
 /// `upcov = |⋃_R cell(R, T)|`. Individual sub-table evaluations then only need
 /// to (a) decide which rules are covered and (b) union the pre-computed cell
 /// sets of the covered rules.
+///
+/// `T_R` is a row bitmap (one bit per row of the full table). Mined rules
+/// hold on at least a `min_support` share of the rows, so the bitmap is
+/// several times smaller than a row-index list at the default support
+/// threshold, and the witness-row test of [`covered_rules`] is a word-wise
+/// AND.
+///
+/// [`covered_rules`]: CoverageIndex::covered_rules
 #[derive(Debug, Clone)]
 pub struct CoverageIndex {
     num_rows: usize,
     num_cols: usize,
     /// Per rule: (columns of the rule, rows of the full table where it holds).
-    rules: Vec<(Vec<usize>, Vec<u32>)>,
+    rules: Vec<(Vec<usize>, Bitmap)>,
     upcov: usize,
 }
 
@@ -29,13 +38,11 @@ impl CoverageIndex {
         let interner = rules.interner();
         let mut infos = Vec::with_capacity(rules.len());
         for rule in rules.iter() {
-            let cols = rule.columns();
-            let rows: Vec<u32> = rule
-                .matching_rows(interner, binned)
-                .into_iter()
-                .map(|r| r as u32)
-                .collect();
-            infos.push((cols, rows));
+            let mut rows = Bitmap::zeros(num_rows);
+            for r in rule.matching_rows(interner, binned) {
+                rows.set(r);
+            }
+            infos.push((rule.columns(), rows));
         }
         let mut index = CoverageIndex {
             num_rows,
@@ -72,17 +79,23 @@ impl CoverageIndex {
                 col_mask[c] = true;
             }
         }
-        let mut row_mask = vec![false; self.num_rows];
+        let mut row_mask = Bitmap::zeros(self.num_rows);
         for &r in rows {
             if r < self.num_rows {
-                row_mask[r] = true;
+                row_mask.set(r);
             }
         }
+        let row_words = row_mask.as_words();
         self.rules
             .iter()
             .enumerate()
             .filter(|(_, (rcols, rrows))| {
-                rcols.iter().all(|&c| col_mask[c]) && rrows.iter().any(|&r| row_mask[r as usize])
+                rcols.iter().all(|&c| col_mask[c])
+                    && rrows
+                        .as_words()
+                        .iter()
+                        .zip(row_words)
+                        .any(|(a, b)| a & b != 0)
             })
             .map(|(i, _)| i)
             .collect()
@@ -99,14 +112,19 @@ impl CoverageIndex {
         let mut count = 0usize;
         for &ri in rule_indices {
             let (cols, rows) = &self.rules[ri];
-            for &r in rows {
-                let base = r as usize * self.num_cols;
-                for &c in cols {
-                    let bit = base + c;
-                    let (word, off) = (bit / 64, bit % 64);
-                    if bitset[word] & (1 << off) == 0 {
-                        bitset[word] |= 1 << off;
-                        count += 1;
+            for (wi, &row_word) in rows.as_words().iter().enumerate() {
+                let mut w = row_word;
+                while w != 0 {
+                    let r = wi * 64 + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    let base = r * self.num_cols;
+                    for &c in cols {
+                        let bit = base + c;
+                        let (word, off) = (bit / 64, bit % 64);
+                        if bitset[word] & (1 << off) == 0 {
+                            bitset[word] |= 1 << off;
+                            count += 1;
+                        }
                     }
                 }
             }
