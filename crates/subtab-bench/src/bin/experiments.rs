@@ -7,13 +7,22 @@
 //! cargo run --release -p subtab-bench --bin experiments -- --quick table1
 //! ```
 
+use subtab_bench::experiments::report::{gate, GatedExperiment};
 use subtab_bench::experiments::{
-    ablation, phases, preprocess_scaling, quality, query_scaling, rules_mining, scale as scale_exp,
-    server_load, simulation, slow_baselines, tuning, user_study,
+    ablation, phases, quality, simulation, slow_baselines, tuning, user_study, GATED,
 };
 use subtab_bench::ExperimentScale;
 
-const USAGE: &str = "\
+/// The usage text: the paper artefacts, then one line per gated
+/// experiment from [`GATED`].
+fn usage() -> String {
+    let gated_lines: String = GATED
+        .iter()
+        .map(|e| format!("  {:<10}  {} (CI gate)\n", e.name, e.about))
+        .collect();
+    let names: Vec<&str> = GATED.iter().map(|e| e.name).collect();
+    format!(
+        "\
 usage: experiments [--quick] [--json PATH] [--baseline PATH] <experiment>...
 
 experiments:
@@ -25,24 +34,22 @@ experiments:
   figure9     Figure 9 — pre-processing vs centroid-selection time
   figure10    Figure 10 — sensitivity to #bins / support / confidence
   ablation    design-choice ablations (binning, corpus, dim, alpha)
-  preprocess  pre-processing hot-path scaling per trainer mode (CI gate)
-  query       query-time selection scaling per engine mode (CI gate)
-  rules       rule-engine scaling: bitmap vs Apriori mining, highlight index (CI gate)
-  server      serving-layer load: session replay throughput + tail latency (CI gate)
-  scale       100k/1M-row tier: per-stage wall time + resident memory on the stress shapes (CI gate)
-  all         everything above except `preprocess`, `query`, `rules`, `server` and `scale`
+{gated_lines}  all         everything above except the CI gates ({names})
 
 flags:
   --quick           tiny datasets and small budgets (seconds instead of minutes);
                     for `scale`, the 100k sub-tier instead of 1M rows
-  --json PATH       (preprocess | query | rules | server | scale) write the machine-readable report to PATH
-  --baseline PATH   (preprocess | query | rules | server | scale) compare against a baseline JSON; exit 1
-                    on a >25% wall-time regression in any mode (scale also gates resident memory)";
+  --json PATH       (one CI gate) write the machine-readable report to PATH
+  --baseline PATH   (one CI gate) compare against a baseline JSON under the
+                    experiment's gate policy; exit 1 if any check fails",
+        names = names.join(", ")
+    )
+}
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         std::process::exit(2);
     }
     let mut quick = false;
@@ -55,7 +62,7 @@ fn main() {
             "--quick" => quick = true,
             "--json" | "--baseline" => {
                 let Some(value) = it.next() else {
-                    eprintln!("{a} requires a path argument\n\n{USAGE}");
+                    eprintln!("{a} requires a path argument\n\n{}", usage());
                     std::process::exit(2);
                 };
                 if a == "--json" {
@@ -65,7 +72,7 @@ fn main() {
                 }
             }
             other if other.starts_with("--") => {
-                eprintln!("unknown flag {other:?}\n\n{USAGE}");
+                eprintln!("unknown flag {other:?}\n\n{}", usage());
                 std::process::exit(2);
             }
             _ => args.push(a),
@@ -89,20 +96,18 @@ fn main() {
         ];
     }
     if requested.is_empty() {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         std::process::exit(2);
     }
     let gated_requested = requested
         .iter()
-        .filter(|r| {
-            *r == "preprocess" || *r == "query" || *r == "rules" || *r == "server" || *r == "scale"
-        })
+        .filter(|r| GATED.iter().any(|e| e.name == r.as_str()))
         .count();
     if (json_path.is_some() || baseline_path.is_some()) && gated_requested != 1 {
         eprintln!(
-            "--json/--baseline apply to exactly one of the `preprocess` / `query` / `rules` / \
-             `server` / `scale` experiments per invocation (note: `all` includes none of them)\n\n\
-             {USAGE}"
+            "--json/--baseline apply to exactly one CI-gated experiment per invocation \
+             (note: `all` includes none of them)\n\n{}",
+            usage()
         );
         std::process::exit(2);
     }
@@ -139,92 +144,47 @@ fn main() {
                 let report = ablation::run(scale);
                 println!("{}", ablation::render(&report));
             }
-            "preprocess" => {
-                let report = preprocess_scaling::run(scale);
-                println!("{}", preprocess_scaling::render(&report));
-                write_and_gate(
-                    json_path.as_deref(),
-                    baseline_path.as_deref(),
-                    &preprocess_scaling::to_json(&report),
-                    |baseline| preprocess_scaling::check_against_baseline(&report, baseline, 0.25),
-                );
-            }
-            "query" => {
-                let report = query_scaling::run(scale);
-                println!("{}", query_scaling::render(&report));
-                write_and_gate(
-                    json_path.as_deref(),
-                    baseline_path.as_deref(),
-                    &query_scaling::to_json(&report),
-                    |baseline| query_scaling::check_against_baseline(&report, baseline, 0.25),
-                );
-            }
-            "rules" => {
-                let report = rules_mining::run(scale);
-                println!("{}", rules_mining::render(&report));
-                write_and_gate(
-                    json_path.as_deref(),
-                    baseline_path.as_deref(),
-                    &rules_mining::to_json(&report),
-                    |baseline| rules_mining::check_against_baseline(&report, baseline, 0.25),
-                );
-            }
-            "scale" => {
-                let report = scale_exp::run(scale);
-                println!("{}", scale_exp::render(&report));
-                write_and_gate(
-                    json_path.as_deref(),
-                    baseline_path.as_deref(),
-                    &scale_exp::to_json(&report),
-                    |baseline| scale_exp::check_against_baseline(&report, baseline, 0.25),
-                );
-            }
-            "server" => {
-                let report = server_load::run(scale);
-                println!("{}", server_load::render(&report));
-                write_and_gate(
-                    json_path.as_deref(),
-                    baseline_path.as_deref(),
-                    &server_load::to_json(&report),
-                    |baseline| server_load::check_against_baseline(&report, baseline, 0.25),
-                );
-            }
             other => {
-                eprintln!("unknown experiment {other:?}\n\n{USAGE}");
-                std::process::exit(2);
+                let Some(gated) = GATED.iter().find(|e| e.name == other) else {
+                    eprintln!("unknown experiment {other:?}\n\n{}", usage());
+                    std::process::exit(2);
+                };
+                run_gated(gated, scale, json_path.as_deref(), baseline_path.as_deref());
             }
         }
         println!("[{experiment} finished in {:.2?}]", start.elapsed());
     }
 }
 
-/// Shared `--json` / `--baseline` handling of the gated experiments: writes
-/// the machine-readable report and exits 1 when the gate reports a
-/// regression.
-fn write_and_gate(
+/// Runs one gated experiment, prints its report, writes the JSON to
+/// `json_path` and gates it against `baseline_path`; exits 1 when any check
+/// of the experiment's policy fails.
+fn run_gated(
+    experiment: &GatedExperiment,
+    scale: ExperimentScale,
     json_path: Option<&str>,
     baseline_path: Option<&str>,
-    json: &str,
-    gate: impl FnOnce(&str) -> Result<Vec<String>, Vec<String>>,
 ) {
+    let report = (experiment.run)(scale);
+    println!("{}", (experiment.render)(&report));
     if let Some(path) = json_path {
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("[wrote {path}]");
     }
     if let Some(path) = baseline_path {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
-        match gate(&baseline) {
+        match gate(&report, &baseline, experiment.policy) {
             Ok(lines) => {
                 println!("bench gate vs {path}: OK");
                 for l in lines {
                     println!("  {l}");
                 }
             }
-            Err(regressions) => {
+            Err(failures) => {
                 eprintln!("bench gate vs {path}: FAILED");
-                for r in regressions {
-                    eprintln!("  {r}");
+                for f in failures {
+                    eprintln!("  {f}");
                 }
                 std::process::exit(1);
             }

@@ -2,70 +2,29 @@
 //! execution mode of the sharded SGNS trainer and emits machine-readable
 //! JSON (`BENCH_preprocess.json`) for the CI bench-regression gate.
 //!
-//! The JSON is intentionally one `results` object per line so the baseline
-//! checker can parse it without a JSON dependency; keep
-//! [`to_json`] and [`parse_results`] in sync.
+//! The report and gate are the shared ones of [`crate::experiments::report`].
 
-use crate::experiments::common::{format_table, ExperimentScale};
+use crate::experiments::common::ExperimentScale;
+use crate::experiments::report::{
+    best_of, best_of_with, format_rows, BenchReport, BenchRow, GatePolicy, Meta,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 use subtab_binning::Binner;
 use subtab_core::SubTab;
 use subtab_datasets::DatasetKind;
 use subtab_embed::corpus::CorpusOptions;
 use subtab_embed::{build_corpus, CellEmbedding, Corpus, EmbeddingConfig};
 
-/// Wall time of one trainer mode.
-#[derive(Debug, Clone)]
-pub struct ScalingResult {
-    /// Mode label (also the key the CI gate matches baselines by).
-    pub mode: String,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Best-of-`reps` wall time of the full pre-processing phase, in ms.
-    pub wall_ms: f64,
-    /// Best-of-`reps` wall time of SGNS training alone (binning and corpus
-    /// construction excluded), in ms — the hot path the sharded trainer
-    /// parallelises.
-    pub train_ms: f64,
-}
-
-/// Wall time of `Binner::fit` under one evaluator mode.
-#[derive(Debug, Clone)]
-pub struct BinningResult {
-    /// Mode label (also the key the CI gate matches baselines by).
-    pub mode: String,
-    /// Worker threads used for the per-column fan-out.
-    pub threads: usize,
-    /// Best-of-`reps` wall time of `Binner::fit`, in ms.
-    pub wall_ms: f64,
-}
-
-/// The scaling report for one dataset.
-#[derive(Debug, Clone)]
-pub struct PreprocessScalingReport {
-    /// Dataset label (FL by default — the paper's biggest stand-in).
-    pub dataset: String,
-    /// Rows of the generated table.
-    pub rows: usize,
-    /// Embedding dimensionality used.
-    pub dim: usize,
-    /// One entry per trainer mode.
-    pub results: Vec<ScalingResult>,
-    /// One entry per `Binner::fit` evaluator mode (exact dense reference vs
-    /// the windowed truncated-kernel evaluator, single- and multi-threaded).
-    pub binning: Vec<BinningResult>,
-    /// Training-wall ratio seed-legacy / fastest-threaded — the headline
-    /// number for the hot path this trainer parallelises.
-    pub speedup_threaded_vs_seed: f64,
-    /// Full-preprocess wall ratio seed-legacy / fastest-threaded (includes
-    /// the binning fit and corpus construction every mode shares).
-    pub preprocess_speedup_threaded_vs_seed: f64,
-    /// `Binner::fit` wall ratio exact-1t / fastest windowed mode — the
-    /// headline number for the windowed KDE evaluator.
-    pub binning_speedup_windowed_vs_exact: f64,
-}
+/// The preprocess gate: every trainer and `Binner::fit` mode, normalised to
+/// the seed-legacy trainer of the same capture.
+pub const POLICY: GatePolicy = GatePolicy {
+    reference_mode: SEED_MODE,
+    wall_threshold: 0.25,
+    rss_factor: None,
+    rss_ceiling: None,
+    ratio_floors: &[],
+};
 
 /// The modes the benchmark exercises: the preserved seed implementation
 /// (the comparator the speedup is quoted against), the bit-exact reference,
@@ -211,351 +170,166 @@ fn seed_legacy_preprocess(table: &subtab_data::Table, config: &subtab_core::SubT
 }
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
-pub fn run(scale: ExperimentScale) -> PreprocessScalingReport {
+pub fn run(scale: ExperimentScale) -> BenchReport {
     run_on(DatasetKind::Flights, scale, 5)
 }
 
 /// Runs the benchmark on an explicit dataset with `reps` repetitions per
 /// mode (best-of wall time is reported, damping scheduler noise).
-pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> PreprocessScalingReport {
+///
+/// Trainer modes report the full pre-processing wall and, as `train_ms`,
+/// SGNS training alone (binning and corpus construction excluded) — the
+/// hot path the sharded trainer parallelises. The `binning-*` modes time
+/// `Binner::fit` alone.
+pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let base = scale.subtab_config();
     // The corpus every mode trains on, built once for the train-only
     // timings (all modes share identical binning + corpus work).
     let corpus = corpus_for(&dataset.table, &base);
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for &(mode, threads, deterministic) in MODES {
         let config = base
             .clone()
             .with_threads(threads)
             .with_deterministic(deterministic);
-        let mut best_ms = f64::INFINITY;
-        let mut best_train_ms = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            // Clone outside the timed region (and only where it is
-            // consumed): the seed-legacy comparator borrows the table, so
-            // timing the clone would skew every other mode against it.
-            let table = (mode != SEED_MODE).then(|| dataset.table.clone());
-            let start = Instant::now();
-            match table {
+        // The table is cloned outside the timed region (and only where it
+        // is consumed): the seed-legacy comparator borrows the table, so
+        // timing the clone would skew every other mode against it.
+        let wall_ms = best_of_with(
+            reps,
+            || (mode != SEED_MODE).then(|| dataset.table.clone()),
+            |table| match table {
                 None => seed_legacy_preprocess(&dataset.table, &config),
                 Some(table) => {
                     let subtab = SubTab::preprocess(table, config.clone()).expect("pre-processing");
                     assert!(!subtab.preprocessed().embedding().is_empty());
                 }
-            }
-            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-
-            let start = Instant::now();
+            },
+        );
+        let train_ms = best_of(reps, || {
             let emb = if mode == SEED_MODE {
                 train_seed_legacy(&corpus, &config.embedding)
             } else {
                 subtab_embed::sgns::train_on_corpus(&corpus, &config.embedding)
             };
-            best_train_ms = best_train_ms.min(start.elapsed().as_secs_f64() * 1e3);
             assert!(!emb.is_empty());
-        }
-        results.push(ScalingResult {
-            mode: mode.to_string(),
-            threads,
-            wall_ms: best_ms,
-            train_ms: best_train_ms,
+            emb
+        });
+        rows.push(BenchRow {
+            threads: Some(threads),
+            train_ms: Some(train_ms),
+            ..BenchRow::new(mode, wall_ms)
         });
     }
     // --- Binning evaluator modes: time `Binner::fit` alone, the next
     //     fixed cost of preprocess after SGNS training.
-    let mut binning = Vec::new();
     for &(mode, threads, exact) in BINNING_MODES {
         let mut cfg = base.binning.clone().threads(threads);
         if exact {
             cfg = cfg.kde_cutoff(f64::INFINITY);
         }
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
+        let wall_ms = best_of(reps, || {
             let binner = Binner::fit(&dataset.table, &cfg).expect("binning fit");
-            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
             assert_eq!(binner.columns().len(), dataset.table.num_columns());
-        }
-        binning.push(BinningResult {
-            mode: mode.to_string(),
-            threads,
-            wall_ms: best_ms,
+            binner
+        });
+        rows.push(BenchRow {
+            threads: Some(threads),
+            ..BenchRow::new(mode, wall_ms)
         });
     }
-    let seed_wall = results[0].wall_ms;
-    let seed_train = results[0].train_ms;
-    let threaded = |f: fn(&ScalingResult) -> f64| {
-        results
-            .iter()
-            .filter(|r| r.threads > 1)
-            .map(f)
+    let (trainer, binning) = rows.split_at(MODES.len());
+    let min_wall = |rows: &[BenchRow], wall: fn(&BenchRow) -> f64| {
+        rows.iter()
+            .map(wall)
             .fold(f64::INFINITY, f64::min)
+            .max(1e-9)
     };
-    let binning_exact = binning[0].wall_ms;
-    let binning_windowed = binning
+    let threaded: Vec<BenchRow> = trainer
         .iter()
-        .filter(|r| r.mode != BINNING_EXACT_MODE)
-        .map(|r| r.wall_ms)
-        .fold(f64::INFINITY, f64::min);
-    PreprocessScalingReport {
-        dataset: kind.label().to_string(),
-        rows: dataset.table.num_rows(),
-        dim: base.embedding.dim,
-        speedup_threaded_vs_seed: seed_train / threaded(|r| r.train_ms).max(1e-9),
-        preprocess_speedup_threaded_vs_seed: seed_wall / threaded(|r| r.wall_ms).max(1e-9),
-        binning_speedup_windowed_vs_exact: binning_exact / binning_windowed.max(1e-9),
-        results,
-        binning,
+        .filter(|r| r.threads > Some(1))
+        .cloned()
+        .collect();
+    let train = |r: &BenchRow| r.train_ms.unwrap_or(f64::INFINITY);
+    let ratios = vec![
+        // Training-wall ratio seed-legacy / fastest threaded: the headline
+        // number for the hot path the trainer parallelises.
+        (
+            "speedup_threaded_vs_seed",
+            train(&trainer[0]) / min_wall(&threaded, train),
+        ),
+        // Full-preprocess wall ratio (includes the binning fit and corpus
+        // construction every mode shares).
+        (
+            "preprocess_speedup_threaded_vs_seed",
+            trainer[0].wall_ms / min_wall(&threaded, |r| r.wall_ms),
+        ),
+        // `Binner::fit` wall ratio exact / fastest windowed mode.
+        (
+            "binning_speedup_windowed_vs_exact",
+            binning[0].wall_ms / min_wall(&binning[1..], |r| r.wall_ms),
+        ),
+    ];
+    BenchReport {
+        experiment: "preprocess_scaling",
+        meta: vec![
+            ("dataset", Meta::Text(kind.label().to_string())),
+            ("rows", Meta::Count(dataset.table.num_rows())),
+            ("dim", Meta::Count(base.embedding.dim)),
+        ],
+        rows,
+        ratios,
     }
 }
 
-/// Renders the report as an aligned text table.
-pub fn render(report: &PreprocessScalingReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .results
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.threads.to_string(),
-                format!("{:.2}", r.wall_ms),
-                format!("{:.2}", r.train_ms),
-            ]
-        })
-        .collect();
-    let binning_rows: Vec<Vec<String>> = report
-        .binning
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.threads.to_string(),
-                format!("{:.2}", r.wall_ms),
-            ]
-        })
-        .collect();
+/// Renders the report as aligned text tables: trainer modes, then the
+/// `Binner::fit` evaluator modes.
+pub fn render(report: &BenchReport) -> String {
+    let (trainer, binning): (Vec<&BenchRow>, Vec<&BenchRow>) =
+        report.rows.iter().partition(|r| r.train_ms.is_some());
     format!(
         "Preprocess scaling on {} ({} rows, dim {}): threaded SGNS speedup {:.2}x \
          over the seed path ({:.2}x on the full preprocess incl. shared binning)\n{}\
          Binner::fit: windowed KDE speedup {:.2}x over the exact dense evaluator\n{}",
-        report.dataset,
-        report.rows,
-        report.dim,
-        report.speedup_threaded_vs_seed,
-        report.preprocess_speedup_threaded_vs_seed,
-        format_table(&["mode", "threads", "wall-ms", "train-ms"], &rows),
-        report.binning_speedup_windowed_vs_exact,
-        format_table(&["mode", "threads", "wall-ms"], &binning_rows)
+        report.meta("dataset"),
+        report.meta("rows"),
+        report.meta("dim"),
+        report.ratio("speedup_threaded_vs_seed"),
+        report.ratio("preprocess_speedup_threaded_vs_seed"),
+        format_rows(trainer),
+        report.ratio("binning_speedup_windowed_vs_exact"),
+        format_rows(binning)
     )
-}
-
-/// Serialises the report as `BENCH_preprocess.json` (one result per line —
-/// the shape [`parse_results`] expects).
-pub fn to_json(report: &PreprocessScalingReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"preprocess_scaling\",\n");
-    out.push_str(&format!("  \"dataset\": \"{}\",\n", report.dataset));
-    out.push_str(&format!("  \"rows\": {},\n", report.rows));
-    out.push_str(&format!("  \"dim\": {},\n", report.dim));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.results.iter().enumerate() {
-        let comma = if i + 1 < report.results.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}, \"train_ms\": {:.3}}}{}\n",
-            r.mode, r.threads, r.wall_ms, r.train_ms, comma
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"binning\": [\n");
-    for (i, r) in report.binning.iter().enumerate() {
-        let comma = if i + 1 < report.binning.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}}}{}\n",
-            r.mode, r.threads, r.wall_ms, comma
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup_threaded_vs_seed\": {:.3},\n",
-        report.speedup_threaded_vs_seed
-    ));
-    out.push_str(&format!(
-        "  \"preprocess_speedup_threaded_vs_seed\": {:.3},\n",
-        report.preprocess_speedup_threaded_vs_seed
-    ));
-    out.push_str(&format!(
-        "  \"binning_speedup_windowed_vs_exact\": {:.3}\n",
-        report.binning_speedup_windowed_vs_exact
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Extracts `(mode, wall_ms)` pairs from the one-object-per-line JSON that
-/// [`to_json`] writes. Tolerates unknown surrounding lines; a malformed
-/// result line is an error rather than a silently dropped measurement.
-pub fn parse_results(json: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim();
-        if !line.contains("\"mode\"") {
-            continue;
-        }
-        let mode = line
-            .split("\"mode\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .ok_or_else(|| format!("malformed result line: {line}"))?;
-        let wall = line
-            .split("\"wall_ms\": ")
-            .nth(1)
-            .and_then(|rest| {
-                rest.split([',', '}'])
-                    .next()
-                    .and_then(|v| v.trim().parse::<f64>().ok())
-            })
-            .ok_or_else(|| format!("malformed wall_ms in: {line}"))?;
-        out.push((mode.to_string(), wall));
-    }
-    if out.is_empty() {
-        return Err("no results found in baseline JSON".into());
-    }
-    Ok(out)
-}
-
-/// Compares a fresh report against a checked-in baseline JSON. Returns the
-/// human-readable comparison lines, or the list of regressions if any mode
-/// got more than `threshold` (fractional, e.g. 0.25) slower. Trainer modes
-/// and `Binner::fit` evaluator modes are both gated, matched by label.
-///
-/// Wall times are normalised to the `seed-legacy-1t` mode of their *own*
-/// capture before comparison: the legacy trainer is a fixed algorithm that
-/// runs in the same process on the same data, so the ratio cancels out raw
-/// machine speed (CI runner generations vary by far more than the gate's
-/// threshold) while still catching any trainer-mode regression relative to
-/// it. If either side lacks the seed mode, absolute wall times are
-/// compared instead.
-pub fn check_against_baseline(
-    report: &PreprocessScalingReport,
-    baseline_json: &str,
-    threshold: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let gated: Vec<(String, f64)> = report
-        .results
-        .iter()
-        .map(|r| (r.mode.clone(), r.wall_ms))
-        .chain(report.binning.iter().map(|r| (r.mode.clone(), r.wall_ms)))
-        .collect();
-    check_gated_modes(&gated, baseline_json, SEED_MODE, threshold)
-}
-
-/// The mode-by-mode regression check shared by every bench gate (preprocess
-/// and query experiments): compares `(mode, wall_ms)` pairs against a
-/// baseline JSON, normalising both sides to `reference_mode` of their own
-/// capture when present (see [`check_against_baseline`] for why). Baseline
-/// entries for modes absent from `gated` — e.g. another experiment's modes
-/// sharing the baseline file — are ignored.
-pub fn check_gated_modes(
-    gated: &[(String, f64)],
-    baseline_json: &str,
-    reference_mode: &str,
-    threshold: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let baseline = match parse_results(baseline_json) {
-        Ok(b) => b,
-        Err(e) => return Err(vec![e]),
-    };
-    let seed_base = baseline
-        .iter()
-        .find(|(m, _)| m == reference_mode)
-        .map(|&(_, ms)| ms);
-    let seed_cur = gated
-        .iter()
-        .find(|(m, _)| m == reference_mode)
-        .map(|&(_, ms)| ms);
-    let normalise = seed_base.is_some() && seed_cur.is_some();
-    let mut lines = Vec::new();
-    let mut regressions = Vec::new();
-    for &(ref mode, wall_ms) in gated {
-        if normalise && mode == reference_mode {
-            lines.push(format!(
-                "{}: {:.2} ms (normalisation reference)",
-                mode, wall_ms
-            ));
-            continue;
-        }
-        let Some((_, base_ms)) = baseline.iter().find(|(m, _)| m == mode) else {
-            lines.push(format!("{}: {:.2} ms (no baseline)", mode, wall_ms));
-            continue;
-        };
-        let (cur, base, unit) = if normalise {
-            (
-                wall_ms / seed_cur.unwrap().max(1e-9),
-                base_ms / seed_base.unwrap().max(1e-9),
-                format!("x {reference_mode}"),
-            )
-        } else {
-            (wall_ms, *base_ms, "ms".to_string())
-        };
-        let ratio = cur / base.max(1e-9);
-        let line = format!(
-            "{}: {:.3} {} vs baseline {:.3} {} ({:+.1}%)",
-            mode,
-            cur,
-            unit,
-            base,
-            unit,
-            (ratio - 1.0) * 100.0
-        );
-        if ratio > 1.0 + threshold {
-            regressions.push(format!(
-                "REGRESSION {line} exceeds {:.0}%",
-                threshold * 100.0
-            ));
-        } else {
-            lines.push(line);
-        }
-    }
-    if regressions.is_empty() {
-        Ok(lines)
-    } else {
-        Err(regressions)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::report::tests::{assert_round_trip, assert_wall_gate};
     use std::sync::OnceLock;
 
     /// The benchmark is slow under the debug test profile, so every test
     /// shares one report.
-    fn tiny_report() -> &'static PreprocessScalingReport {
-        static REPORT: OnceLock<PreprocessScalingReport> = OnceLock::new();
+    fn tiny_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
         REPORT.get_or_init(|| run_on(DatasetKind::Spotify, ExperimentScale::Quick, 1))
     }
 
     #[test]
     fn report_covers_every_mode_with_positive_times() {
         let report = tiny_report();
-        assert_eq!(report.results.len(), MODES.len());
-        assert!(report.results.iter().all(|r| r.wall_ms > 0.0));
-        assert!(report.results.iter().all(|r| r.train_ms > 0.0));
-        assert!(report.speedup_threaded_vs_seed > 0.0);
-        assert!(report.preprocess_speedup_threaded_vs_seed > 0.0);
-        assert_eq!(report.binning.len(), BINNING_MODES.len());
-        assert!(report.binning.iter().all(|r| r.wall_ms > 0.0));
-        assert!(report.binning_speedup_windowed_vs_exact > 0.0);
+        assert_eq!(report.rows.len(), MODES.len() + BINNING_MODES.len());
+        assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
+        for &(mode, ..) in MODES {
+            assert!(report.row(mode).unwrap().train_ms.unwrap() > 0.0);
+        }
+        for &(mode, ..) in BINNING_MODES {
+            assert!(report.row(mode).unwrap().train_ms.is_none());
+        }
+        assert!(report.ratio("speedup_threaded_vs_seed") > 0.0);
+        assert!(report.ratio("preprocess_speedup_threaded_vs_seed") > 0.0);
+        assert!(report.ratio("binning_speedup_windowed_vs_exact") > 0.0);
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
         assert!(rendered.contains(BINNING_EXACT_MODE));
@@ -563,59 +337,11 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_the_parser() {
-        let report = tiny_report();
-        let json = to_json(report);
-        let parsed = parse_results(&json).unwrap();
-        // Trainer modes first, then the binning evaluator modes: the gate
-        // sees both.
-        assert_eq!(parsed.len(), report.results.len() + report.binning.len());
-        let expected = report
-            .results
-            .iter()
-            .map(|r| (r.mode.clone(), r.wall_ms))
-            .chain(report.binning.iter().map(|r| (r.mode.clone(), r.wall_ms)));
-        for ((mode, wall), (pmode, pwall)) in expected.zip(&parsed) {
-            assert_eq!(&mode, pmode);
-            assert!((wall - pwall).abs() < 0.01);
-        }
+        assert_round_trip(tiny_report());
     }
 
     #[test]
     fn gate_passes_against_itself_and_catches_regressions() {
-        let report = tiny_report();
-        let json = to_json(report);
-        // Identical baseline: never a regression.
-        assert!(check_against_baseline(report, &json, 0.25).is_ok());
-        // A uniformly faster machine (every mode 10x quicker, seed-legacy
-        // included) is NOT a regression — normalisation cancels it.
-        let mut faster_machine = report.clone();
-        for r in &mut faster_machine.results {
-            r.wall_ms /= 10.0;
-        }
-        for r in &mut faster_machine.binning {
-            r.wall_ms /= 10.0;
-        }
-        assert!(check_against_baseline(report, &to_json(&faster_machine), 0.25).is_ok());
-        // A baseline whose *trainer and binning modes* are 10x faster
-        // relative to the unchanged seed-legacy comparator: every non-seed
-        // mode regresses.
-        let mut fast = report.clone();
-        for r in &mut fast.results {
-            if r.mode != SEED_MODE {
-                r.wall_ms /= 10.0;
-            }
-        }
-        for r in &mut fast.binning {
-            r.wall_ms /= 10.0;
-        }
-        let err = check_against_baseline(report, &to_json(&fast), 0.25).unwrap_err();
-        assert_eq!(
-            err.len(),
-            report.results.len() + report.binning.len() - 1,
-            "every gated mode except the normalisation reference regresses"
-        );
-        assert!(err[0].contains("REGRESSION"));
-        // Garbage baseline is an error, not a silent pass.
-        assert!(check_against_baseline(report, "not json", 0.25).is_err());
+        assert_wall_gate(tiny_report(), &POLICY);
     }
 }

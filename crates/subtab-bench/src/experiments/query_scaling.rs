@@ -8,9 +8,8 @@
 //! cost: the per-display sub-table selection that runs for the table itself
 //! and for every exploratory query issued over it.
 
-use crate::experiments::common::{format_table, ExperimentScale};
-use crate::experiments::preprocess_scaling::check_gated_modes;
-use std::time::Instant;
+use crate::experiments::common::ExperimentScale;
+use crate::experiments::report::{best_of, format_rows, BenchReport, BenchRow, GatePolicy, Meta};
 use subtab_cluster::{assign_blocks, assign_points_scalar, PointBlocks};
 use subtab_core::select::{select_sub_table, select_sub_table_strkey};
 use subtab_core::{leaf_bitmap, leaf_bitmap_scalar, PreprocessedTable, SelectionParams};
@@ -20,52 +19,19 @@ use subtab_datasets::{
     benchmark_projected_query, DatasetKind,
 };
 
-/// Wall time of one selection mode.
-#[derive(Debug, Clone)]
-pub struct QueryModeResult {
-    /// Mode label (also the key the CI gate matches baselines by).
-    pub mode: String,
-    /// Worker threads used for the vector gathers and k-means assignment.
-    pub threads: usize,
-    /// Best-of-`reps` wall time of one selection, in ms.
-    pub wall_ms: f64,
-}
-
-/// The query-time scaling report for one dataset.
-#[derive(Debug, Clone)]
-pub struct QueryScalingReport {
-    /// Dataset label (FL by default — the paper's biggest stand-in).
-    pub dataset: String,
-    /// Rows of the generated table.
-    pub rows: usize,
-    /// Columns of the generated table.
-    pub cols: usize,
-    /// Rows matched by the benchmark queries (both share the filter).
-    pub query_rows: usize,
-    /// One entry per selection mode.
-    pub results: Vec<QueryModeResult>,
-    /// Filter-query wall ratio strkey-1t / tokenid-1t — the headline
-    /// single-core speedup of the token-ID engine on `select_for_query`
-    /// over the full schema width.
-    pub speedup_tokenid_vs_strkey: f64,
-    /// Same ratio for the selection–projection query (half the columns
-    /// projected; clustering makes up a larger share, so the ratio is
-    /// smaller).
-    pub proj_speedup_tokenid_vs_strkey: f64,
-    /// Whole-table wall ratio strkey-1t / tokenid-1t (the token-ID side is
-    /// the steady-state cached path a live session actually runs).
-    pub table_speedup_tokenid_vs_strkey: f64,
-    /// Raw k-means assignment-step wall ratio scalar / SIMD — the headline
-    /// speedup of the shared kernel layer's centroid scan.
-    pub kernel_assign_speedup: f64,
-    /// Compiled-leaf plane-scan wall ratio scalar / SIMD over the benchmark
-    /// queries' predicates.
-    pub compile_leaf_speedup: f64,
-}
-
 /// Label of the string-keyed query comparator (the gate's normalisation
 /// reference, like `seed-legacy-1t` for the preprocess experiment).
 const STRKEY_QUERY_MODE: &str = "query-strkey-1t";
+
+/// The query gate: every selection and kernel mode, normalised to the
+/// string-keyed comparator of the same capture.
+pub const POLICY: GatePolicy = GatePolicy {
+    reference_mode: STRKEY_QUERY_MODE,
+    wall_threshold: 0.25,
+    rss_factor: None,
+    rss_ceiling: None,
+    ratio_floors: &[],
+};
 
 /// Which selection each benchmark mode runs.
 #[derive(Clone, Copy)]
@@ -149,14 +115,52 @@ const MODES: &[(&str, usize, bool, Workload)] = &[
     ),
 ];
 
+/// The headline ratios, `(key, slow mode, fast mode)`: the wall-time
+/// ratio of the slow mode over the fast one.
+const SPEEDUPS: &[(&str, &str, &str)] = &[
+    // Single-core speedup of the token-ID engine on `select_for_query`
+    // over the full schema width.
+    (
+        "speedup_tokenid_vs_strkey",
+        STRKEY_QUERY_MODE,
+        "query-tokenid-1t",
+    ),
+    // The same with half the columns projected (clustering makes up a
+    // larger share, so the ratio is smaller).
+    (
+        "proj_speedup_tokenid_vs_strkey",
+        "query-proj-strkey-1t",
+        "query-proj-tokenid-1t",
+    ),
+    // Whole-table select (the token-ID side is the steady-state cached
+    // path a live session actually runs).
+    (
+        "table_speedup_tokenid_vs_strkey",
+        "select-strkey-1t",
+        "select-tokenid-1t",
+    ),
+    // The raw k-means assignment step, scalar twin over SIMD.
+    (
+        "kernel_assign_speedup",
+        "select-kernel-scalar-1t",
+        "select-kernel-simd-1t",
+    ),
+    // Compiled-leaf plane scans over the benchmark queries' predicates.
+    (
+        "compile_leaf_speedup",
+        "compile-leaf-scalar-1t",
+        "compile-leaf-simd-1t",
+    ),
+];
+
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
-pub fn run(scale: ExperimentScale) -> QueryScalingReport {
+pub fn run(scale: ExperimentScale) -> BenchReport {
     run_on(DatasetKind::Flights, scale, 7)
 }
 
 /// Runs the benchmark on an explicit dataset with `reps` repetitions per
 /// mode (best-of wall time is reported, damping scheduler noise).
-pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> QueryScalingReport {
+pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let config = scale.subtab_config();
     let pre = PreprocessedTable::new(dataset.table, &config).expect("pre-processing");
@@ -191,220 +195,123 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> QuerySc
         .flat_map(|q| q.leaf_predicates())
         .collect();
 
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for &(mode, threads, strkey, workload) in MODES {
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            match workload {
-                Workload::KernelAssign { scalar } => {
-                    for _ in 0..KERNEL_INNER_ITERS {
-                        if scalar {
-                            assign_points_scalar(
-                                points.view(),
-                                &centroids,
-                                dim,
-                                &mut assign_buf,
-                                &mut dist_buf,
-                                threads,
-                            );
-                        } else {
-                            assign_blocks(
-                                &blocks,
-                                &centroids,
-                                &mut assign_buf,
-                                &mut dist_buf,
-                                threads,
-                            );
-                        }
-                    }
-                    assert!(assign_buf.iter().all(|&a| a < k));
-                }
-                Workload::CompileLeaf { scalar } => {
-                    for _ in 0..KERNEL_INNER_ITERS {
-                        for p in &leaves {
-                            let bitmap = if scalar {
-                                leaf_bitmap_scalar(pre.table(), p)
-                            } else {
-                                leaf_bitmap(pre.table(), p)
-                            }
-                            .expect("leaf compiles");
-                            std::hint::black_box(bitmap.count());
-                        }
-                    }
-                }
-                _ => {
-                    let q = match workload {
-                        Workload::FilterQuery => Some(&filter_q),
-                        Workload::ProjQuery => Some(&proj_q),
-                        Workload::AstQuery => Some(&ast_q),
-                        Workload::DeepNestQuery => Some(&deep_q),
-                        _ => None,
-                    };
-                    let r = if strkey {
-                        select_sub_table_strkey(&pre, q, &params, config.seed, threads)
+        let wall_ms = best_of(reps, || match workload {
+            Workload::KernelAssign { scalar } => {
+                for _ in 0..KERNEL_INNER_ITERS {
+                    if scalar {
+                        assign_points_scalar(
+                            points.view(),
+                            &centroids,
+                            dim,
+                            &mut assign_buf,
+                            &mut dist_buf,
+                            threads,
+                        );
                     } else {
-                        select_sub_table(&pre, q, &params, config.seed, threads)
+                        assign_blocks(&blocks, &centroids, &mut assign_buf, &mut dist_buf, threads);
                     }
-                    .expect("selection succeeds");
-                    assert!(!r.row_indices.is_empty());
+                }
+                assert!(assign_buf.iter().all(|&a| a < k));
+            }
+            Workload::CompileLeaf { scalar } => {
+                for _ in 0..KERNEL_INNER_ITERS {
+                    for p in &leaves {
+                        let bitmap = if scalar {
+                            leaf_bitmap_scalar(pre.table(), p)
+                        } else {
+                            leaf_bitmap(pre.table(), p)
+                        }
+                        .expect("leaf compiles");
+                        std::hint::black_box(bitmap.count());
+                    }
                 }
             }
-            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        results.push(QueryModeResult {
-            mode: mode.to_string(),
-            threads,
-            wall_ms: best_ms,
+            _ => {
+                let q = match workload {
+                    Workload::FilterQuery => Some(&filter_q),
+                    Workload::ProjQuery => Some(&proj_q),
+                    Workload::AstQuery => Some(&ast_q),
+                    Workload::DeepNestQuery => Some(&deep_q),
+                    _ => None,
+                };
+                let r = if strkey {
+                    select_sub_table_strkey(&pre, q, &params, config.seed, threads)
+                } else {
+                    select_sub_table(&pre, q, &params, config.seed, threads)
+                }
+                .expect("selection succeeds");
+                assert!(!r.row_indices.is_empty());
+            }
+        });
+        rows.push(BenchRow {
+            threads: Some(threads),
+            ..BenchRow::new(mode, wall_ms)
         });
     }
-    let wall = |m: &str| {
-        results
-            .iter()
-            .find(|r| r.mode == m)
-            .map(|r| r.wall_ms)
-            .expect("mode present")
+    let mut report = BenchReport {
+        experiment: "query_scaling",
+        meta: vec![
+            ("dataset", Meta::Text(kind.label().to_string())),
+            ("rows", Meta::Count(pre.table().num_rows())),
+            ("cols", Meta::Count(pre.table().num_columns())),
+            ("query_rows", Meta::Count(query_rows)),
+        ],
+        rows,
+        ratios: Vec::new(),
     };
-    QueryScalingReport {
-        dataset: kind.label().to_string(),
-        rows: pre.table().num_rows(),
-        cols: pre.table().num_columns(),
-        query_rows,
-        speedup_tokenid_vs_strkey: wall(STRKEY_QUERY_MODE) / wall("query-tokenid-1t").max(1e-9),
-        proj_speedup_tokenid_vs_strkey: wall("query-proj-strkey-1t")
-            / wall("query-proj-tokenid-1t").max(1e-9),
-        table_speedup_tokenid_vs_strkey: wall("select-strkey-1t")
-            / wall("select-tokenid-1t").max(1e-9),
-        kernel_assign_speedup: wall("select-kernel-scalar-1t")
-            / wall("select-kernel-simd-1t").max(1e-9),
-        compile_leaf_speedup: wall("compile-leaf-scalar-1t")
-            / wall("compile-leaf-simd-1t").max(1e-9),
-        results,
-    }
+    report.ratios = report.speedups(SPEEDUPS);
+    report
 }
 
 /// Renders the report as an aligned text table.
-pub fn render(report: &QueryScalingReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .results
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.threads.to_string(),
-                format!("{:.3}", r.wall_ms),
-            ]
-        })
-        .collect();
+pub fn render(report: &BenchReport) -> String {
     format!(
         "Query-time selection on {} ({} rows × {} cols, query matches {} rows): \
          token-ID engine {:.2}x over the string-keyed path on select_for_query \
          ({:.2}x with a half-schema projection, {:.2}x on whole-table select); \
          SIMD kernels {:.2}x on the k-means assignment step, {:.2}x on \
          compiled-leaf plane scans\n{}",
-        report.dataset,
-        report.rows,
-        report.cols,
-        report.query_rows,
-        report.speedup_tokenid_vs_strkey,
-        report.proj_speedup_tokenid_vs_strkey,
-        report.table_speedup_tokenid_vs_strkey,
-        report.kernel_assign_speedup,
-        report.compile_leaf_speedup,
-        format_table(&["mode", "threads", "wall-ms"], &rows)
+        report.meta("dataset"),
+        report.meta("rows"),
+        report.meta("cols"),
+        report.meta("query_rows"),
+        report.ratio("speedup_tokenid_vs_strkey"),
+        report.ratio("proj_speedup_tokenid_vs_strkey"),
+        report.ratio("table_speedup_tokenid_vs_strkey"),
+        report.ratio("kernel_assign_speedup"),
+        report.ratio("compile_leaf_speedup"),
+        format_rows(&report.rows)
     )
-}
-
-/// Serialises the report as `BENCH_query.json` (one result per line — the
-/// shape `preprocess_scaling::parse_results` expects, so both experiments'
-/// gates share one parser and one baseline file).
-pub fn to_json(report: &QueryScalingReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"query_scaling\",\n");
-    out.push_str(&format!("  \"dataset\": \"{}\",\n", report.dataset));
-    out.push_str(&format!("  \"rows\": {},\n", report.rows));
-    out.push_str(&format!("  \"cols\": {},\n", report.cols));
-    out.push_str(&format!("  \"query_rows\": {},\n", report.query_rows));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.results.iter().enumerate() {
-        let comma = if i + 1 < report.results.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}}}{}\n",
-            r.mode, r.threads, r.wall_ms, comma
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup_tokenid_vs_strkey\": {:.3},\n",
-        report.speedup_tokenid_vs_strkey
-    ));
-    out.push_str(&format!(
-        "  \"proj_speedup_tokenid_vs_strkey\": {:.3},\n",
-        report.proj_speedup_tokenid_vs_strkey
-    ));
-    out.push_str(&format!(
-        "  \"table_speedup_tokenid_vs_strkey\": {:.3},\n",
-        report.table_speedup_tokenid_vs_strkey
-    ));
-    out.push_str(&format!(
-        "  \"kernel_assign_speedup\": {:.3},\n",
-        report.kernel_assign_speedup
-    ));
-    out.push_str(&format!(
-        "  \"compile_leaf_speedup\": {:.3}\n",
-        report.compile_leaf_speedup
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Compares a fresh report against a checked-in baseline JSON (the same
-/// file the preprocess gate reads — baseline entries for other experiments'
-/// modes are ignored). Wall times are normalised to `query-strkey-1t` of
-/// their own capture, cancelling raw machine speed exactly like the
-/// preprocess gate's seed-legacy normalisation.
-pub fn check_against_baseline(
-    report: &QueryScalingReport,
-    baseline_json: &str,
-    threshold: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let gated: Vec<(String, f64)> = report
-        .results
-        .iter()
-        .map(|r| (r.mode.clone(), r.wall_ms))
-        .collect();
-    check_gated_modes(&gated, baseline_json, STRKEY_QUERY_MODE, threshold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::preprocess_scaling::parse_results;
+    use crate::experiments::report::tests::{assert_round_trip, assert_wall_gate};
     use std::sync::OnceLock;
 
     /// The benchmark is slow under the debug test profile, so every test
     /// shares one report.
-    fn tiny_report() -> &'static QueryScalingReport {
-        static REPORT: OnceLock<QueryScalingReport> = OnceLock::new();
+    fn tiny_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
         REPORT.get_or_init(|| run_on(DatasetKind::Spotify, ExperimentScale::Quick, 1))
     }
 
     #[test]
     fn report_covers_every_mode_with_positive_times() {
         let report = tiny_report();
-        assert_eq!(report.results.len(), MODES.len());
-        assert!(report.results.iter().all(|r| r.wall_ms > 0.0));
-        assert!(report.speedup_tokenid_vs_strkey > 0.0);
-        assert!(report.proj_speedup_tokenid_vs_strkey > 0.0);
-        assert!(report.table_speedup_tokenid_vs_strkey > 0.0);
-        assert!(report.kernel_assign_speedup > 0.0);
-        assert!(report.compile_leaf_speedup > 0.0);
-        assert!(report.query_rows > 0, "benchmark query must match rows");
+        assert_eq!(report.rows.len(), MODES.len());
+        assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
+        for &(key, ..) in SPEEDUPS {
+            assert!(report.ratio(key) > 0.0, "{key}");
+        }
+        assert_ne!(
+            report.meta("query_rows"),
+            &Meta::Count(0),
+            "benchmark query must match rows"
+        );
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
         assert!(rendered.contains(STRKEY_QUERY_MODE));
@@ -415,7 +322,7 @@ mod tests {
             "compile-leaf-scalar-1t",
         ] {
             assert!(
-                report.results.iter().any(|r| r.mode == kernel_mode),
+                report.row(kernel_mode).is_some(),
                 "kernel mode {kernel_mode} missing"
             );
         }
@@ -423,40 +330,12 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_the_shared_parser() {
-        let report = tiny_report();
-        let json = to_json(report);
-        let parsed = parse_results(&json).unwrap();
-        assert_eq!(parsed.len(), report.results.len());
-        for (r, (pmode, pwall)) in report.results.iter().zip(&parsed) {
-            assert_eq!(&r.mode, pmode);
-            assert!((r.wall_ms - pwall).abs() < 0.01);
-        }
+        assert_round_trip(tiny_report());
     }
 
     #[test]
     fn gate_passes_against_itself_and_catches_regressions() {
-        let report = tiny_report();
-        let json = to_json(report);
-        assert!(check_against_baseline(report, &json, 0.25).is_ok());
-        // A uniformly faster machine is not a regression — normalisation
-        // cancels it.
-        let mut faster = report.clone();
-        for r in &mut faster.results {
-            r.wall_ms /= 10.0;
-        }
-        assert!(check_against_baseline(report, &to_json(&faster), 0.25).is_ok());
-        // A baseline whose token-ID modes are 10x faster relative to the
-        // unchanged strkey comparator: every non-reference mode regresses.
-        let mut fast = report.clone();
-        for r in &mut fast.results {
-            if r.mode != STRKEY_QUERY_MODE {
-                r.wall_ms /= 10.0;
-            }
-        }
-        let err = check_against_baseline(report, &to_json(&fast), 0.25).unwrap_err();
-        assert_eq!(err.len(), report.results.len() - 1);
-        assert!(err[0].contains("REGRESSION"));
-        assert!(check_against_baseline(report, "not json", 0.25).is_err());
+        assert_wall_gate(tiny_report(), &POLICY);
     }
 
     #[test]

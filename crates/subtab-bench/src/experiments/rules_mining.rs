@@ -10,56 +10,46 @@
 //! sub-table. Both are load-path costs the token-ID query engine of PR 4
 //! does not cover, which is why they get their own gate.
 
-use crate::experiments::common::{format_table, ExperimentScale};
-use crate::experiments::preprocess_scaling::check_gated_modes;
-use std::time::Instant;
+use crate::experiments::common::ExperimentScale;
+use crate::experiments::report::{best_of, format_rows, BenchReport, BenchRow, GatePolicy, Meta};
 use subtab_binning::Binner;
 use subtab_core::{highlight_rules, highlight_rules_linear};
 use subtab_datasets::{benchmark_target_column, DatasetKind};
 use subtab_rules::{MiningConfig, RuleMiner};
 
-/// Wall time of one rule-engine mode.
-#[derive(Debug, Clone)]
-pub struct RulesModeResult {
-    /// Mode label (also the key the CI gate matches baselines by).
-    pub mode: String,
-    /// Worker threads used by the bitmap engine.
-    pub threads: usize,
-    /// Best-of-`reps` wall time, in ms.
-    pub wall_ms: f64,
-}
-
-/// The rule-engine scaling report for one dataset.
-#[derive(Debug, Clone)]
-pub struct RulesScalingReport {
-    /// Dataset label (FL by default — the paper's biggest stand-in).
-    pub dataset: String,
-    /// Rows of the generated table.
-    pub rows: usize,
-    /// Columns of the generated table.
-    pub cols: usize,
-    /// Rules mined by one whole-table run (both engines mine the identical
-    /// set — the equivalence suite pins that).
-    pub num_rules: usize,
-    /// Rules pooled by the target-partitioned run.
-    pub num_target_rules: usize,
-    /// Rows highlighted per highlight-mode invocation.
-    pub highlight_rows: usize,
-    /// One entry per mode.
-    pub results: Vec<RulesModeResult>,
-    /// Whole-table mining wall ratio apriori-1t / bitmap-1t — the headline
-    /// single-core speedup of the vertical engine.
-    pub speedup_bitmap_vs_apriori: f64,
-    /// The same ratio for the target-partitioned run (smaller: the pooled
-    /// post-processing is shared by both engines).
-    pub target_speedup_bitmap_vs_apriori: f64,
-    /// Highlight wall ratio linear-1t / indexed-1t.
-    pub highlight_speedup_indexed_vs_linear: f64,
-}
-
 /// Label of the Apriori reference comparator (the gate's normalisation
 /// reference, like `seed-legacy-1t` for the preprocess experiment).
 const APRIORI_MODE: &str = "rules-apriori-1t";
+
+/// The rules gate: every mining and highlight mode, normalised to the
+/// Apriori twin of the same capture (a fixed algorithm running in the same
+/// process on the same data).
+pub const POLICY: GatePolicy = GatePolicy {
+    reference_mode: APRIORI_MODE,
+    wall_threshold: 0.25,
+    rss_factor: None,
+    rss_ceiling: None,
+    ratio_floors: &[],
+};
+
+/// The headline ratios, `(key, slow mode, fast mode)`: the wall-time
+/// ratio of the slow mode over the fast one.
+const SPEEDUPS: &[(&str, &str, &str)] = &[
+    // Single-core speedup of the vertical engine on whole-table mining.
+    ("speedup_bitmap_vs_apriori", APRIORI_MODE, "rules-bitmap-1t"),
+    // The same for the target-partitioned run (smaller: the pooled
+    // post-processing is shared by both engines).
+    (
+        "target_speedup_bitmap_vs_apriori",
+        "rules-target-apriori-1t",
+        "rules-target-bitmap-1t",
+    ),
+    (
+        "highlight_speedup_indexed_vs_linear",
+        "highlight-linear-1t",
+        "highlight-indexed-1t",
+    ),
+];
 
 /// Which rule-engine stage a benchmark mode runs.
 #[derive(Clone, Copy)]
@@ -96,13 +86,13 @@ const MODES: &[(&str, usize, Workload)] = &[
 ];
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
-pub fn run(scale: ExperimentScale) -> RulesScalingReport {
+pub fn run(scale: ExperimentScale) -> BenchReport {
     run_on(DatasetKind::Flights, scale, 3)
 }
 
 /// Runs the benchmark on an explicit dataset with `reps` repetitions per
 /// mode (best-of wall time is reported, damping scheduler noise).
-pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> RulesScalingReport {
+pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let config = scale.subtab_config();
     let binner = Binner::fit(&dataset.table, &config.binning).expect("binning fits");
@@ -118,71 +108,63 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> RulesSc
     let all_columns: Vec<String> = binned.column_names().to_vec();
     let probe_rows: Vec<usize> = (0..binned.num_rows().min(512)).collect();
 
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for &(mode, threads, workload) in MODES {
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            match workload {
-                Workload::MineApriori => {
-                    let r = RuleMiner::new(mining.clone()).mine_apriori(&binned);
-                    assert_eq!(r.len(), plain_rules.len());
-                }
-                Workload::MineBitmap => {
-                    let r = RuleMiner::new(mining.clone().with_threads(threads)).mine(&binned);
-                    assert_eq!(r.len(), plain_rules.len());
-                }
-                Workload::TargetApriori => {
-                    let r = RuleMiner::new(mining.clone())
-                        .mine_with_targets_apriori(&binned, &[target_idx]);
-                    assert_eq!(r.len(), rules.len());
-                }
-                Workload::TargetBitmap => {
-                    let r = RuleMiner::new(mining.clone().with_threads(threads))
-                        .mine_with_targets(&binned, &[target_idx]);
-                    assert_eq!(r.len(), rules.len());
-                }
-                Workload::HighlightLinear => {
-                    assert_highlights(highlight_rules_linear(
-                        &binned,
-                        &rules,
-                        &probe_rows,
-                        &all_columns,
-                    ));
-                }
-                Workload::HighlightIndexed => {
-                    assert_highlights(highlight_rules(&binned, &rules, &probe_rows, &all_columns));
-                }
+        let wall_ms = best_of(reps, || match workload {
+            Workload::MineApriori => {
+                let r = RuleMiner::new(mining.clone()).mine_apriori(&binned);
+                assert_eq!(r.len(), plain_rules.len());
             }
-            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        results.push(RulesModeResult {
-            mode: mode.to_string(),
-            threads,
-            wall_ms: best_ms,
+            Workload::MineBitmap => {
+                let r = RuleMiner::new(mining.clone().with_threads(threads)).mine(&binned);
+                assert_eq!(r.len(), plain_rules.len());
+            }
+            Workload::TargetApriori => {
+                let r = RuleMiner::new(mining.clone())
+                    .mine_with_targets_apriori(&binned, &[target_idx]);
+                assert_eq!(r.len(), rules.len());
+            }
+            Workload::TargetBitmap => {
+                let r = RuleMiner::new(mining.clone().with_threads(threads))
+                    .mine_with_targets(&binned, &[target_idx]);
+                assert_eq!(r.len(), rules.len());
+            }
+            Workload::HighlightLinear => {
+                assert_highlights(highlight_rules_linear(
+                    &binned,
+                    &rules,
+                    &probe_rows,
+                    &all_columns,
+                ));
+            }
+            Workload::HighlightIndexed => {
+                assert_highlights(highlight_rules(&binned, &rules, &probe_rows, &all_columns));
+            }
+        });
+        rows.push(BenchRow {
+            threads: Some(threads),
+            ..BenchRow::new(mode, wall_ms)
         });
     }
-    let wall = |m: &str| {
-        results
-            .iter()
-            .find(|r| r.mode == m)
-            .map(|r| r.wall_ms)
-            .expect("mode present")
+    let mut report = BenchReport {
+        experiment: "rules_scaling",
+        meta: vec![
+            ("dataset", Meta::Text(kind.label().to_string())),
+            ("rows", Meta::Count(binned.num_rows())),
+            ("cols", Meta::Count(binned.num_columns())),
+            // Rules mined by one whole-table run (both engines mine the
+            // identical set — the equivalence suite pins that).
+            ("num_rules", Meta::Count(plain_rules.len())),
+            // Rules pooled by the target-partitioned run.
+            ("num_target_rules", Meta::Count(rules.len())),
+            // Rows highlighted per highlight-mode invocation.
+            ("highlight_rows", Meta::Count(probe_rows.len())),
+        ],
+        rows,
+        ratios: Vec::new(),
     };
-    RulesScalingReport {
-        dataset: kind.label().to_string(),
-        rows: binned.num_rows(),
-        cols: binned.num_columns(),
-        num_rules: plain_rules.len(),
-        num_target_rules: rules.len(),
-        highlight_rows: probe_rows.len(),
-        speedup_bitmap_vs_apriori: wall(APRIORI_MODE) / wall("rules-bitmap-1t").max(1e-9),
-        target_speedup_bitmap_vs_apriori: wall("rules-target-apriori-1t")
-            / wall("rules-target-bitmap-1t").max(1e-9),
-        highlight_speedup_indexed_vs_linear: wall("highlight-linear-1t")
-            / wall("highlight-indexed-1t").max(1e-9),
-        results,
-    }
+    report.ratios = report.speedups(SPEEDUPS);
+    report
 }
 
 fn assert_highlights(h: Vec<Option<subtab_core::RuleHighlight>>) {
@@ -193,126 +175,52 @@ fn assert_highlights(h: Vec<Option<subtab_core::RuleHighlight>>) {
 }
 
 /// Renders the report as an aligned text table.
-pub fn render(report: &RulesScalingReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .results
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.threads.to_string(),
-                format!("{:.3}", r.wall_ms),
-            ]
-        })
-        .collect();
+pub fn render(report: &BenchReport) -> String {
     format!(
         "Rule engine on {} ({} rows × {} cols, {} rules / {} target-pooled, {} highlighted rows): \
          bitmap miner {:.2}x over the Apriori twin single-core ({:.2}x on the target-partitioned \
          run incl. shared pooling), highlight index {:.2}x over the linear scan\n{}",
-        report.dataset,
-        report.rows,
-        report.cols,
-        report.num_rules,
-        report.num_target_rules,
-        report.highlight_rows,
-        report.speedup_bitmap_vs_apriori,
-        report.target_speedup_bitmap_vs_apriori,
-        report.highlight_speedup_indexed_vs_linear,
-        format_table(&["mode", "threads", "wall-ms"], &rows)
+        report.meta("dataset"),
+        report.meta("rows"),
+        report.meta("cols"),
+        report.meta("num_rules"),
+        report.meta("num_target_rules"),
+        report.meta("highlight_rows"),
+        report.ratio("speedup_bitmap_vs_apriori"),
+        report.ratio("target_speedup_bitmap_vs_apriori"),
+        report.ratio("highlight_speedup_indexed_vs_linear"),
+        format_rows(&report.rows)
     )
-}
-
-/// Serialises the report as `BENCH_rules.json` (one result per line — the
-/// shape `preprocess_scaling::parse_results` expects, so every gate shares
-/// one parser).
-pub fn to_json(report: &RulesScalingReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"rules_scaling\",\n");
-    out.push_str(&format!("  \"dataset\": \"{}\",\n", report.dataset));
-    out.push_str(&format!("  \"rows\": {},\n", report.rows));
-    out.push_str(&format!("  \"cols\": {},\n", report.cols));
-    out.push_str(&format!("  \"num_rules\": {},\n", report.num_rules));
-    out.push_str(&format!(
-        "  \"num_target_rules\": {},\n",
-        report.num_target_rules
-    ));
-    out.push_str(&format!(
-        "  \"highlight_rows\": {},\n",
-        report.highlight_rows
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.results.iter().enumerate() {
-        let comma = if i + 1 < report.results.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}}}{}\n",
-            r.mode, r.threads, r.wall_ms, comma
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup_bitmap_vs_apriori\": {:.3},\n",
-        report.speedup_bitmap_vs_apriori
-    ));
-    out.push_str(&format!(
-        "  \"target_speedup_bitmap_vs_apriori\": {:.3},\n",
-        report.target_speedup_bitmap_vs_apriori
-    ));
-    out.push_str(&format!(
-        "  \"highlight_speedup_indexed_vs_linear\": {:.3}\n",
-        report.highlight_speedup_indexed_vs_linear
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Compares a fresh report against the checked-in
-/// `ci/BENCH_rules_baseline.json`. Wall times are normalised to
-/// `rules-apriori-1t` of their own capture, cancelling raw machine speed
-/// exactly like the preprocess gate's seed-legacy normalisation — the
-/// Apriori twin is a fixed algorithm running in the same process on the
-/// same data.
-pub fn check_against_baseline(
-    report: &RulesScalingReport,
-    baseline_json: &str,
-    threshold: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let gated: Vec<(String, f64)> = report
-        .results
-        .iter()
-        .map(|r| (r.mode.clone(), r.wall_ms))
-        .collect();
-    check_gated_modes(&gated, baseline_json, APRIORI_MODE, threshold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::preprocess_scaling::parse_results;
+    use crate::experiments::report::tests::{assert_round_trip, assert_wall_gate};
     use std::sync::OnceLock;
 
     /// The benchmark is slow under the debug test profile, so every test
     /// shares one report.
-    fn tiny_report() -> &'static RulesScalingReport {
-        static REPORT: OnceLock<RulesScalingReport> = OnceLock::new();
+    fn tiny_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
         REPORT.get_or_init(|| run_on(DatasetKind::Spotify, ExperimentScale::Quick, 1))
     }
 
     #[test]
     fn report_covers_every_mode_with_positive_times() {
         let report = tiny_report();
-        assert_eq!(report.results.len(), MODES.len());
-        assert!(report.results.iter().all(|r| r.wall_ms > 0.0));
-        assert!(report.speedup_bitmap_vs_apriori > 0.0);
-        assert!(report.target_speedup_bitmap_vs_apriori > 0.0);
-        assert!(report.highlight_speedup_indexed_vs_linear > 0.0);
-        assert!(report.num_rules > 0, "planted data must produce rules");
-        assert!(report.num_target_rules > 0);
-        assert!(report.highlight_rows > 0);
+        assert_eq!(report.rows.len(), MODES.len());
+        assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
+        for &(key, ..) in SPEEDUPS {
+            assert!(report.ratio(key) > 0.0, "{key}");
+        }
+        for key in ["num_rules", "num_target_rules", "highlight_rows"] {
+            assert_ne!(
+                report.meta(key),
+                &Meta::Count(0),
+                "{key}: planted data must produce rules"
+            );
+        }
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
         assert!(rendered.contains(APRIORI_MODE));
@@ -320,40 +228,12 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_the_shared_parser() {
-        let report = tiny_report();
-        let json = to_json(report);
-        let parsed = parse_results(&json).unwrap();
-        assert_eq!(parsed.len(), report.results.len());
-        for (r, (pmode, pwall)) in report.results.iter().zip(&parsed) {
-            assert_eq!(&r.mode, pmode);
-            assert!((r.wall_ms - pwall).abs() < 0.01);
-        }
+        assert_round_trip(tiny_report());
     }
 
     #[test]
     fn gate_passes_against_itself_and_catches_regressions() {
-        let report = tiny_report();
-        let json = to_json(report);
-        assert!(check_against_baseline(report, &json, 0.25).is_ok());
-        // A uniformly faster machine is not a regression — normalisation
-        // cancels it.
-        let mut faster = report.clone();
-        for r in &mut faster.results {
-            r.wall_ms /= 10.0;
-        }
-        assert!(check_against_baseline(report, &to_json(&faster), 0.25).is_ok());
-        // A baseline whose engine modes are 10x faster relative to the
-        // unchanged Apriori comparator: every non-reference mode regresses.
-        let mut fast = report.clone();
-        for r in &mut fast.results {
-            if r.mode != APRIORI_MODE {
-                r.wall_ms /= 10.0;
-            }
-        }
-        let err = check_against_baseline(report, &to_json(&fast), 0.25).unwrap_err();
-        assert_eq!(err.len(), report.results.len() - 1);
-        assert!(err[0].contains("REGRESSION"));
-        assert!(check_against_baseline(report, "not json", 0.25).is_err());
+        assert_wall_gate(tiny_report(), &POLICY);
     }
 
     #[test]

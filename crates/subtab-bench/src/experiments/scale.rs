@@ -17,19 +17,19 @@
 //! subsampling and f16 storage on) and the CSV spill → reserved-capacity
 //! ingest path (`scale-ingest-csv`) that feeds the 1M tier.
 //!
-//! Wall times are gated like every other bench: normalised to a fixed
-//! reference mode (`scale-ref-rowscan`, a per-row `Value`-API scan that exercises
-//! none of the optimised columnar paths) so CI-runner generations cancel
-//! out, with a >25% relative regression failing the gate. Resident memory
-//! is machine-independent at a pinned row count, so it is gated on the
-//! *absolute* ratio against the baseline with a deliberately generous 2×
-//! threshold (allocator and fragmentation noise stay well under that; a
-//! forgotten plane copy does not).
+//! The gate is [`POLICY`]. Wall times are normalised to a fixed reference
+//! mode (`scale-ref-rowscan`, a per-row `Value`-API scan that exercises none
+//! of the optimised columnar paths) so CI-runner generations cancel out.
+//! Resident memory is machine-independent at a pinned row count, so it is
+//! gated on the *absolute* ratio against the baseline with a deliberately
+//! generous 2× threshold (allocator and fragmentation noise stay well under
+//! that; a forgotten plane copy does not).
 
-use crate::experiments::common::{format_table, ExperimentScale};
-use crate::experiments::preprocess_scaling::check_gated_modes;
+use crate::experiments::common::ExperimentScale;
+use crate::experiments::report::{
+    best_of, best_of_with, format_rows, BenchReport, BenchRow, GatePolicy, Meta, RssCeiling,
+};
 use std::sync::Arc;
-use std::time::Instant;
 use subtab_binning::Binner;
 use subtab_core::{SelectionParams, SubTab, SubTabConfig};
 use subtab_data::csv::{read_csv_file, write_csv_file};
@@ -39,31 +39,6 @@ use subtab_embed::{train_embedding, train_embedding_materialized, EmbeddingConfi
 use subtab_rules::{MiningConfig, RuleMiner};
 use subtab_server::{ExplorationServer, Request, ServerConfig};
 
-/// Wall time and resident memory of one `(shape, stage)` pair.
-#[derive(Debug, Clone)]
-pub struct ScaleStageResult {
-    /// Mode label, `scale-<shape>-<stage>` (also the CI gate's match key).
-    pub mode: String,
-    /// Best-of-`reps` wall time, in ms.
-    pub wall_ms: f64,
-    /// Resident set size (`VmRSS`) sampled after the stage's last
-    /// repetition, in bytes; 0 where `/proc` is unavailable.
-    pub rss_bytes: u64,
-}
-
-/// The scale-tier report: every stage of every stress shape.
-#[derive(Debug, Clone)]
-pub struct ScaleReport {
-    /// Rows per generated dataset (pinned by the tier, so resident-memory
-    /// numbers are comparable across machines).
-    pub rows: usize,
-    /// Human label of the row count (`100k`, `1m`, or the literal count
-    /// for ad-hoc sizes).
-    pub tier: String,
-    /// One entry per mode, reference first.
-    pub results: Vec<ScaleStageResult>,
-}
-
 /// The gate's normalisation reference: a per-row `Value`-API scan over the
 /// wide shape. It touches every cell through the row-wise shim — a fixed
 /// workload that bypasses the columnar fast paths under test — so the
@@ -72,10 +47,6 @@ const REF_MODE: &str = "scale-ref-rowscan";
 
 /// Pipeline stages timed per shape, in execution order.
 const STAGES: [&str; 4] = ["preprocess", "select", "mine", "serve"];
-
-/// Resident-memory gate threshold: fail when a mode's resident bytes
-/// exceed the baseline's by more than this factor.
-const RSS_FACTOR: f64 = 2.0;
 
 /// Modes beyond the `(shape, stage)` grid: the two embed-stage preprocess
 /// twins on the high-cardinality shape (the materialized-corpus legacy
@@ -88,13 +59,22 @@ const EXTRA_MODES: [&str; 3] = [
     "scale-ingest-csv",
 ];
 
-/// Absolute resident ceiling for the embed-stage twins
-/// (`scale-preprocess-*`) at the pinned 100k CI tier. Row count fixes the
-/// working set, so unlike wall time this is machine-independent: blowing
-/// it means the embed stage re-grew a materialized corpus or a
-/// full-vocabulary weight matrix, regardless of what the baseline
-/// recorded.
-const EMBED_RSS_CEILING_100K: u64 = 1024 * 1024 * 1024;
+/// The scale gate: >25% normalised wall regressions and >2x resident
+/// memory against the baseline fail. At the pinned 100k CI tier the
+/// embed-stage twins (`scale-preprocess-*`) must also stay under 1 GiB
+/// resident, baseline or not: blowing that means the embed stage re-grew a
+/// materialized corpus or a full-vocabulary weight matrix.
+pub const POLICY: GatePolicy = GatePolicy {
+    reference_mode: REF_MODE,
+    wall_threshold: 0.25,
+    rss_factor: Some(2.0),
+    rss_ceiling: Some(RssCeiling {
+        mode_prefix: "scale-preprocess-",
+        rows: 100_000,
+        bytes: 1024 * 1024 * 1024,
+    }),
+    ratio_floors: &[],
+};
 
 /// The selection query and its serve-stage refinement for a shape, phrased
 /// against the planted archetypes so every query keeps enough matching
@@ -112,7 +92,7 @@ fn shape_queries(shape: ScaleShape) -> (&'static str, &'static str) {
 
 /// Runs the scale benchmark: the 100k tier under `--quick` (the CI
 /// sub-tier), the 1M tier at paper scale (the local acceptance run).
-pub fn run(scale: ExperimentScale) -> ScaleReport {
+pub fn run(scale: ExperimentScale) -> BenchReport {
     match scale {
         ExperimentScale::Quick => run_on(ScaleTier::Rows100k.num_rows(), 2),
         ExperimentScale::Paper => run_on(ScaleTier::Rows1M.num_rows(), 1),
@@ -120,9 +100,9 @@ pub fn run(scale: ExperimentScale) -> ScaleReport {
 }
 
 /// Runs the benchmark at an explicit row count with `reps` repetitions per
-/// stage (best-of wall time is reported, damping scheduler noise).
-pub fn run_on(rows: usize, reps: usize) -> ScaleReport {
-    let reps = reps.max(1);
+/// stage (best-of wall time is reported, damping scheduler noise). Each
+/// row also records the resident set sampled right after its stage.
+pub fn run_on(rows: usize, reps: usize) -> BenchReport {
     let tier = match rows {
         r if r == ScaleTier::Rows100k.num_rows() => ScaleTier::Rows100k.label().to_string(),
         r if r == ScaleTier::Rows1M.num_rows() => ScaleTier::Rows1M.label().to_string(),
@@ -134,32 +114,32 @@ pub fn run_on(rows: usize, reps: usize) -> ScaleReport {
     // Reference scan first: the wide shape has the most columns, so the
     // row-wise shim pays the full fan-out cost the columnar paths avoid.
     let ref_table = generate(&scale_spec(ScaleShape::Wide, rows), 97).table;
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(rowscan_checksum(&ref_table));
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    results.push(ScaleStageResult {
-        mode: REF_MODE.to_string(),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
-    });
+    let wall_ms = best_of(reps, || rowscan_checksum(&ref_table));
+    results.push(measured(REF_MODE, wall_ms));
     drop(ref_table);
 
     for shape in ScaleShape::ALL {
         results.extend(run_shape(shape, rows, reps));
     }
     results.extend(run_extra_modes(rows, reps));
-    ScaleReport {
-        rows,
-        tier,
-        results,
+    BenchReport {
+        experiment: "scale",
+        meta: vec![("rows", Meta::Count(rows)), ("tier", Meta::Text(tier))],
+        rows: results,
+        ratios: Vec::new(),
+    }
+}
+
+/// A row for a stage that just ran, with the resident set sampled now.
+fn measured(mode: impl Into<String>, wall_ms: f64) -> BenchRow {
+    BenchRow {
+        rss_bytes: Some(resident_bytes()),
+        ..BenchRow::new(mode, wall_ms)
     }
 }
 
 /// Times the four pipeline stages on one shape.
-fn run_shape(shape: ScaleShape, rows: usize, reps: usize) -> Vec<ScaleStageResult> {
+fn run_shape(shape: ScaleShape, rows: usize, reps: usize) -> Vec<BenchRow> {
     let dataset = generate(&scale_spec(shape, rows), 97);
     let config = SubTabConfig::fast();
     let (base, refine) = shape_queries(shape);
@@ -169,85 +149,64 @@ fn run_shape(shape: ScaleShape, rows: usize, reps: usize) -> Vec<ScaleStageResul
     let mut out = Vec::with_capacity(STAGES.len());
 
     // Stage 1: pre-processing (bin + corpus + embedding, the load path).
-    let mut best_ms = f64::INFINITY;
+    // Each run replaces the previous result, which is dropped untimed.
     let mut subtab: Option<SubTab> = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let s = SubTab::preprocess(dataset.table.clone(), config.clone())
-            .expect("pre-processing succeeds on generated data");
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        subtab = Some(s);
-    }
-    let subtab = Arc::new(subtab.expect("reps >= 1"));
-    out.push(ScaleStageResult {
-        mode: label("preprocess"),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
+    let wall_ms = best_of(reps, || {
+        subtab.replace(
+            SubTab::preprocess(dataset.table.clone(), config.clone())
+                .expect("pre-processing succeeds on generated data"),
+        )
     });
+    let subtab = Arc::new(subtab.expect("reps >= 1"));
+    out.push(measured(label("preprocess"), wall_ms));
 
     // Stage 2: one query-scoped selection (the interactive display path).
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
+    let wall_ms = best_of(reps, || {
         let view = subtab
             .select_for_query(&query, &params)
             .expect("selection succeeds");
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
         assert_eq!(view.sub_table.num_rows(), params.k);
-    }
-    out.push(ScaleStageResult {
-        mode: label("select"),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
+        view
     });
+    out.push(measured(label("select"), wall_ms));
 
     // Stage 3: whole-table rule mining over the binned planes.
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let rules = RuleMiner::new(MiningConfig::default()).mine(subtab.preprocessed().binned());
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(rules.rules.len());
-    }
-    out.push(ScaleStageResult {
-        mode: label("mine"),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
+    let wall_ms = best_of(reps, || {
+        RuleMiner::new(MiningConfig::default()).mine(subtab.preprocessed().binned())
     });
+    out.push(measured(label("mine"), wall_ms));
 
     // Stage 4: the serving layer — a session running a three-step
     // refinement chain of text queries (parse, per-session leaf-bitmap
-    // cache, result cache on the repeated spelling).
+    // cache, result cache on the repeated spelling). The server is built
+    // outside the timed region.
     let chain = [
         base.to_string(),
         format!("{base} AND {refine}"),
         base.to_string(),
     ];
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let server = ExplorationServer::from_subtab(Arc::clone(&subtab), ServerConfig::default());
-        let start = Instant::now();
-        let session = server.open_session();
-        for q in &chain {
-            let outcome = server
-                .execute(
-                    session,
-                    Request::SelectText {
-                        query: q.clone(),
-                        params: params.clone(),
-                    },
-                )
-                .expect("served selection succeeds");
-            std::hint::black_box(outcome.cache_hit);
-        }
-        server.close_session(session).expect("session closes");
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    out.push(ScaleStageResult {
-        mode: label("serve"),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
-    });
+    let wall_ms = best_of_with(
+        reps,
+        || ExplorationServer::from_subtab(Arc::clone(&subtab), ServerConfig::default()),
+        |server| {
+            let session = server.open_session();
+            for q in &chain {
+                let outcome = server
+                    .execute(
+                        session,
+                        Request::SelectText {
+                            query: q.clone(),
+                            params: params.clone(),
+                        },
+                    )
+                    .expect("served selection succeeds");
+                std::hint::black_box(outcome.cache_hit);
+            }
+            server.close_session(session).expect("session closes");
+            server
+        },
+    );
+    out.push(measured(label("serve"), wall_ms));
     out
 }
 
@@ -255,7 +214,7 @@ fn run_shape(shape: ScaleShape, rows: usize, reps: usize) -> Vec<ScaleStageResul
 /// high-cardinality shape (the shape whose vocabulary stresses corpus
 /// construction hardest) and the CSV spill → reserved-capacity ingest
 /// path.
-fn run_extra_modes(rows: usize, reps: usize) -> Vec<ScaleStageResult> {
+fn run_extra_modes(rows: usize, reps: usize) -> Vec<BenchRow> {
     let mut out = Vec::with_capacity(EXTRA_MODES.len());
     let dataset = generate(&scale_spec(ScaleShape::HighCardinality, rows), 97);
     let config = SubTabConfig::fast();
@@ -264,18 +223,10 @@ fn run_extra_modes(rows: usize, reps: usize) -> Vec<ScaleStageResult> {
 
     // Legacy twin: materialized sentence corpus, full vocabulary, dense
     // f32 weights — the pre-streaming pipeline, kept as the perf anchor.
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let model = train_embedding_materialized(&binned, &config.embedding);
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(model.len());
-    }
-    out.push(ScaleStageResult {
-        mode: "scale-preprocess-legacy".to_string(),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
+    let wall_ms = best_of(reps, || {
+        train_embedding_materialized(&binned, &config.embedding)
     });
+    out.push(measured("scale-preprocess-legacy", wall_ms));
 
     // Streaming path with the scale knobs on: pairs built straight from
     // the code planes, rare bins pruned, frequent bins subsampled, and
@@ -286,18 +237,8 @@ fn run_extra_modes(rows: usize, reps: usize) -> Vec<ScaleStageResult> {
         quantize: Quantization::F16,
         ..config.embedding.clone()
     };
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let model = train_embedding(&binned, &stream_config);
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(model.len());
-    }
-    out.push(ScaleStageResult {
-        mode: "scale-preprocess-stream".to_string(),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
-    });
+    let wall_ms = best_of(reps, || train_embedding(&binned, &stream_config));
+    out.push(measured("scale-preprocess-stream", wall_ms));
     drop(binned);
 
     // CSV spill + ingest: the 1M tier is generated once, spilled to disk
@@ -308,9 +249,7 @@ fn run_extra_modes(rows: usize, reps: usize) -> Vec<ScaleStageResult> {
         std::process::id()
     ));
     write_csv_file(&dataset.table, &path).expect("csv spill succeeds");
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
+    let wall_ms = best_of(reps, || {
         let spilled = read_csv_file(&path).expect("csv ingest succeeds");
         let mut ingested = Table::empty(spilled.schema().clone());
         ingested.reserve_rows(spilled.num_rows());
@@ -319,15 +258,11 @@ fn run_extra_modes(rows: usize, reps: usize) -> Vec<ScaleStageResult> {
                 .push_row(spilled.row(row).expect("row in range"))
                 .expect("spilled row round-trips");
         }
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
         assert_eq!(ingested.num_rows(), dataset.table.num_rows());
-    }
-    let _ = std::fs::remove_file(&path);
-    out.push(ScaleStageResult {
-        mode: "scale-ingest-csv".to_string(),
-        wall_ms: best_ms,
-        rss_bytes: resident_bytes(),
+        (spilled, ingested)
     });
+    let _ = std::fs::remove_file(&path);
+    out.push(measured("scale-ingest-csv", wall_ms));
     out
 }
 
@@ -363,189 +298,51 @@ pub fn resident_bytes() -> u64 {
 }
 
 /// Renders the report as an aligned text table.
-pub fn render(report: &ScaleReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .results
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                format!("{:.3}", r.wall_ms),
-                format!("{:.1}", r.rss_bytes as f64 / (1024.0 * 1024.0)),
-            ]
-        })
-        .collect();
+pub fn render(report: &BenchReport) -> String {
     format!(
         "Scale tier ({} rows per shape, tier {}): wall time and resident memory per pipeline \
          stage on the four stress shapes\n{}",
-        report.rows,
-        report.tier,
-        format_table(&["mode", "wall-ms", "rss-MiB"], &rows)
+        report.meta("rows"),
+        report.meta("tier"),
+        format_rows(&report.rows)
     )
-}
-
-/// Serialises the report as `BENCH_scale.json` (one result per line — the
-/// shape `preprocess_scaling::parse_results` expects, so the wall gate
-/// shares the fleet-wide parser; `rss_bytes` rides along on each line for
-/// the resident-memory gate).
-pub fn to_json(report: &ScaleReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"scale\",\n");
-    out.push_str(&format!("  \"rows\": {},\n", report.rows));
-    out.push_str(&format!("  \"tier\": \"{}\",\n", report.tier));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.results.iter().enumerate() {
-        let comma = if i + 1 < report.results.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"wall_ms\": {:.3}, \"rss_bytes\": {}}}{}\n",
-            r.mode, r.wall_ms, r.rss_bytes, comma
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Extracts `(mode, rss_bytes)` pairs from a `BENCH_scale.json`; lines
-/// without an `rss_bytes` field (other experiments sharing the parser
-/// shape) are skipped rather than rejected.
-pub fn parse_rss(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim();
-        if !line.contains("\"mode\"") || !line.contains("\"rss_bytes\"") {
-            continue;
-        }
-        let mode = line
-            .split("\"mode\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next());
-        let rss = line.split("\"rss_bytes\": ").nth(1).and_then(|rest| {
-            rest.split([',', '}'])
-                .next()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        });
-        if let (Some(mode), Some(rss)) = (mode, rss) {
-            out.push((mode.to_string(), rss));
-        }
-    }
-    out
-}
-
-/// Compares a fresh report against the checked-in
-/// `BENCH_scale_baseline.json`: wall times through the shared normalised
-/// gate (reference `scale-ref-rowscan`, fractional `threshold`), resident
-/// memory through an absolute 2× ratio check (skipped when either
-/// side reports 0 — non-Linux captures). At the pinned 100k tier the
-/// embed-stage twins are additionally held under the absolute
-/// `EMBED_RSS_CEILING_100K`, baseline or not.
-pub fn check_against_baseline(
-    report: &ScaleReport,
-    baseline_json: &str,
-    threshold: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let gated: Vec<(String, f64)> = report
-        .results
-        .iter()
-        .map(|r| (r.mode.clone(), r.wall_ms))
-        .collect();
-    let (mut lines, mut regressions) =
-        match check_gated_modes(&gated, baseline_json, REF_MODE, threshold) {
-            Ok(lines) => (lines, Vec::new()),
-            Err(regs) => (Vec::new(), regs),
-        };
-    let baseline_rss = parse_rss(baseline_json);
-    for r in &report.results {
-        let Some(&(_, base)) = baseline_rss.iter().find(|(m, _)| m == &r.mode) else {
-            continue;
-        };
-        if r.rss_bytes == 0 || base == 0 {
-            lines.push(format!("{}: rss not captured on one side", r.mode));
-            continue;
-        }
-        let ratio = r.rss_bytes as f64 / base as f64;
-        let line = format!(
-            "{}: {:.1} MiB resident vs baseline {:.1} MiB ({:+.1}%)",
-            r.mode,
-            r.rss_bytes as f64 / (1024.0 * 1024.0),
-            base as f64 / (1024.0 * 1024.0),
-            (ratio - 1.0) * 100.0
-        );
-        if ratio > RSS_FACTOR {
-            regressions.push(format!(
-                "REGRESSION {line} exceeds {RSS_FACTOR:.0}x resident-memory budget"
-            ));
-        } else {
-            lines.push(line);
-        }
-    }
-    if report.rows == ScaleTier::Rows100k.num_rows() {
-        for r in &report.results {
-            if !r.mode.starts_with("scale-preprocess-") || r.rss_bytes == 0 {
-                continue;
-            }
-            if r.rss_bytes > EMBED_RSS_CEILING_100K {
-                regressions.push(format!(
-                    "REGRESSION {}: {:.1} MiB resident exceeds the {:.0} MiB embed-stage \
-                     ceiling at the 100k tier",
-                    r.mode,
-                    r.rss_bytes as f64 / (1024.0 * 1024.0),
-                    EMBED_RSS_CEILING_100K as f64 / (1024.0 * 1024.0)
-                ));
-            }
-        }
-    }
-    if regressions.is_empty() {
-        Ok(lines)
-    } else {
-        Err(regressions)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::preprocess_scaling::parse_results;
+    use crate::experiments::report::tests::{
+        assert_round_trip, assert_rss_budget, assert_rss_ceiling, assert_wall_gate,
+    };
     use std::sync::OnceLock;
 
     /// The full tiers are release-binary territory; the tests pin the
     /// machinery at a debug-friendly row count and share one report.
-    fn tiny_report() -> &'static ScaleReport {
-        static REPORT: OnceLock<ScaleReport> = OnceLock::new();
+    fn tiny_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
         REPORT.get_or_init(|| run_on(1_200, 1))
     }
 
     #[test]
     fn report_covers_every_shape_and_stage() {
         let report = tiny_report();
-        assert_eq!(report.rows, 1_200);
-        assert_eq!(report.tier, "1200");
+        assert_eq!(report.meta("rows"), &Meta::Count(1_200));
+        assert_eq!(report.meta("tier"), &Meta::Text("1200".into()));
         assert_eq!(
-            report.results.len(),
+            report.rows.len(),
             1 + ScaleShape::ALL.len() * STAGES.len() + EXTRA_MODES.len()
         );
-        assert_eq!(report.results[0].mode, REF_MODE);
+        assert_eq!(report.rows[0].mode, REF_MODE);
         for shape in ScaleShape::ALL {
             for stage in STAGES {
                 let mode = format!("scale-{}-{}", shape.label(), stage);
-                assert!(
-                    report.results.iter().any(|r| r.mode == mode),
-                    "missing {mode}"
-                );
+                assert!(report.row(&mode).is_some(), "missing {mode}");
             }
         }
         for mode in EXTRA_MODES {
-            assert!(
-                report.results.iter().any(|r| r.mode == mode),
-                "missing {mode}"
-            );
+            assert!(report.row(mode).is_some(), "missing {mode}");
         }
-        assert!(report.results.iter().all(|r| r.wall_ms > 0.0));
+        assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
         let rendered = render(report);
         assert!(rendered.contains("rss-MiB"));
         assert!(rendered.contains(REF_MODE));
@@ -556,98 +353,31 @@ mod tests {
     fn resident_memory_is_captured_on_linux() {
         assert!(resident_bytes() > 0);
         let report = tiny_report();
-        assert!(report.results.iter().all(|r| r.rss_bytes > 0));
+        assert!(report.rows.iter().all(|r| r.rss_bytes > Some(0)));
     }
 
     #[test]
     fn json_round_trips_through_both_parsers() {
-        let report = tiny_report();
-        let json = to_json(report);
-        let walls = parse_results(&json).unwrap();
-        let rss = parse_rss(&json);
-        assert_eq!(walls.len(), report.results.len());
-        assert_eq!(rss.len(), report.results.len());
-        for (r, ((pmode, pwall), (rmode, rbytes))) in
-            report.results.iter().zip(walls.iter().zip(&rss))
-        {
-            assert_eq!(&r.mode, pmode);
-            assert_eq!(&r.mode, rmode);
-            assert!((r.wall_ms - pwall).abs() < 0.01);
-            assert_eq!(r.rss_bytes, *rbytes);
-        }
+        assert_round_trip(tiny_report());
     }
 
     #[test]
     fn gate_passes_against_itself_and_catches_wall_regressions() {
-        let report = tiny_report();
-        let json = to_json(report);
-        assert!(check_against_baseline(report, &json, 0.25).is_ok());
-        // A uniformly faster machine is not a regression — the rowscan
-        // reference cancels it.
-        let mut faster = report.clone();
-        for r in &mut faster.results {
-            r.wall_ms /= 10.0;
-        }
-        assert!(check_against_baseline(report, &to_json(&faster), 0.25).is_ok());
-        // A baseline whose stages are 10x faster relative to the unchanged
-        // reference: every non-reference mode regresses.
-        let mut fast = report.clone();
-        for r in &mut fast.results {
-            if r.mode != REF_MODE {
-                r.wall_ms /= 10.0;
-            }
-        }
-        let err = check_against_baseline(report, &to_json(&fast), 0.25).unwrap_err();
-        assert_eq!(err.len(), report.results.len() - 1);
-        assert!(err[0].contains("REGRESSION"));
-        assert!(check_against_baseline(report, "not json", 0.25).is_err());
+        assert_wall_gate(tiny_report(), &POLICY);
     }
 
     #[test]
     fn gate_catches_resident_memory_blowups() {
-        let report = tiny_report();
-        if report.results[0].rss_bytes == 0 {
-            // Non-Linux capture: the rss gate self-disables.
-            return;
-        }
-        // A baseline captured with a third of the resident footprint: every
-        // mode blows the 2x budget even though wall times are identical.
-        let mut lean = report.clone();
-        for r in &mut lean.results {
-            r.rss_bytes /= 3;
-        }
-        let err = check_against_baseline(report, &to_json(&lean), 0.25).unwrap_err();
-        assert_eq!(err.len(), report.results.len());
-        assert!(err[0].contains("resident-memory budget"));
+        assert_rss_budget(tiny_report(), &POLICY);
     }
 
     #[test]
     fn gate_enforces_the_embed_stage_ceiling_at_the_ci_tier() {
-        let report = tiny_report();
-        if report.results[0].rss_bytes == 0 {
-            // Non-Linux capture: the rss gate self-disables.
-            return;
-        }
-        // Re-badge the tiny run as the pinned CI tier: tiny footprints sit
-        // far under the ceiling, so against itself the gate still passes.
-        let mut pinned = report.clone();
-        pinned.rows = ScaleTier::Rows100k.num_rows();
-        assert!(check_against_baseline(&pinned, &to_json(&pinned), 0.25).is_ok());
-        // Blow both embed twins past the ceiling. The crafted baseline
-        // records the same bytes, so the relative 2x gate stays quiet and
-        // only the absolute ceiling can fire.
-        for r in &mut pinned.results {
-            if r.mode.starts_with("scale-preprocess-") {
-                r.rss_bytes = EMBED_RSS_CEILING_100K + 1;
-            }
-        }
-        let err = check_against_baseline(&pinned, &to_json(&pinned), 0.25).unwrap_err();
-        assert_eq!(err.len(), 2);
-        assert!(err.iter().all(|e| e.contains("embed-stage ceiling")));
-        // At any other row count the same report passes: the ceiling is
-        // meaningless without the pinned working set.
-        pinned.rows = 1_200;
-        assert!(check_against_baseline(&pinned, &to_json(&pinned), 0.25).is_ok());
+        let ceiling = POLICY
+            .rss_ceiling
+            .expect("scale pins an embed-stage ceiling");
+        assert_eq!(ceiling.rows, ScaleTier::Rows100k.num_rows());
+        assert_rss_ceiling(tiny_report(), &POLICY);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!   caches: the steady state of a long-running service, where repeated
 //!   displays are answered from the LRU cache.
 
-use crate::experiments::common::format_table;
 use crate::experiments::common::ExperimentScale;
-use crate::experiments::preprocess_scaling::check_gated_modes;
+use crate::experiments::report::{format_rows, BenchReport, BenchRow, GatePolicy, Meta};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -32,43 +31,17 @@ use subtab_server::{ExplorationServer, Request, ServerConfig};
 /// capture to it, cancelling raw machine speed).
 const DIRECT_MODE: &str = "serve-direct-1t";
 
-/// Measurements of one serving mode over the full trace corpus.
-#[derive(Debug, Clone)]
-pub struct ServerModeResult {
-    /// Mode label (the key the CI gate matches baselines by).
-    pub mode: String,
-    /// Simulated concurrent users driving the closed loop.
-    pub users: usize,
-    /// Server worker threads (`0` = direct calls, no server).
-    pub workers: usize,
-    /// Best-of-reps wall time of one full corpus replay, in ms.
-    pub wall_ms: f64,
-    /// Requests per second of the best replay.
-    pub throughput_rps: f64,
-    /// Median per-request latency of the best replay, in ms.
-    pub p50_ms: f64,
-    /// 99th-percentile per-request latency of the best replay, in ms.
-    pub p99_ms: f64,
-}
-
-/// The serving-layer load report.
-#[derive(Debug, Clone)]
-pub struct ServerLoadReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// Rows of the generated table.
-    pub rows: usize,
-    /// Session traces in the corpus.
-    pub sessions: usize,
-    /// Select requests per full corpus replay.
-    pub requests: usize,
-    /// One entry per serving mode.
-    pub results: Vec<ServerModeResult>,
-    /// Mean cold select wall over mean cached-hit wall for one repeated
-    /// query — the headline benefit of the session cache. The serving
-    /// layer's acceptance floor is 10x.
-    pub cached_speedup: f64,
-}
+/// The server gate: every serving mode normalised to the direct-call
+/// reference, plus the session cache's acceptance floor — mean cold select
+/// wall over mean cached-hit wall for one repeated query must be at least
+/// 10x.
+pub const POLICY: GatePolicy = GatePolicy {
+    reference_mode: DIRECT_MODE,
+    wall_threshold: 0.25,
+    rss_factor: None,
+    rss_ceiling: None,
+    ratio_floors: &[("cached_speedup", 10.0)],
+};
 
 /// Per-request latencies of one replay, merged across user threads.
 struct Replay {
@@ -86,7 +59,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 
 /// Runs the load benchmark on the cyber stand-in (the dataset the paper's
 /// session corpus was recorded over).
-pub fn run(scale: ExperimentScale) -> ServerLoadReport {
+pub fn run(scale: ExperimentScale) -> BenchReport {
     let (num_sessions, reps) = match scale {
         ExperimentScale::Quick => (16, 3),
         ExperimentScale::Paper => (48, 3),
@@ -101,7 +74,7 @@ pub fn run_on(
     scale: ExperimentScale,
     num_sessions: usize,
     reps: usize,
-) -> ServerLoadReport {
+) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let traces = generate_server_traces(
         &dataset,
@@ -156,13 +129,17 @@ pub fn run_on(
 
     let cached_speedup = measure_cached_speedup(&subtab, &traces, &params);
 
-    ServerLoadReport {
-        dataset: kind.label().to_string(),
-        rows,
-        sessions: traces.len(),
-        requests,
-        results,
-        cached_speedup,
+    BenchReport {
+        experiment: "server_load",
+        meta: vec![
+            ("dataset", Meta::Text(kind.label().to_string())),
+            ("rows", Meta::Count(rows)),
+            ("sessions", Meta::Count(traces.len())),
+            // Select requests per full corpus replay.
+            ("requests", Meta::Count(requests)),
+        ],
+        rows: results,
+        ratios: vec![("cached_speedup", cached_speedup)],
     }
 }
 
@@ -172,7 +149,7 @@ fn run_mode(
     workers: usize,
     reps: usize,
     mut replay: impl FnMut() -> Replay,
-) -> ServerModeResult {
+) -> BenchRow {
     let mut best: Option<Replay> = None;
     for _ in 0..reps.max(1) {
         let r = replay();
@@ -183,14 +160,13 @@ fn run_mode(
     let best = best.expect("at least one replay");
     let mut sorted = best.latencies_ms.clone();
     sorted.sort_by(f64::total_cmp);
-    ServerModeResult {
-        mode: mode.to_string(),
-        users,
-        workers,
-        wall_ms: best.wall_ms,
-        throughput_rps: sorted.len() as f64 / (best.wall_ms / 1e3).max(1e-9),
-        p50_ms: percentile(&sorted, 0.50),
-        p99_ms: percentile(&sorted, 0.99),
+    BenchRow {
+        users: Some(users),
+        workers: Some(workers),
+        throughput_rps: Some(sorted.len() as f64 / (best.wall_ms / 1e3).max(1e-9)),
+        p50_ms: Some(percentile(&sorted, 0.50)),
+        p99_ms: Some(percentile(&sorted, 0.99)),
+        ..BenchRow::new(mode, best.wall_ms)
     }
 }
 
@@ -318,124 +294,47 @@ fn measure_cached_speedup(
 }
 
 /// Renders the report as an aligned text table.
-pub fn render(report: &ServerLoadReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .results
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.users.to_string(),
-                r.workers.to_string(),
-                format!("{:.3}", r.wall_ms),
-                format!("{:.0}", r.throughput_rps),
-                format!("{:.3}", r.p50_ms),
-                format!("{:.3}", r.p99_ms),
-            ]
-        })
-        .collect();
+pub fn render(report: &BenchReport) -> String {
     format!(
         "Serving-layer load on {} ({} rows, {} sessions, {} selects per replay): \
          cached hits {:.0}x faster than cold selects\n{}",
-        report.dataset,
-        report.rows,
-        report.sessions,
-        report.requests,
-        report.cached_speedup,
-        format_table(
-            &["mode", "users", "workers", "wall-ms", "req/s", "p50-ms", "p99-ms"],
-            &rows
-        )
+        report.meta("dataset"),
+        report.meta("rows"),
+        report.meta("sessions"),
+        report.meta("requests"),
+        report.ratio("cached_speedup"),
+        format_rows(&report.rows)
     )
-}
-
-/// Serialises the report as `BENCH_server.json` (one result per line — the
-/// shape `preprocess_scaling::parse_results` expects, so this gate shares
-/// the fleet's parser).
-pub fn to_json(report: &ServerLoadReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"server_load\",\n");
-    out.push_str(&format!("  \"dataset\": \"{}\",\n", report.dataset));
-    out.push_str(&format!("  \"rows\": {},\n", report.rows));
-    out.push_str(&format!("  \"sessions\": {},\n", report.sessions));
-    out.push_str(&format!("  \"requests\": {},\n", report.requests));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.results.iter().enumerate() {
-        let comma = if i + 1 < report.results.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"users\": {}, \"workers\": {}, \"wall_ms\": {:.3}, \
-             \"throughput_rps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}}{}\n",
-            r.mode, r.users, r.workers, r.wall_ms, r.throughput_rps, r.p50_ms, r.p99_ms, comma
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"cached_speedup\": {:.1}\n",
-        report.cached_speedup
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Compares a fresh report against a checked-in baseline JSON. Wall times
-/// are normalised to `serve-direct-1t` of their own capture, cancelling raw
-/// machine speed like the other gates; additionally the cache-acceptance
-/// floor (cached hits at least 10x faster than cold selects) must hold.
-pub fn check_against_baseline(
-    report: &ServerLoadReport,
-    baseline_json: &str,
-    threshold: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let gated: Vec<(String, f64)> = report
-        .results
-        .iter()
-        .map(|r| (r.mode.clone(), r.wall_ms))
-        .collect();
-    let mut lines = check_gated_modes(&gated, baseline_json, DIRECT_MODE, threshold)?;
-    if report.cached_speedup < 10.0 {
-        return Err(vec![format!(
-            "REGRESSION cached_speedup: {:.1}x < the 10x acceptance floor",
-            report.cached_speedup
-        )]);
-    }
-    lines.push(format!(
-        "cached_speedup {:.0}x (floor 10x)",
-        report.cached_speedup
-    ));
-    Ok(lines)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::preprocess_scaling::parse_results;
+    use crate::experiments::report::tests::{
+        assert_ratio_floors, assert_round_trip, assert_wall_gate,
+    };
     use std::sync::OnceLock;
 
-    fn tiny_report() -> &'static ServerLoadReport {
-        static REPORT: OnceLock<ServerLoadReport> = OnceLock::new();
+    fn tiny_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
         REPORT.get_or_init(|| run_on(DatasetKind::Cyber, ExperimentScale::Quick, 3, 1))
     }
 
     #[test]
     fn report_covers_every_mode_with_latency_stats() {
         let report = tiny_report();
-        assert_eq!(report.results.len(), 4);
-        for r in &report.results {
+        assert_eq!(report.rows.len(), 4);
+        for r in &report.rows {
             assert!(r.wall_ms > 0.0, "{} wall must be positive", r.mode);
-            assert!(r.throughput_rps > 0.0);
-            assert!(r.p50_ms > 0.0);
+            assert!(r.throughput_rps.unwrap() > 0.0);
+            assert!(r.p50_ms.unwrap() > 0.0);
             assert!(r.p99_ms >= r.p50_ms, "{}: p99 below p50", r.mode);
         }
-        assert!(report.requests > 0);
+        assert_ne!(report.meta("requests"), &Meta::Count(0));
+        let cached_speedup = report.ratio("cached_speedup");
         assert!(
-            report.cached_speedup >= 10.0,
-            "cached hits must be at least 10x faster than cold selects, got {:.1}x",
-            report.cached_speedup
+            cached_speedup >= 10.0,
+            "cached hits must be at least 10x faster than cold selects, got {cached_speedup:.1}x"
         );
         let rendered = render(report);
         assert!(rendered.contains("p99-ms"));
@@ -444,43 +343,14 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_the_shared_parser() {
-        let report = tiny_report();
-        let json = to_json(report);
-        let parsed = parse_results(&json).unwrap();
-        assert_eq!(parsed.len(), report.results.len());
-        for (r, (pmode, pwall)) in report.results.iter().zip(&parsed) {
-            assert_eq!(&r.mode, pmode);
-            assert!((r.wall_ms - pwall).abs() < 0.01);
-        }
+        assert_round_trip(tiny_report());
     }
 
     #[test]
     fn gate_passes_against_itself_and_catches_regressions() {
         let report = tiny_report();
-        let json = to_json(report);
-        assert!(check_against_baseline(report, &json, 0.25).is_ok());
-        // Uniform machine-speed changes cancel under normalisation.
-        let mut faster = report.clone();
-        for r in &mut faster.results {
-            r.wall_ms /= 8.0;
-        }
-        assert!(check_against_baseline(report, &to_json(&faster), 0.25).is_ok());
-        // A baseline whose serving modes are much faster relative to the
-        // direct reference flags every serving mode.
-        let mut fast = report.clone();
-        for r in &mut fast.results {
-            if r.mode != DIRECT_MODE {
-                r.wall_ms /= 10.0;
-            }
-        }
-        let err = check_against_baseline(report, &to_json(&fast), 0.25).unwrap_err();
-        assert_eq!(err.len(), report.results.len() - 1);
-        assert!(err[0].contains("REGRESSION"));
-        // Losing the cache benefit fails the acceptance floor outright.
-        let mut slow_cache = report.clone();
-        slow_cache.cached_speedup = 2.0;
-        let err = check_against_baseline(&slow_cache, &json, 0.25).unwrap_err();
-        assert!(err[0].contains("acceptance floor"));
+        assert_wall_gate(report, &POLICY);
+        assert_ratio_floors(report, &POLICY);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! | [`experiments::tuning`] | Figure 10 — sensitivity to #bins, support, confidence |
 //! | [`experiments::ablation`] | design-choice ablations called out in DESIGN.md |
 //!
+//! The five CI-gated experiments (`preprocess`, `query`, `rules`,
+//! `server`, `scale`) are listed in [`experiments::GATED`] and share one
+//! report and gate layer, [`experiments::report`].
+//!
 //! Run everything with:
 //!
 //! ```bash

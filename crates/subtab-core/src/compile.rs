@@ -3,7 +3,7 @@
 //! The brute-force reference path ([`Query::selection_rows`]) walks every
 //! row and re-evaluates the whole expression tree per row, resolving each
 //! leaf's column by name on every visit. The compiled path here lowers the
-//! tree once instead: every leaf predicate becomes one [`RowBitmap`] over
+//! tree once instead: every leaf predicate becomes one [`Bitmap`] over
 //! the table's rows, and the `AND`/`OR`/`NOT` structure of the tree is
 //! folded with the word-parallel bitmap operations the rule miner already
 //! uses (`subtab-rules::bitmap`).
@@ -40,11 +40,12 @@ use crate::Result;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use subtab_data::{ColumnType, CompareOp, DataError, Predicate, Query, QueryExpr, Table, Value};
+use subtab_data::{
+    Bitmap, ColumnType, CompareOp, DataError, Predicate, Query, QueryExpr, Table, Value,
+};
 use subtab_kernels::{
     scan_bools_masked, scan_codes_masked, scan_f64_masked, scan_i64_masked, CmpOp, NumericScan,
 };
-use subtab_rules::RowBitmap;
 
 /// A cache of compiled leaf bitmaps, keyed by the leaf's canonical
 /// encoding ([`Predicate::encode_canonical`]).
@@ -56,7 +57,7 @@ use subtab_rules::RowBitmap;
 /// lookups take a mutex, the bitmaps themselves are shared via `Arc`.
 #[derive(Debug, Default)]
 pub struct LeafBitmapCache {
-    map: Mutex<HashMap<String, Arc<RowBitmap>>>,
+    map: Mutex<HashMap<String, Arc<Bitmap>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -95,7 +96,7 @@ impl LeafBitmapCache {
             .contains_key(key)
     }
 
-    fn lookup(&self, key: &str) -> Option<Arc<RowBitmap>> {
+    fn lookup(&self, key: &str) -> Option<Arc<Bitmap>> {
         let found = self
             .map
             .lock()
@@ -109,7 +110,7 @@ impl LeafBitmapCache {
         found
     }
 
-    fn insert(&self, key: String, bm: RowBitmap) {
+    fn insert(&self, key: String, bm: Bitmap) {
         self.map
             .lock()
             .expect("leaf cache lock poisoned")
@@ -121,7 +122,7 @@ impl LeafBitmapCache {
 ///
 /// The result has exactly [`Table::num_rows`] addressable bits; bit `r` is
 /// set iff [`QueryExpr::matches`] returns `true` for row `r`.
-pub fn query_bitmap(table: &Table, expr: &QueryExpr) -> Result<RowBitmap> {
+pub fn query_bitmap(table: &Table, expr: &QueryExpr) -> Result<Bitmap> {
     validate_columns(table, expr)?;
     compile_expr(table, expr, None)
 }
@@ -133,7 +134,7 @@ pub fn query_bitmap_cached(
     table: &Table,
     expr: &QueryExpr,
     cache: &LeafBitmapCache,
-) -> Result<RowBitmap> {
+) -> Result<Bitmap> {
     validate_columns(table, expr)?;
     compile_expr(table, expr, Some(cache))
 }
@@ -213,12 +214,12 @@ fn compile_expr(
     table: &Table,
     expr: &QueryExpr,
     cache: Option<&LeafBitmapCache>,
-) -> Result<RowBitmap> {
+) -> Result<Bitmap> {
     let n = table.num_rows();
     match expr {
         QueryExpr::Leaf(p) => leaf_bitmap_cached(table, p, cache),
         QueryExpr::And(children) => {
-            let mut acc = RowBitmap::ones(n);
+            let mut acc = Bitmap::ones(n);
             if children.is_empty() {
                 return Ok(acc);
             }
@@ -243,7 +244,7 @@ fn compile_expr(
             Ok(acc)
         }
         QueryExpr::Or(children) => {
-            let mut acc = RowBitmap::zeros(n);
+            let mut acc = Bitmap::zeros(n);
             for c in children {
                 acc.or_assign(&compile_expr(table, c, cache)?);
             }
@@ -262,7 +263,7 @@ fn leaf_bitmap_cached(
     table: &Table,
     p: &Predicate,
     cache: Option<&LeafBitmapCache>,
-) -> Result<RowBitmap> {
+) -> Result<Bitmap> {
     let Some(cache) = cache else {
         return leaf_bitmap(table, p);
     };
@@ -288,7 +289,7 @@ fn leaf_bitmap_cached(
 /// evaluate the exact boolean function `Predicate::matches_value` defines
 /// per row; `tests/kernel_equivalence.rs` pins this on the planted
 /// datasets.
-pub fn leaf_bitmap(table: &Table, p: &Predicate) -> Result<RowBitmap> {
+pub fn leaf_bitmap(table: &Table, p: &Predicate) -> Result<Bitmap> {
     let col = resolve_column(table, p)?;
     let n = table.num_rows();
     let validity = col.validity();
@@ -325,15 +326,15 @@ pub fn leaf_bitmap(table: &Table, p: &Predicate) -> Result<RowBitmap> {
             vwords,
         )
     } else {
-        return Ok(RowBitmap::zeros(n));
+        return Ok(Bitmap::zeros(n));
     };
-    Ok(RowBitmap::from_words(words, n))
+    Ok(Bitmap::from_words(words, n))
 }
 
 /// The pinned scalar twin of [`leaf_bitmap`]: the original row-at-a-time
 /// `matches_value` walk. Kept callable so the equivalence suite and the
 /// `compile-leaf-*` bench modes can compare the kernel path against it.
-pub fn leaf_bitmap_scalar(table: &Table, p: &Predicate) -> Result<RowBitmap> {
+pub fn leaf_bitmap_scalar(table: &Table, p: &Predicate) -> Result<Bitmap> {
     let col = resolve_column(table, p)?;
     let n = table.num_rows();
     let validity = col.validity();
@@ -346,7 +347,7 @@ pub fn leaf_bitmap_scalar(table: &Table, p: &Predicate) -> Result<RowBitmap> {
         }
         _ => {}
     }
-    let mut bm = RowBitmap::zeros(n);
+    let mut bm = Bitmap::zeros(n);
     if let Some(v) = col.code_view() {
         let code_matches: Vec<bool> = v
             .dict

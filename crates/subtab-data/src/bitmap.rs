@@ -1,7 +1,7 @@
 //! Fixed-width `u64` bitmaps shared across the workspace.
 //!
 //! [`Bitmap`] started life as the vertical-mining row bitmap in
-//! `subtab-rules` (where it is still re-exported as `RowBitmap`); it now also
+//! `subtab-rules`; it now also
 //! backs the *validity plane* of every [`crate::Column`]: bit `i` is set iff
 //! row `i` holds a real (non-null) value. Both uses share the same word-wide
 //! kernels — intersection, union, complement, popcount — so predicate

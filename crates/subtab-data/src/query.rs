@@ -455,7 +455,7 @@ impl Query {
     /// The sort-aware limit tail of [`Query::selection_rows`], applied to
     /// an externally computed ascending matching-row set. This is the seam
     /// the compiled bitmap engine in `subtab-core` plugs into: it produces
-    /// the matching rows from per-leaf `RowBitmap`s and hands them here so
+    /// the matching rows from per-leaf `Bitmap`s and hands them here so
     /// limit/sort semantics stay in one place.
     pub fn restrict_selection_rows(
         &self,

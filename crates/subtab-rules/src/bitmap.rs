@@ -26,12 +26,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use subtab_binning::BinnedTable;
 
-/// The shared workspace bitmap, re-exported under its historical mining
-/// name. Bit `i` corresponds to the `i`-th row of the mining scope — for
-/// whole-table mining that is row `i` itself, for a target-bin partition it
-/// is the `i`-th row of the partition. The type itself lives in
-/// `subtab-data`, where it also serves as every column's validity plane.
-pub use subtab_data::Bitmap as RowBitmap;
+// Row bitmaps are the shared workspace `Bitmap`. Bit `i` corresponds to the
+// `i`-th row of the mining scope: for whole-table mining that is row `i`
+// itself, for a target-bin partition it is the `i`-th row of the partition.
+use subtab_data::Bitmap;
 
 /// The vertical representation of one mining scope: every item that occurs
 /// in the scope, ascending by id, with its row bitmap and support count.
@@ -40,7 +38,7 @@ pub struct VerticalIndex {
     /// Occurring item ids, ascending.
     pub ids: Vec<ItemId>,
     /// Row bitmap of each id (parallel to `ids`).
-    pub bitmaps: Vec<RowBitmap>,
+    pub bitmaps: Vec<Bitmap>,
     /// Popcount of each bitmap (parallel to `ids`).
     pub counts: Vec<usize>,
     /// Number of rows in the scope.
@@ -53,15 +51,13 @@ impl VerticalIndex {
     pub fn build(binned: &BinnedTable, interner: &ItemInterner, rows: Option<&[usize]>) -> Self {
         let n = rows.map_or(binned.num_rows(), <[usize]>::len);
         let total = interner.num_items();
-        let mut slots: Vec<Option<RowBitmap>> = vec![None; total];
+        let mut slots: Vec<Option<Bitmap>> = vec![None; total];
         for c in 0..binned.num_columns() {
             let codes = binned.codes(c);
             let base = interner.id_of(c, 0);
             let mut mark = |local: usize, code: subtab_binning::BinId| {
                 let id = (base + code as ItemId) as usize;
-                slots[id]
-                    .get_or_insert_with(|| RowBitmap::zeros(n))
-                    .set(local);
+                slots[id].get_or_insert_with(|| Bitmap::zeros(n)).set(local);
             };
             match rows {
                 None => {
@@ -98,7 +94,7 @@ impl VerticalIndex {
     /// bitmaps) — the vertical twin of [`crate::apriori::support_count`].
     /// Items absent from the scope have zero support.
     pub fn support_count(&self, items: &[ItemId]) -> usize {
-        let mut scratch = RowBitmap::zeros(self.num_rows);
+        let mut scratch = Bitmap::zeros(self.num_rows);
         self.support_count_into(items.iter().copied(), &mut scratch)
             .unwrap_or(self.num_rows)
     }
@@ -110,7 +106,7 @@ impl VerticalIndex {
     pub fn support_count_into(
         &self,
         items: impl IntoIterator<Item = ItemId>,
-        scratch: &mut RowBitmap,
+        scratch: &mut Bitmap,
     ) -> Option<usize> {
         let mut seen = false;
         for item in items {
@@ -132,7 +128,7 @@ impl VerticalIndex {
 /// *conditional on the prefix*, and that bitmap's popcount.
 struct Ext {
     id: ItemId,
-    bitmap: RowBitmap,
+    bitmap: Bitmap,
     count: usize,
 }
 
@@ -226,7 +222,7 @@ pub fn frequent_itemsets_bitmap(
 /// frequent.
 fn extensions_of(
     last: ItemId,
-    prefix_bitmap: &RowBitmap,
+    prefix_bitmap: &Bitmap,
     tail: &[usize],
     vertical: &VerticalIndex,
     interner: &ItemInterner,

@@ -50,7 +50,6 @@ pub mod interner;
 pub mod miner;
 pub mod rule;
 
-pub use bitmap::RowBitmap;
 pub use interner::{ItemId, ItemInterner};
 pub use miner::{MiningConfig, RuleMiner};
 pub use rule::{AssociationRule, ColumnMask, Item, RuleSet};

@@ -210,7 +210,7 @@ impl RuleMiner {
         match engine {
             Engine::Bitmap => {
                 let vertical = VerticalIndex::build(binned, &interner, None);
-                let mut scratch = crate::bitmap::RowBitmap::zeros(binned.num_rows());
+                let mut scratch = subtab_data::Bitmap::zeros(binned.num_rows());
                 for rule in &mut all {
                     rule.support_count = vertical
                         .support_count_into(rule.item_ids(), &mut scratch)
