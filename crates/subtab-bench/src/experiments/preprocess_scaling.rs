@@ -272,14 +272,16 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         ),
     ];
     BenchReport {
-        experiment: "preprocess_scaling",
-        meta: vec![
-            ("dataset", Meta::Text(kind.label().to_string())),
-            ("rows", Meta::Count(dataset.table.num_rows())),
-            ("dim", Meta::Count(base.embedding.dim)),
-        ],
-        rows,
         ratios,
+        ..BenchReport::new(
+            "preprocess_scaling",
+            vec![
+                ("dataset", Meta::Text(kind.label().to_string())),
+                ("rows", Meta::Count(dataset.table.num_rows())),
+                ("dim", Meta::Count(base.embedding.dim)),
+            ],
+            rows,
+        )
     }
 }
 

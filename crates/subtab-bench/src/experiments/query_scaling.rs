@@ -250,17 +250,16 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
             ..BenchRow::new(mode, wall_ms)
         });
     }
-    let mut report = BenchReport {
-        experiment: "query_scaling",
-        meta: vec![
+    let mut report = BenchReport::new(
+        "query_scaling",
+        vec![
             ("dataset", Meta::Text(kind.label().to_string())),
             ("rows", Meta::Count(pre.table().num_rows())),
             ("cols", Meta::Count(pre.table().num_columns())),
             ("query_rows", Meta::Count(query_rows)),
         ],
         rows,
-        ratios: Vec::new(),
-    };
+    );
     report.ratios = report.speedups(SPEEDUPS);
     report
 }

@@ -2,7 +2,8 @@
 //! (`preprocess`, `query`, `rules`, `server`, `scale`).
 //!
 //! An experiment measures its modes into one [`BenchReport`]: meta fields
-//! (dataset, rows, …), one [`BenchRow`] per mode and the headline ratios.
+//! (dataset, rows, …, then the kernel tier every report records), one
+//! [`BenchRow`] per mode and the headline ratios.
 //! [`BenchReport::to_json`] writes it with one `{"mode": …}` object per
 //! line, so one line-based parser reads reports and checked-in baselines
 //! back without a JSON dependency. [`gate`] compares a fresh report against a
@@ -22,6 +23,8 @@ pub enum Meta {
     Text(String),
     /// A count, written as a JSON number.
     Count(usize),
+    /// A switch, written as a JSON boolean.
+    Flag(bool),
 }
 
 impl fmt::Display for Meta {
@@ -29,6 +32,7 @@ impl fmt::Display for Meta {
         match self {
             Meta::Text(s) => f.write_str(s),
             Meta::Count(n) => write!(f, "{n}"),
+            Meta::Flag(b) => write!(f, "{b}"),
         }
     }
 }
@@ -108,6 +112,32 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
+    /// A report of `rows` with no ratios yet. After the experiment's own
+    /// `meta` it records the kernel tier the process dispatches to
+    /// (`kernel_tier`) and whether `SUBTAB_FORCE_SCALAR_KERNELS` pinned it
+    /// (`force_scalar_kernels`): the fast trainer's bits and the kernel
+    /// timings differ per tier, so reports from different machines only
+    /// compare honestly alongside them. The gate ignores both, and reports
+    /// written without them still parse.
+    pub fn new(
+        experiment: &'static str,
+        mut meta: Vec<(&'static str, Meta)>,
+        rows: Vec<BenchRow>,
+    ) -> Self {
+        let tier = format!("{:?}", subtab_kernels::detect());
+        meta.push(("kernel_tier", Meta::Text(tier)));
+        meta.push((
+            "force_scalar_kernels",
+            Meta::Flag(subtab_kernels::force_scalar()),
+        ));
+        BenchReport {
+            experiment,
+            meta,
+            rows,
+            ratios: Vec::new(),
+        }
+    }
+
     /// The meta field `key`.
     ///
     /// # Panics
@@ -155,6 +185,7 @@ impl BenchReport {
             match value {
                 Meta::Text(s) => out.push_str(&format!("  \"{key}\": \"{s}\",\n")),
                 Meta::Count(n) => out.push_str(&format!("  \"{key}\": {n},\n")),
+                Meta::Flag(b) => out.push_str(&format!("  \"{key}\": {b},\n")),
             }
         }
         out.push_str("  \"results\": [\n");
@@ -662,17 +693,19 @@ pub(crate) mod tests {
             }
         }
         BenchReport {
-            experiment: exp.name,
-            meta: vec![
-                ("dataset", Meta::Text("FL".into())),
-                ("rows", Meta::Count(1_000)),
-            ],
-            rows,
             ratios: policy
                 .ratio_floors
                 .iter()
                 .map(|&(key, floor)| (key, floor * 2.0))
                 .collect(),
+            ..BenchReport::new(
+                exp.name,
+                vec![
+                    ("dataset", Meta::Text("FL".into())),
+                    ("rows", Meta::Count(1_000)),
+                ],
+                rows,
+            )
         }
     }
 
@@ -689,6 +722,34 @@ pub(crate) mod tests {
             assert_rss_budget(&report, exp.policy);
             assert_rss_ceiling(&report, exp.policy);
             assert_ratio_floors(&report, exp.policy);
+        }
+    }
+
+    /// Every report records the dispatched kernel tier and the scalar
+    /// override; the gate ignores both, in the report and in the baseline,
+    /// so older baselines without them still gate.
+    #[test]
+    fn reports_record_the_kernel_tier_and_the_gate_ignores_it() {
+        for exp in &GATED {
+            let report = synthetic(exp);
+            let tier = format!("{:?}", subtab_kernels::detect());
+            assert_eq!(report.meta("kernel_tier"), &Meta::Text(tier.clone()));
+            let forced = subtab_kernels::force_scalar();
+            assert_eq!(report.meta("force_scalar_kernels"), &Meta::Flag(forced));
+            let json = report.to_json();
+            assert!(json.contains(&format!("\"kernel_tier\": \"{tier}\",")));
+            assert!(json.contains(&format!("\"force_scalar_kernels\": {forced},")));
+
+            let without: String = json
+                .lines()
+                .filter(|l| !l.contains("kernel_tier") && !l.contains("force_scalar_kernels"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert!(gate(&report, &without, exp.policy).is_ok());
+            let other_tier = json
+                .replace(&tier, "Scalar-elsewhere")
+                .replace(&format!(": {forced},"), &format!(": {},", !forced));
+            assert!(gate(&report, &other_tier, exp.policy).is_ok());
         }
     }
 

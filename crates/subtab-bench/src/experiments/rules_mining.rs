@@ -146,9 +146,9 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
             ..BenchRow::new(mode, wall_ms)
         });
     }
-    let mut report = BenchReport {
-        experiment: "rules_scaling",
-        meta: vec![
+    let mut report = BenchReport::new(
+        "rules_scaling",
+        vec![
             ("dataset", Meta::Text(kind.label().to_string())),
             ("rows", Meta::Count(binned.num_rows())),
             ("cols", Meta::Count(binned.num_columns())),
@@ -161,8 +161,7 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
             ("highlight_rows", Meta::Count(probe_rows.len())),
         ],
         rows,
-        ratios: Vec::new(),
-    };
+    );
     report.ratios = report.speedups(SPEEDUPS);
     report
 }

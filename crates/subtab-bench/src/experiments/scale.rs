@@ -122,12 +122,11 @@ pub fn run_on(rows: usize, reps: usize) -> BenchReport {
         results.extend(run_shape(shape, rows, reps));
     }
     results.extend(run_extra_modes(rows, reps));
-    BenchReport {
-        experiment: "scale",
-        meta: vec![("rows", Meta::Count(rows)), ("tier", Meta::Text(tier))],
-        rows: results,
-        ratios: Vec::new(),
-    }
+    BenchReport::new(
+        "scale",
+        vec![("rows", Meta::Count(rows)), ("tier", Meta::Text(tier))],
+        results,
+    )
 }
 
 /// A row for a stage that just ran, with the resident set sampled now.

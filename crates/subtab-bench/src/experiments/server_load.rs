@@ -130,16 +130,18 @@ pub fn run_on(
     let cached_speedup = measure_cached_speedup(&subtab, &traces, &params);
 
     BenchReport {
-        experiment: "server_load",
-        meta: vec![
-            ("dataset", Meta::Text(kind.label().to_string())),
-            ("rows", Meta::Count(rows)),
-            ("sessions", Meta::Count(traces.len())),
-            // Select requests per full corpus replay.
-            ("requests", Meta::Count(requests)),
-        ],
-        rows: results,
         ratios: vec![("cached_speedup", cached_speedup)],
+        ..BenchReport::new(
+            "server_load",
+            vec![
+                ("dataset", Meta::Text(kind.label().to_string())),
+                ("rows", Meta::Count(rows)),
+                ("sessions", Meta::Count(traces.len())),
+                // Select requests per full corpus replay.
+                ("requests", Meta::Count(requests)),
+            ],
+            results,
+        )
     }
 }
 

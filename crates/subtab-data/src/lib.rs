@@ -56,6 +56,7 @@ pub use bitmap::Bitmap;
 pub use column::{BoolView, CodeView, Column, FloatView, IntView, NumericView};
 pub use error::DataError;
 pub use expr::QueryExpr;
+pub use parser::MAX_NESTING_DEPTH;
 pub use query::{AggFunc, CompareOp, GroupBy, Predicate, Query, SortOrder, SortSpec};
 pub use schema::{ColumnType, Field, Schema};
 pub use table::{Table, TableBuilder};

@@ -27,6 +27,12 @@
 //! `AND` belongs to the predicate, not the boolean connective. Parse
 //! failures are typed [`DataError::QueryParse`] errors carrying the byte
 //! position of the offending token.
+//!
+//! Nesting — every `(` and every prefix `NOT` — is capped at
+//! [`MAX_NESTING_DEPTH`] levels. The parser recurses once per level, and so
+//! do the later walks over the tree, so without the cap a few hundred KiB
+//! of `(((…` could overflow the stack of whichever thread parses it and
+//! abort the process.
 
 use crate::error::DataError;
 use crate::expr::{fmt_ident, QueryExpr};
@@ -34,6 +40,11 @@ use crate::query::{CompareOp, Predicate, Query, SortOrder, SortSpec};
 use crate::value::Value;
 use crate::Result;
 use std::fmt;
+
+/// Deepest nesting of parentheses and prefix `NOT`s a query may have; the
+/// `(` or `NOT` that opens one level more is a [`DataError::QueryParse`]
+/// at its byte position.
+pub const MAX_NESTING_DEPTH: usize = 64;
 
 /// The reserved words of the text form; a column spelled like one must be
 /// double-quoted.
@@ -310,6 +321,8 @@ struct Parser {
     i: usize,
     /// Byte length of the input; the position reported at end-of-input.
     eof: usize,
+    /// Open `(` and `NOT` levels around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -318,6 +331,7 @@ impl Parser {
             toks: lex(input)?,
             i: 0,
             eof: input.len(),
+            depth: 0,
         })
     }
 
@@ -407,10 +421,27 @@ impl Parser {
         Ok(QueryExpr::And(children))
     }
 
+    /// Consumes the current token — a `(` or a `NOT` — as one more nesting
+    /// level, or fails at its position past [`MAX_NESTING_DEPTH`].
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(parse_err(
+                self.pos(),
+                format!("query nests deeper than {MAX_NESTING_DEPTH} levels of `(` and `NOT`"),
+            ));
+        }
+        self.depth += 1;
+        self.i += 1;
+        Ok(())
+    }
+
     /// `unary := NOT unary | primary`
     fn parse_unary(&mut self) -> Result<QueryExpr> {
-        if self.eat_kw(Kw::Not) {
-            Ok(self.parse_unary()?.negated())
+        if self.peek() == Some(&Tok::Kw(Kw::Not)) {
+            self.descend()?;
+            let inner = self.parse_unary()?;
+            self.depth -= 1;
+            Ok(inner.negated())
         } else {
             self.parse_primary()
         }
@@ -418,11 +449,13 @@ impl Parser {
 
     /// `primary := '(' expr ')' | TRUE | FALSE | predicate`
     fn parse_primary(&mut self) -> Result<QueryExpr> {
-        if self.eat(&Tok::LParen) {
+        if self.peek() == Some(&Tok::LParen) {
+            self.descend()?;
             let inner = self.parse_or()?;
             if !self.eat(&Tok::RParen) {
                 return Err(self.unexpected("`)`"));
             }
+            self.depth -= 1;
             return Ok(inner);
         }
         if self.eat_kw(Kw::True) {
@@ -883,6 +916,73 @@ mod tests {
         assert!(msg.contains("trailing"), "{msg}");
         let (_, msg) = parse_error("x IN (1, 2");
         assert!(msg.contains("`,` or `)`"), "{msg}");
+    }
+
+    /// `levels` opening tokens around `a = 1`, closed where needed.
+    fn nested(open: &str, close: &str, levels: usize) -> String {
+        format!("{}a = 1{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let parens = QueryExpr::parse(&nested("(", ")", MAX_NESTING_DEPTH)).unwrap();
+        assert_eq!(parens, expr("a = 1"));
+        let nots = QueryExpr::parse(&nested("NOT ", "", MAX_NESTING_DEPTH)).unwrap();
+        let chain = |levels| (0..levels).fold(expr("a = 1"), |e, _| e.negated());
+        assert_eq!(nots, chain(MAX_NESTING_DEPTH));
+        let half = MAX_NESTING_DEPTH / 2;
+        let mixed = format!("{}a = 1{}", "NOT (".repeat(half), ")".repeat(half));
+        assert_eq!(QueryExpr::parse(&mixed).unwrap(), chain(half));
+        // Depth is nesting, not count: siblings do not add up.
+        let wide = vec!["((a = 1))"; 4 * MAX_NESTING_DEPTH].join(" AND ");
+        assert!(QueryExpr::parse(&wide).is_ok());
+        let deepest = nested("(", ")", MAX_NESTING_DEPTH);
+        let q = Query::parse(&format!("SELECT a WHERE {deepest}")).unwrap();
+        assert_eq!(q.expr, expr("a = 1"));
+    }
+
+    #[test]
+    fn nesting_one_past_the_limit_is_a_positioned_error() {
+        let (pos, msg) = parse_error(&nested("(", ")", MAX_NESTING_DEPTH + 1));
+        assert_eq!(pos, MAX_NESTING_DEPTH, "the first `(` past the limit");
+        assert!(
+            msg.contains(&format!("than {MAX_NESTING_DEPTH} levels")),
+            "{msg}"
+        );
+        let (pos, msg) = parse_error(&nested("NOT ", "", MAX_NESTING_DEPTH + 1));
+        assert_eq!(pos, 4 * MAX_NESTING_DEPTH);
+        assert!(msg.contains("nests deeper"), "{msg}");
+        // A closed group releases its level.
+        let deepest = nested("(", ")", MAX_NESTING_DEPTH);
+        let ok = format!("{deepest} AND {deepest}");
+        assert!(QueryExpr::parse(&ok).is_ok());
+    }
+
+    /// 100 000 levels used to recurse until the thread's stack overflowed,
+    /// which aborts the whole process. Now the parse fails at the limit, on
+    /// a thread with a small stack.
+    #[test]
+    fn hostile_nesting_fails_within_a_small_stack() {
+        let handle = std::thread::Builder::new()
+            .stack_size(512 << 10)
+            .spawn(|| {
+                let parens = nested("(", ")", 100_000);
+                let nots = nested("NOT ", "", 100_000);
+                let mixed = format!("{}a = 1{}", "NOT (".repeat(50_000), ")".repeat(50_000));
+                [parens, nots, mixed].map(|text| {
+                    let full = Query::parse(&format!("SELECT * WHERE {text}"));
+                    (QueryExpr::parse(&text), full)
+                })
+            })
+            .unwrap();
+        for (expr_result, query_result) in handle.join().unwrap() {
+            for err in [expr_result.unwrap_err(), query_result.unwrap_err()] {
+                assert!(
+                    matches!(&err, DataError::QueryParse { message, .. } if message.contains("nests deeper")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

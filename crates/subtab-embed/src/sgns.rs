@@ -358,11 +358,21 @@ impl SigmoidTable {
     /// Branchless lookup: the argument is clamped into the table range, so
     /// saturated inputs return σ(±MAX_EXP) (≈ 0.0025 / 0.9975) instead of
     /// exactly 0/1 — the same saturation gensim's table applies.
-    #[inline]
+    #[inline(always)]
     fn value(&self, x: f32) -> f32 {
+        self.table[Self::index(x)]
+    }
+
+    /// Table bin of `x`: the clamped argument scaled onto `[0, SIZE]`, then
+    /// truncated (NaN lands in bin 0). The scaled value is already in range,
+    /// so it converts through `as i32`, a single `cvttss2si` with
+    /// branch-free saturation fix-ups, where `as usize` compiled to a
+    /// compare-and-branch.
+    #[inline(always)]
+    fn index(x: f32) -> usize {
         let x = x.clamp(-Self::MAX_EXP, Self::MAX_EXP);
-        let idx = ((x + Self::MAX_EXP) * (Self::SIZE as f32 / (2.0 * Self::MAX_EXP))) as usize;
-        self.table[idx.min(Self::SIZE - 1)]
+        let idx = ((x + Self::MAX_EXP) * (Self::SIZE as f32 / (2.0 * Self::MAX_EXP))) as i32;
+        (idx as usize).min(Self::SIZE - 1)
     }
 }
 
@@ -467,13 +477,21 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Signature shared by every fast shard kernel; see [`train_shard_fast`].
+type ShardKernel = unsafe fn(
+    &[[u32; 2]],
+    WeightsPtr,
+    &AliasTable,
+    &SigmoidTable,
+    usize,
+    f32,
+    usize,
+    &mut ShardState,
+);
+
 /// Trains one shard for one epoch with the fast kernels. `lr_total` is the
 /// shard's full schedule length (`shard pairs × epochs`), so the linear
 /// decay matches the single-threaded trainer's shape per stream.
-///
-/// Dispatches to a const-generic kernel for the common dimensionalities so
-/// the dot-product and update loops fully unroll and vectorise; other
-/// dimensions fall back to a runtime-length kernel.
 ///
 /// # Safety
 /// `w` must point into live matrices with `vocab × dim` elements; rows may
@@ -490,82 +508,43 @@ unsafe fn train_shard_fast(
     lr_total: usize,
     state: &mut ShardState,
 ) {
+    let kernel = shard_kernel_for(w.dim);
+    kernel(pairs, w, alias, sig, negative_samples, lr0, lr_total, state)
+}
+
+/// Picks the shard kernel once per shard. The common dimensionalities get a
+/// const-generic kernel, so the dot-product and update loops fully unroll
+/// and vectorise; other dimensions fall back to a runtime-length kernel.
+/// Dispatch honours `SUBTAB_FORCE_SCALAR_KERNELS`, which CI uses to
+/// exercise the portable path on any machine.
+fn shard_kernel_for(dim: usize) -> ShardKernel {
     #[cfg(target_arch = "x86_64")]
     {
-        // Shared runtime dispatch (honours `SUBTAB_FORCE_SCALAR_KERNELS`,
-        // which CI uses to exercise the portable path on any machine).
-        if subtab_kernels::has_avx512f() && w.dim.is_multiple_of(16) && w.dim <= 64 {
-            return shard_kernel_avx512(
-                pairs,
-                w,
-                alias,
-                sig,
-                negative_samples,
-                lr0,
-                lr_total,
-                state,
-            );
+        if subtab_kernels::has_avx512f() {
+            match dim {
+                16 => return shard_kernel_avx512::<1>,
+                32 => return shard_kernel_avx512::<2>,
+                48 => return shard_kernel_avx512::<3>,
+                64 => return shard_kernel_avx512::<4>,
+                _ => {}
+            }
         }
         if subtab_kernels::has_avx2_fma() {
-            match w.dim {
-                8 => {
-                    return shard_kernel_fma::<8>(
-                        pairs,
-                        w,
-                        alias,
-                        sig,
-                        negative_samples,
-                        lr0,
-                        lr_total,
-                        state,
-                    )
-                }
-                16 => {
-                    return shard_kernel_fma::<16>(
-                        pairs,
-                        w,
-                        alias,
-                        sig,
-                        negative_samples,
-                        lr0,
-                        lr_total,
-                        state,
-                    )
-                }
-                32 => {
-                    return shard_kernel_fma::<32>(
-                        pairs,
-                        w,
-                        alias,
-                        sig,
-                        negative_samples,
-                        lr0,
-                        lr_total,
-                        state,
-                    )
-                }
-                64 => {
-                    return shard_kernel_fma::<64>(
-                        pairs,
-                        w,
-                        alias,
-                        sig,
-                        negative_samples,
-                        lr0,
-                        lr_total,
-                        state,
-                    )
-                }
+            match dim {
+                8 => return shard_kernel_fma::<8>,
+                16 => return shard_kernel_fma::<16>,
+                32 => return shard_kernel_fma::<32>,
+                64 => return shard_kernel_fma::<64>,
                 _ => {}
             }
         }
     }
-    match w.dim {
-        8 => shard_kernel::<8>(pairs, w, alias, sig, negative_samples, lr0, lr_total, state),
-        16 => shard_kernel::<16>(pairs, w, alias, sig, negative_samples, lr0, lr_total, state),
-        32 => shard_kernel::<32>(pairs, w, alias, sig, negative_samples, lr0, lr_total, state),
-        64 => shard_kernel::<64>(pairs, w, alias, sig, negative_samples, lr0, lr_total, state),
-        _ => shard_kernel_dyn(pairs, w, alias, sig, negative_samples, lr0, lr_total, state),
+    match dim {
+        8 => shard_kernel::<8>,
+        16 => shard_kernel::<16>,
+        32 => shard_kernel::<32>,
+        64 => shard_kernel::<64>,
+        _ => shard_kernel_dyn,
     }
 }
 
@@ -603,8 +582,8 @@ unsafe fn kernel_body<const DIM: usize, const FUSED: bool>(
         let ctr = state.ctr;
         state.ctr = ctr.wrapping_add(1);
         let mut draws = [0u64; 32];
-        for (k, d) in draws.iter_mut().enumerate().take(negative_samples.min(32)) {
-            *d = splitmix64(ctr.wrapping_mul(32).wrapping_add(k as u64));
+        for k in 0..negative_samples.min(32) {
+            draws[k] = splitmix64(ctr.wrapping_mul(32).wrapping_add(k as u64));
         }
         for neg in 0..=negative_samples {
             let (target, label) = if neg == 0 {
@@ -708,22 +687,30 @@ unsafe fn shard_kernel_fma<const DIM: usize>(
 }
 
 /// AVX-512 kernel for dimensions that are a multiple of 16 (at most 64): a
-/// row is one to four zmm registers, so the whole positive/negative update
-/// is a handful of fused multiply-adds with no scalar tail at all. The
-/// shard is walked as two interleaved halves — consecutive loop iterations
-/// then carry no data dependency on each other (far-apart pairs touch
-/// unrelated rows), which roughly doubles the instruction-level parallelism
-/// of the latency-bound draw→dot→sigmoid→update chain. Each pair keeps the
+/// row is `CHUNKS` zmm registers, so the whole positive/negative update is a
+/// handful of fused multiply-adds with no scalar tail at all. The shard is
+/// walked as two interleaved halves — consecutive loop iterations then carry
+/// no data dependency on each other (far-apart pairs touch unrelated rows),
+/// which roughly doubles the instruction-level parallelism of the
+/// latency-bound draw→dot→sigmoid→update chain. Each pair keeps the
 /// learning-rate index and draw counter it would have had sequentially, so
 /// the result is deterministic and scheduling-independent.
 ///
+/// `CHUNKS` is a compile-time constant and [`avx512_pair_step`] is inlined
+/// into this `avx512f` function: the row registers then live in zmm
+/// registers across the whole pair, where a runtime chunk count kept the
+/// step out of line with a spilled, re-zeroed `[__m512; 4]` frame per pair.
+/// With the same float operations in the same order, that took
+/// `train_pairs` on the 8 000 × 48 wide table from 2.49 s to 1.92 s
+/// (`threads = 2`, `deterministic = true`, 2-vCPU AVX-512 host).
+///
 /// # Safety
 /// See [`shard_kernel`]; the caller must have verified AVX-512F support and
-/// that `w.dim % 16 == 0 && w.dim <= 64`.
+/// that `w.dim == 16 * CHUNKS`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn shard_kernel_avx512(
+unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
     pairs: &[[u32; 2]],
     w: WeightsPtr,
     alias: &AliasTable,
@@ -733,8 +720,7 @@ unsafe fn shard_kernel_avx512(
     lr_total: usize,
     state: &mut ShardState,
 ) {
-    let chunks = w.dim / 16;
-    debug_assert!((1..=4).contains(&chunks) && w.dim.is_multiple_of(16));
+    debug_assert!((1..=4).contains(&CHUNKS) && w.dim == 16 * CHUNKS);
     let inv_total = 1.0 / (lr_total as f32 + 1.0);
     let base_processed = state.processed;
     let base_ctr = state.ctr;
@@ -743,33 +729,17 @@ unsafe fn shard_kernel_avx512(
 
     let half = pairs.len() / 2;
     for i in 0..half {
-        for (idx, pair) in [(i, pairs[i]), (half + i, pairs[half + i])] {
+        for idx in [i, half + i] {
             let lr = lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
-            avx512_pair_step(
-                pair,
-                lr,
-                base_ctr.wrapping_add(idx as u64),
-                w,
-                chunks,
-                alias,
-                sig,
-                negative_samples,
-            );
+            let ctr = base_ctr.wrapping_add(idx as u64);
+            avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, w, alias, sig, negative_samples);
         }
     }
     if pairs.len() % 2 == 1 {
         let idx = pairs.len() - 1;
         let lr = lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
-        avx512_pair_step(
-            pairs[idx],
-            lr,
-            base_ctr.wrapping_add(idx as u64),
-            w,
-            chunks,
-            alias,
-            sig,
-            negative_samples,
-        );
+        let ctr = base_ctr.wrapping_add(idx as u64);
+        avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, w, alias, sig, negative_samples);
     }
 }
 
@@ -781,27 +751,29 @@ unsafe fn shard_kernel_avx512(
 /// Hogwild already embraces, and still deterministic because program order
 /// is fixed.
 ///
+/// Deliberately `#[inline(always)]` and without a `target_feature` of its
+/// own, so it only ever compiles inlined into [`shard_kernel_avx512`] and
+/// inherits its `avx512f` context.
+///
 /// # Safety
-/// See [`shard_kernel_avx512`].
+/// See [`shard_kernel_avx512`]; only call it from an `avx512f` function.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn avx512_pair_step(
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn avx512_pair_step<const CHUNKS: usize>(
     [center_id, context]: [u32; 2],
     lr: f32,
     ctr: u64,
     w: WeightsPtr,
-    chunks: usize,
     alias: &AliasTable,
     sig: &SigmoidTable,
     negative_samples: usize,
 ) {
     use core::arch::x86_64::*;
-    let mut center = [_mm512_setzero_ps(); 4];
-    let mut grad = [_mm512_setzero_ps(); 4];
+    let mut center = [_mm512_setzero_ps(); CHUNKS];
+    let mut grad = [_mm512_setzero_ps(); CHUNKS];
     let in_row = w.w_in.add(center_id as usize * w.dim);
-    for c in 0..chunks {
+    for c in 0..CHUNKS {
         center[c] = _mm512_loadu_ps(in_row.add(c * 16));
     }
     let total = 1 + negative_samples;
@@ -809,18 +781,13 @@ unsafe fn avx512_pair_step(
         let mut targets = [0u32; 8];
         let mut dots = [0.0f32; 8];
         targets[0] = context;
-        for (k, t) in targets.iter_mut().enumerate().take(total).skip(1) {
-            *t = alias.sample_from_u64(splitmix64(
+        for k in 1..total {
+            targets[k] = alias.sample_from_u64(splitmix64(
                 ctr.wrapping_mul(0x632B_E5AB).wrapping_add(k as u64),
             ));
         }
         for k in 0..total {
-            let out = w.w_out.add(targets[k] as usize * w.dim);
-            let mut acc = _mm512_mul_ps(center[0], _mm512_loadu_ps(out));
-            for c in 1..chunks {
-                acc = _mm512_fmadd_ps(center[c], _mm512_loadu_ps(out.add(c * 16)), acc);
-            }
-            dots[k] = _mm512_reduce_add_ps(acc);
+            dots[k] = avx512_dot(&center, w.w_out.add(targets[k] as usize * w.dim));
         }
         for k in 0..total {
             let target = targets[k];
@@ -829,13 +796,7 @@ unsafe fn avx512_pair_step(
             }
             let label = if k == 0 { 1.0f32 } else { 0.0f32 };
             let g = (label - sig.value(dots[k])) * lr;
-            let gv = _mm512_set1_ps(g);
-            let out = w.w_out.add(target as usize * w.dim);
-            for c in 0..chunks {
-                let ov = _mm512_loadu_ps(out.add(c * 16));
-                grad[c] = _mm512_fmadd_ps(gv, ov, grad[c]);
-                _mm512_storeu_ps(out.add(c * 16), _mm512_fmadd_ps(gv, center[c], ov));
-            }
+            avx512_update(&center, &mut grad, w.w_out.add(target as usize * w.dim), g);
         }
     } else {
         for neg in 0..=negative_samples {
@@ -853,23 +814,55 @@ unsafe fn avx512_pair_step(
                 continue;
             }
             let out = w.w_out.add(target as usize * w.dim);
-            let mut acc = _mm512_mul_ps(center[0], _mm512_loadu_ps(out));
-            for c in 1..chunks {
-                acc = _mm512_fmadd_ps(center[c], _mm512_loadu_ps(out.add(c * 16)), acc);
-            }
-            let dot = _mm512_reduce_add_ps(acc);
-            let g = (label - sig.value(dot)) * lr;
-            let gv = _mm512_set1_ps(g);
-            for c in 0..chunks {
-                let ov = _mm512_loadu_ps(out.add(c * 16));
-                grad[c] = _mm512_fmadd_ps(gv, ov, grad[c]);
-                _mm512_storeu_ps(out.add(c * 16), _mm512_fmadd_ps(gv, center[c], ov));
-            }
+            let g = (label - sig.value(avx512_dot(&center, out))) * lr;
+            avx512_update(&center, &mut grad, out, g);
         }
     }
-    for c in 0..chunks {
+    for c in 0..CHUNKS {
         let iv = _mm512_loadu_ps(in_row.add(c * 16));
         _mm512_storeu_ps(in_row.add(c * 16), _mm512_add_ps(iv, grad[c]));
+    }
+}
+
+/// `center · out` over one row: a multiply, `CHUNKS − 1` fused multiply-adds
+/// in chunk order, then the horizontal sum.
+///
+/// # Safety
+/// As [`avx512_pair_step`]; `out` must point at a row of `16 * CHUNKS`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn avx512_dot<const CHUNKS: usize>(
+    center: &[core::arch::x86_64::__m512; CHUNKS],
+    out: *const f32,
+) -> f32 {
+    use core::arch::x86_64::*;
+    let mut acc = _mm512_mul_ps(center[0], _mm512_loadu_ps(out));
+    for c in 1..CHUNKS {
+        acc = _mm512_fmadd_ps(center[c], _mm512_loadu_ps(out.add(c * 16)), acc);
+    }
+    _mm512_reduce_add_ps(acc)
+}
+
+/// One SGD update with gradient scale `g`: accumulates `g · out` into the
+/// centre gradient and moves the out-row by `g · center`.
+///
+/// # Safety
+/// As [`avx512_dot`], with `out` writable.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx512_update<const CHUNKS: usize>(
+    center: &[core::arch::x86_64::__m512; CHUNKS],
+    grad: &mut [core::arch::x86_64::__m512; CHUNKS],
+    out: *mut f32,
+    g: f32,
+) {
+    use core::arch::x86_64::*;
+    let gv = _mm512_set1_ps(g);
+    for c in 0..CHUNKS {
+        let ov = _mm512_loadu_ps(out.add(c * 16));
+        grad[c] = _mm512_fmadd_ps(gv, ov, grad[c]);
+        _mm512_storeu_ps(out.add(c * 16), _mm512_fmadd_ps(gv, center[c], ov));
     }
 }
 
@@ -1293,6 +1286,74 @@ mod tests {
         }
         // Midpoint symmetry around zero.
         assert!((sig.value(0.0) - 0.5).abs() < 0.02);
+    }
+
+    /// `SigmoidTable::index` must turn its scaled argument into the bin an
+    /// `f64` floor-and-clamp picks, on every compiled tier: the `as i32`
+    /// conversion is checked in plain, `avx2,fma` and `avx512f` code
+    /// generation wherever the CPU can run it. The reference scales in `f32`
+    /// like the table does, because exact scaling moves values within an
+    /// ulp of a bin edge into the neighbouring bin.
+    #[test]
+    fn sigmoid_table_index_matches_floor_and_clamp_reference() {
+        fn reference(x: f32) -> usize {
+            if x.is_nan() {
+                return 0;
+            }
+            let max = SigmoidTable::MAX_EXP;
+            let size = SigmoidTable::SIZE as f32;
+            let scaled = (x.clamp(-max, max) + max) * (size / (2.0 * max));
+            f64::from(scaled).floor().clamp(0.0, f64::from(size) - 1.0) as usize
+        }
+        let mut xs: Vec<f32> = (0..=120_000).map(|i| -6.0 + i as f32 * 1e-4).collect();
+        let inside = [6.0f32.next_down(), (-6.0f32).next_up()];
+        xs.extend(inside.iter().flat_map(|&x| [x, -x]));
+        xs.extend([
+            0.0,
+            -0.0,
+            6.0,
+            -6.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]);
+        xs.extend([
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+        ]);
+        xs.extend([-f32::MIN_POSITIVE, -f32::from_bits(1), f32::MAX, f32::MIN]);
+        // Every bin edge, and the floats either side of it.
+        for k in 0..=SigmoidTable::SIZE {
+            let edge = -6.0 + k as f32 * (12.0 / SigmoidTable::SIZE as f32);
+            xs.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+
+        let check = |tier: &str, index: &dyn Fn(f32) -> usize| {
+            for &x in &xs {
+                assert_eq!(index(x), reference(x), "{tier}: bin of {x:e}");
+            }
+        };
+        check("portable", &SigmoidTable::index);
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn index_fma(x: f32) -> usize {
+                SigmoidTable::index(x)
+            }
+            #[target_feature(enable = "avx512f")]
+            unsafe fn index_avx512(x: f32) -> usize {
+                SigmoidTable::index(x)
+            }
+            if subtab_kernels::Isa::Avx2Fma.available() {
+                // SAFETY: the CPU supports AVX2 and FMA.
+                check("avx2,fma", &|x| unsafe { index_fma(x) });
+            }
+            if subtab_kernels::Isa::Avx512.available() {
+                // SAFETY: the CPU supports AVX-512F.
+                check("avx512f", &|x| unsafe { index_avx512(x) });
+            }
+        }
     }
 
     #[test]

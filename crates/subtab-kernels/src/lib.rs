@@ -53,7 +53,7 @@ pub use dequant::{
     add_assign_f16, add_assign_f16_with_isa, add_assign_i8, add_assign_i8_with_isa, f16_to_f32,
     f32_to_f16,
 };
-pub use dispatch::{detect, fma_select, has_avx2_fma, has_avx512f, Isa};
+pub use dispatch::{detect, fma_select, force_scalar, has_avx2_fma, has_avx512f, Isa};
 pub use distance::{euclidean, nearest_centroid_scalar, squared_euclidean, PointBlocks};
 pub use scan::{
     scan_bools, scan_bools_masked, scan_codes, scan_codes_masked, scan_codes_with_isa, scan_f64,

@@ -837,10 +837,16 @@ mod tests {
         let server = server();
         let session = server.open_session();
         let params = SelectionParams::new(6, 5);
+        // Nesting far past the parser's limit: without it, parsing these on
+        // the submitting thread overflowed its stack and aborted the server.
+        let deep_parens = format!("{}flagged = 1{}", "(".repeat(100_000), ")".repeat(100_000));
+        let deep_nots = format!("{}flagged = 1", "NOT ".repeat(100_000));
         for bad in [
             "flagged = 1 AND (protocol = 'tcp'", // unbalanced parens
             "flagged ** 2",                      // unknown operator
             "protocol = 'unterminated",          // bad literal
+            &deep_parens,
+            &deep_nots,
         ] {
             let err = server
                 .execute(
@@ -853,7 +859,8 @@ mod tests {
                 .unwrap_err();
             assert!(
                 matches!(err, ServerError::Core(CoreError::QueryParse { .. })),
-                "query {bad:?} must fail with a typed parse error, got {err:?}"
+                "query {:?} must fail with a typed parse error, got {err:?}",
+                &bad[..bad.len().min(40)]
             );
         }
         // Parse failures never reach the result cache or session history.
