@@ -39,7 +39,7 @@
 use crate::Result;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use subtab_data::{
     Bitmap, ColumnType, CompareOp, DataError, Predicate, Query, QueryExpr, Table, Value,
 };
@@ -68,9 +68,16 @@ impl LeafBitmapCache {
         Self::default()
     }
 
+    /// The map, recovered if a thread panicked while holding the lock:
+    /// every critical section is one `HashMap` call on owned, fully built
+    /// values, so a poisoned map is still a valid cache.
+    fn map(&self) -> MutexGuard<'_, HashMap<String, Arc<Bitmap>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of cached leaf bitmaps.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("leaf cache lock poisoned").len()
+        self.map().len()
     }
 
     /// Whether the cache is empty.
@@ -90,19 +97,11 @@ impl LeafBitmapCache {
 
     /// Whether a bitmap for `key` is present (no hit/miss accounting).
     fn peek(&self, key: &str) -> bool {
-        self.map
-            .lock()
-            .expect("leaf cache lock poisoned")
-            .contains_key(key)
+        self.map().contains_key(key)
     }
 
     fn lookup(&self, key: &str) -> Option<Arc<Bitmap>> {
-        let found = self
-            .map
-            .lock()
-            .expect("leaf cache lock poisoned")
-            .get(key)
-            .cloned();
+        let found = self.map().get(key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -111,10 +110,7 @@ impl LeafBitmapCache {
     }
 
     fn insert(&self, key: String, bm: Bitmap) {
-        self.map
-            .lock()
-            .expect("leaf cache lock poisoned")
-            .insert(key, Arc::new(bm));
+        self.map().insert(key, Arc::new(bm));
     }
 }
 
@@ -699,6 +695,33 @@ mod tests {
         assert_eq!(rows_of(&t, "NOT airline = 'DL'"), vec![0, 2, 3]);
         // `!=` excludes the NULL row instead: not a complement of `=`.
         assert_eq!(rows_of(&t, "airline != 'DL'"), vec![0, 3]);
+    }
+
+    /// A thread that panics while holding the cache lock poisons it; later
+    /// compilations must recover the map and keep answering correctly.
+    #[test]
+    fn a_poisoned_leaf_cache_keeps_serving() {
+        let t = table();
+        let cache = LeafBitmapCache::new();
+        let warm: Query = QUERIES[5].parse().unwrap();
+        compiled_selection_rows_cached(&t, &warm, &cache).unwrap();
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cache.map.lock().unwrap();
+                    panic!("poisoning the leaf cache");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(cache.map.is_poisoned());
+        assert!(!cache.is_empty());
+        for text in QUERIES {
+            let q: Query = text.parse().unwrap();
+            let cached = compiled_selection_rows_cached(&t, &q, &cache).unwrap();
+            assert_eq!(cached, brute_rows_of(&t, text), "query: {text}");
+        }
+        assert!(cache.hits() > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::SubTabConfig;
 use crate::Result;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use subtab_binning::{BinnedTable, Binner};
 use subtab_cluster::Matrix;
 use subtab_data::Table;
@@ -84,11 +84,15 @@ impl PreprocessedTable {
     /// shared handle — cloning it is O(1), so every whole-table selection
     /// reuses the same backing storage instead of deep-cloning
     /// O(rows × dim) floats out of the lock.
+    ///
+    /// A panic during the gather poisons the lock, but the slot is written
+    /// only after the gather completes, so it is still empty or complete:
+    /// later calls recover the guard and proceed.
     pub fn full_row_vectors(&self) -> Arc<Matrix> {
         if let Some(v) = self
             .full_row_vectors
             .read()
-            .expect("lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
         {
             return Arc::clone(v);
@@ -97,7 +101,10 @@ impl PreprocessedTable {
         // re-check, so two threads racing past the read miss cannot both pay
         // for the O(rows × cols × dim) gather — the loser blocks here and
         // finds the winner's matrix.
-        let mut slot = self.full_row_vectors.write().expect("lock poisoned");
+        let mut slot = self
+            .full_row_vectors
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = slot.as_ref() {
             return Arc::clone(v);
         }
@@ -185,6 +192,37 @@ mod tests {
                 "every racer must share one allocation"
             );
         }
+    }
+
+    /// Poison the cache lock from a panicking thread, once before the
+    /// matrix exists and once after: whole-table row vectors must still be
+    /// served, and match the per-row gather.
+    #[test]
+    fn a_poisoned_row_vector_cache_keeps_serving() {
+        let pre = PreprocessedTable::new(table(30), &SubTabConfig::fast()).unwrap();
+        let poison = || {
+            let joined = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let _guard = pre.full_row_vectors.write().unwrap();
+                        panic!("poisoning the row-vector cache");
+                    })
+                    .join()
+            });
+            assert!(joined.is_err());
+            assert!(pre.full_row_vectors.is_poisoned());
+        };
+        let cols: Vec<usize> = (0..3).collect();
+        poison();
+        let first = pre.full_row_vectors();
+        for r in 0..30 {
+            assert_eq!(
+                first.row(r),
+                pre.embedding().row_vector(pre.plane(), r, &cols).as_slice()
+            );
+        }
+        poison();
+        assert!(Arc::ptr_eq(&first, &pre.full_row_vectors()));
     }
 
     #[test]

@@ -303,10 +303,10 @@ fn forced_scalar_override_pins_default_dispatch() {
         std::env::var("SUBTAB_FORCE_SCALAR_KERNELS").is_ok_and(|v| !v.is_empty() && v != "0");
     if forced {
         assert_eq!(subtab_kernels::detect(), Isa::Scalar);
-        assert!(!subtab_kernels::has_avx512f());
+        assert!(!subtab_kernels::has_avx512());
         assert!(!subtab_kernels::has_avx2_fma());
     } else {
-        let expect = if subtab_kernels::has_avx512f() {
+        let expect = if subtab_kernels::has_avx512() {
             Isa::Avx512
         } else if subtab_kernels::has_avx2_fma() {
             Isa::Avx2Fma

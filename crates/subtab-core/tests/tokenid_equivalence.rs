@@ -109,7 +109,7 @@ fn token_plane_covers_every_cell_of_every_planted_dataset() {
                         assert_ne!(id, NO_TOKEN, "{kind:?} cell ({row}, {col})");
                         assert_eq!(
                             embedding.vector_by_id(id),
-                            v,
+                            &*v,
                             "{kind:?} cell ({row}, {col})"
                         );
                     }

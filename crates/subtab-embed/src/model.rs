@@ -14,6 +14,7 @@
 //! artefact.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use subtab_binning::BinnedTable;
@@ -33,11 +34,12 @@ const PARALLEL_MIN_CELLS: usize = 4096;
 /// or ~4× ([`Quantization::I8`]) smaller resident matrix — the remaining
 /// memory ceiling of preprocess at the million-row tier. The hot gathers
 /// ([`CellEmbedding::row_vector_into`] and friends) decode rows on the fly
-/// through the runtime-dispatched `subtab-kernels` dequantizers; the
-/// borrow-returning cold APIs ([`CellEmbedding::matrix`],
-/// [`CellEmbedding::vector_by_id`], [`CellEmbedding::vector`]) have no f32
-/// row to lend out of quantized storage and panic — use
-/// [`CellEmbedding::vector_owned`] there instead.
+/// through the runtime-dispatched `subtab-kernels` dequantizers, and the
+/// cold token API ([`CellEmbedding::vector`], [`CellEmbedding::cell_vector`],
+/// [`CellEmbedding::cosine`]) decodes the rows it touches. Only the raw
+/// borrows [`CellEmbedding::matrix`] and [`CellEmbedding::vector_by_id`]
+/// have no f32 matrix to lend out of quantized storage and panic; their
+/// `try_` variants return `None` instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Quantization {
     /// Keep the full-precision f32 matrix (default; output byte-identical
@@ -169,14 +171,13 @@ impl CellEmbedding {
 
     /// The f32 matrix, or a panic naming `what` when storage is quantized.
     fn dense(&self, what: &str) -> &[f32] {
-        match &self.storage {
-            Storage::F32(flat) => flat,
-            _ => panic!(
-                "CellEmbedding::{what}: matrix is quantized ({:?}); use vector_owned or the \
-                 *_into gathers, which decode on the fly",
+        self.try_matrix().unwrap_or_else(|| {
+            panic!(
+                "CellEmbedding::{what}: matrix is quantized ({:?}); use the try_ variant, \
+                 vector_owned or the *_into gathers, which decode on the fly",
                 self.quantization()
-            ),
-        }
+            )
+        })
     }
 
     /// Vector dimensionality.
@@ -207,6 +208,15 @@ impl CellEmbedding {
         self.dense("matrix")
     }
 
+    /// The flat row-major `len() × dim` vector matrix, or `None` on
+    /// quantized storage.
+    pub fn try_matrix(&self) -> Option<&[f32]> {
+        match &self.storage {
+            Storage::F32(flat) => Some(flat),
+            _ => None,
+        }
+    }
+
     /// The embedding-row id of a token, if the token was seen during
     /// training (cold path: string hash + lookup).
     pub fn token_id(&self, token: &str) -> Option<u32> {
@@ -224,14 +234,27 @@ impl CellEmbedding {
         &self.dense("vector_by_id")[start..start + self.dim]
     }
 
+    /// The vector stored at embedding row `id`, or `None` if `id` is not a
+    /// row or the storage is quantized.
+    pub fn try_vector_by_id(&self, id: u32) -> Option<&[f32]> {
+        let start = (id as usize).checked_mul(self.dim)?;
+        self.try_matrix()?.get(start..start + self.dim)
+    }
+
     /// The vector at embedding row `id`, decoded into an owned buffer — the
     /// cold-path accessor that works for every storage format.
     ///
     /// Panics if `id` is [`NO_TOKEN`] or out of range.
     pub fn vector_owned(&self, id: u32) -> Vec<f32> {
+        self.decoded(id).into_owned()
+    }
+
+    /// Row `id`, borrowed from f32 storage or decoded from quantized
+    /// storage. Panics if `id` is out of range.
+    fn decoded(&self, id: u32) -> Cow<'_, [f32]> {
         let start = id as usize * self.dim;
         match &self.storage {
-            Storage::F32(flat) => flat[start..start + self.dim].to_vec(),
+            Storage::F32(flat) => Cow::Borrowed(&flat[start..start + self.dim]),
             Storage::F16(halves) => halves[start..start + self.dim]
                 .iter()
                 .map(|&h| f16_to_f32(h))
@@ -247,15 +270,21 @@ impl CellEmbedding {
     }
 
     /// The vector of a token, if the token was seen during training (cold
-    /// string API).
-    pub fn vector(&self, token: &str) -> Option<&[f32]> {
-        self.token_id(token).map(|id| self.vector_by_id(id))
+    /// string API): borrowed from f32 storage, decoded from quantized
+    /// storage.
+    pub fn vector(&self, token: &str) -> Option<Cow<'_, [f32]>> {
+        self.token_id(token).map(|id| self.decoded(id))
     }
 
     /// The vector of the cell at (`row`, `col`) of a binned table (cold
     /// string API — formats and hashes a token per call; the hot path goes
     /// through [`TokenPlane`] ids instead).
-    pub fn cell_vector(&self, binned: &BinnedTable, row: usize, col: usize) -> Option<&[f32]> {
+    pub fn cell_vector(
+        &self,
+        binned: &BinnedTable,
+        row: usize,
+        col: usize,
+    ) -> Option<Cow<'_, [f32]>> {
         self.vector(&binned.cell_token(row, col))
     }
 
@@ -263,7 +292,7 @@ impl CellEmbedding {
     pub fn cosine(&self, a: &str, b: &str) -> Option<f32> {
         let va = self.vector(a)?;
         let vb = self.vector(b)?;
-        Some(cosine(va, vb))
+        Some(cosine(&va, &vb))
     }
 
     /// Precomputes the token-id plane of a binned table: the dense
@@ -447,7 +476,7 @@ impl CellEmbedding {
         let mut n = 0usize;
         for &c in cols {
             if let Some(v) = self.cell_vector(binned, row, c) {
-                for (a, x) in acc.iter_mut().zip(v) {
+                for (a, x) in acc.iter_mut().zip(v.iter()) {
                     *a += x;
                 }
                 n += 1;
@@ -472,7 +501,7 @@ impl CellEmbedding {
         let mut n = 0usize;
         for &r in rows {
             if let Some(v) = self.cell_vector(binned, r, col) {
-                for (a, x) in acc.iter_mut().zip(v) {
+                for (a, x) in acc.iter_mut().zip(v.iter()) {
                     *a += x;
                 }
                 n += 1;
@@ -639,7 +668,7 @@ mod tests {
         for (i, token) in m.tokens().iter().enumerate() {
             let id = m.token_id(token).unwrap();
             assert_eq!(id as usize, i);
-            assert_eq!(m.vector_by_id(id), m.vector(token).unwrap());
+            assert_eq!(m.vector_by_id(id), &*m.vector(token).unwrap());
         }
         assert!(m.token_id("nonexistent").is_none());
         let _ = bt;
@@ -657,7 +686,7 @@ mod tests {
                 assert_ne!(id, NO_TOKEN);
                 assert_eq!(
                     m.vector_by_id(id),
-                    m.cell_vector(&bt, row, col).unwrap(),
+                    &*m.cell_vector(&bt, row, col).unwrap(),
                     "cell ({row}, {col})"
                 );
             }
@@ -787,6 +816,41 @@ mod tests {
         let same = m.clone().quantized(Quantization::None);
         assert_eq!(same.quantization(), Quantization::None);
         assert_eq!(same.matrix(), m.matrix());
+    }
+
+    /// The cold token API decodes quantized rows instead of panicking, and
+    /// agrees with the dense model within the encoding's error; only the
+    /// raw borrows refuse, through their `try_` variants.
+    #[test]
+    fn cold_token_api_decodes_quantized_storage() {
+        let (m, bt) = toy_model();
+        assert_eq!(m.try_matrix(), Some(m.matrix()));
+        assert_eq!(m.try_vector_by_id(1), Some(m.vector_by_id(1)));
+        assert_eq!(m.try_vector_by_id(m.len() as u32), None);
+        assert_eq!(m.try_vector_by_id(NO_TOKEN), None);
+        let (a, b) = (bt.cell_token(0, 0), bt.cell_token(1, 1));
+        for (q, tol) in [(Quantization::F16, 1e-3), (Quantization::I8, 1e-2)] {
+            let qm = m.clone().quantized(q);
+            assert_eq!(qm.try_matrix(), None);
+            assert_eq!(qm.try_vector_by_id(0), None);
+            for token in m.tokens() {
+                let got = qm.vector(token).expect("token is embedded");
+                for (g, w) in got.iter().zip(m.vector(token).unwrap().iter()) {
+                    assert!((g - w).abs() <= tol, "{q:?} {token}: {g} vs {w}");
+                }
+            }
+            let cell = qm.cell_vector(&bt, 1, 0).expect("cell is embedded");
+            assert_eq!(
+                &*cell,
+                qm.vector_owned(qm.token_id(&bt.cell_token(1, 0)).unwrap())
+            );
+            let (got, want) = (qm.cosine(&a, &b).unwrap(), m.cosine(&a, &b).unwrap());
+            assert!(
+                (got - want).abs() <= 2.0 * tol,
+                "{q:?} cosine {got} vs {want}"
+            );
+            assert!(qm.vector("missing").is_none());
+        }
     }
 
     #[test]

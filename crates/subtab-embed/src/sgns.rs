@@ -26,6 +26,16 @@
 //! column-sentence chunks; typical tables sit orders of magnitude below
 //! that (the quick-scale Flights stand-in flattens to ~11 MB).
 //!
+//! The fast kernels draw each negative from the alias table with a
+//! branch-free select (`cmov`, see [`AliasTable::sample_from_u64`]). On the
+//! AVX-512 tier (AVX512F + DQ + VL) the pair step also runs its per-target
+//! scalar work across lanes whenever `1 + negative_samples ≤ 8`: an 8-lane
+//! splitmix64 and one gather draw every negative one pair ahead, one
+//! shuffle/add tree reduces every dot product in `_mm512_reduce_add_ps`'s
+//! order, and one gather looks up every sigmoid. Both reproduce the
+//! per-target arithmetic bit for bit; `tests/golden/fast_kernel_digests.txt`
+//! pins the trained weights per tier.
+//!
 //! One deliberate deviation from the pre-refactor trainer applies to every
 //! mode, the reference included: the pair count feeding the learning-rate
 //! schedule (`count_pairs`) is now *exact*, where the old trainer overcounted near sentence edges and
@@ -520,7 +530,7 @@ unsafe fn train_shard_fast(
 fn shard_kernel_for(dim: usize) -> ShardKernel {
     #[cfg(target_arch = "x86_64")]
     {
-        if subtab_kernels::has_avx512f() {
+        if subtab_kernels::has_avx512() {
             match dim {
                 16 => return shard_kernel_avx512::<1>,
                 32 => return shard_kernel_avx512::<2>,
@@ -697,18 +707,24 @@ unsafe fn shard_kernel_fma<const DIM: usize>(
 /// the result is deterministic and scheduling-independent.
 ///
 /// `CHUNKS` is a compile-time constant and [`avx512_pair_step`] is inlined
-/// into this `avx512f` function: the row registers then live in zmm
-/// registers across the whole pair, where a runtime chunk count kept the
-/// step out of line with a spilled, re-zeroed `[__m512; 4]` frame per pair.
-/// With the same float operations in the same order, that took
-/// `train_pairs` on the 8 000 × 48 wide table from 2.49 s to 1.92 s
-/// (`threads = 2`, `deterministic = true`, 2-vCPU AVX-512 host).
+/// into this function: the row registers then live in zmm registers across
+/// the whole pair, where a runtime chunk count kept the step out of line
+/// with a spilled, re-zeroed `[__m512; 4]` frame per pair.
+///
+/// With at most 8 targets per pair, a pair's negatives are drawn one step
+/// ahead by [`avx512_draw_lanes`]: the draw chain (two 64-bit lane
+/// multiplies, then a gather) depends only on the counter, so it runs
+/// while the previous pair's dots and updates are in flight instead of
+/// delaying the pair's first dot. With the lane step, `train_pairs` on the
+/// 8 000 × 48 wide table (`threads = 2`, `deterministic = true`) takes
+/// 1.29 s against 1.37 s with per-target draws, reductions and lookups
+/// (medians of 10 alternated runs, 2-vCPU AVX-512 host; same bits).
 ///
 /// # Safety
-/// See [`shard_kernel`]; the caller must have verified AVX-512F support and
-/// that `w.dim == 16 * CHUNKS`.
+/// See [`shard_kernel`]; the caller must have verified the AVX-512 tier
+/// (`avx512f`, `avx512dq`, `avx512vl`) and that `w.dim == 16 * CHUNKS`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
     pairs: &[[u32; 2]],
@@ -720,26 +736,48 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
     lr_total: usize,
     state: &mut ShardState,
 ) {
+    use core::arch::x86_64::_mm256_setzero_si256;
     debug_assert!((1..=4).contains(&CHUNKS) && w.dim == 16 * CHUNKS);
+    // The lane draws gather from the table without bounds checks.
+    assert!(
+        negative_samples == 0 || !alias.is_empty(),
+        "alias table is empty"
+    );
     let inv_total = 1.0 / (lr_total as f32 + 1.0);
     let base_processed = state.processed;
     let base_ctr = state.ctr;
     state.processed += pairs.len();
     state.ctr = base_ctr.wrapping_add(pairs.len() as u64);
 
-    let half = pairs.len() / 2;
-    for i in 0..half {
-        for idx in [i, half + i] {
-            let lr = lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
+    let lane_draws = (1..=7).contains(&negative_samples);
+    let draw = |idx: usize| {
+        if lane_draws {
             let ctr = base_ctr.wrapping_add(idx as u64);
-            avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, w, alias, sig, negative_samples);
+            avx512_draw_lanes(alias, ctr.wrapping_mul(0x632B_E5AB))
+        } else {
+            _mm256_setzero_si256()
         }
-    }
-    if pairs.len() % 2 == 1 {
-        let idx = pairs.len() - 1;
+    };
+    // Step `n` trains pair `order(n)`: pairs `i` and `half + i` alternate,
+    // and an odd shard ends with its last pair.
+    let half = pairs.len() / 2;
+    let order = |n: usize| {
+        if n == 2 * half {
+            n
+        } else {
+            n % 2 * half + n / 2
+        }
+    };
+    let mut next = draw(order(0));
+    for n in 0..pairs.len() {
+        let idx = order(n);
+        let drawn = next;
+        if n + 1 < pairs.len() {
+            next = draw(order(n + 1));
+        }
         let lr = lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
         let ctr = base_ctr.wrapping_add(idx as u64);
-        avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, w, alias, sig, negative_samples);
+        avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, drawn, w, alias, sig, negative_samples);
     }
 }
 
@@ -751,19 +789,31 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
 /// Hogwild already embraces, and still deterministic because program order
 /// is fixed.
 ///
+/// With `1 + negative_samples ≤ 8` targets the per-target scalar work runs
+/// across lanes: `drawn` holds the negatives from [`avx512_draw_lanes`]
+/// (lane `k` is target `k`; lane 0 is replaced by the context),
+/// [`avx512_reduce_lanes`] reduces every dot product in one shuffle/add
+/// tree, and [`avx512_sigmoid_index_lanes`] bins every sigmoid argument for
+/// one gather from the table. Each lane piece reproduces its scalar
+/// definition bit for bit, so the weights match the per-target step
+/// exactly; the update loop and its accumulation order are unchanged.
+/// Larger sample counts keep the per-target step and ignore `drawn`.
+///
 /// Deliberately `#[inline(always)]` and without a `target_feature` of its
 /// own, so it only ever compiles inlined into [`shard_kernel_avx512`] and
-/// inherits its `avx512f` context.
+/// inherits its `avx512f,avx512dq,avx512vl` context.
 ///
 /// # Safety
-/// See [`shard_kernel_avx512`]; only call it from an `avx512f` function.
+/// See [`shard_kernel_avx512`]; only call it from a function with those
+/// features.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 unsafe fn avx512_pair_step<const CHUNKS: usize>(
     [center_id, context]: [u32; 2],
     lr: f32,
     ctr: u64,
+    drawn: core::arch::x86_64::__m256i,
     w: WeightsPtr,
     alias: &AliasTable,
     sig: &SigmoidTable,
@@ -779,24 +829,31 @@ unsafe fn avx512_pair_step<const CHUNKS: usize>(
     let total = 1 + negative_samples;
     if total <= 8 {
         let mut targets = [0u32; 8];
-        let mut dots = [0.0f32; 8];
+        _mm256_storeu_si256(targets.as_mut_ptr().cast(), drawn);
         targets[0] = context;
-        for k in 1..total {
-            targets[k] = alias.sample_from_u64(splitmix64(
-                ctr.wrapping_mul(0x632B_E5AB).wrapping_add(k as u64),
-            ));
-        }
+        let mut acc = [_mm512_setzero_ps(); 8];
         for k in 0..total {
-            dots[k] = avx512_dot(&center, w.w_out.add(targets[k] as usize * w.dim));
+            acc[k] = avx512_dot_lanes(&center, w.w_out.add(targets[k] as usize * w.dim));
         }
+        let dots = avx512_reduce_lanes(acc);
+        let p = _mm256_i32gather_ps::<4>(sig.table.as_ptr(), avx512_sigmoid_index_lanes(dots));
+        let label = _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+        let mut g = [0.0f32; 8];
+        _mm256_storeu_ps(
+            g.as_mut_ptr(),
+            _mm256_mul_ps(_mm256_sub_ps(label, p), _mm256_set1_ps(lr)),
+        );
         for k in 0..total {
             let target = targets[k];
             if k > 0 && target == context {
                 continue;
             }
-            let label = if k == 0 { 1.0f32 } else { 0.0f32 };
-            let g = (label - sig.value(dots[k])) * lr;
-            avx512_update(&center, &mut grad, w.w_out.add(target as usize * w.dim), g);
+            avx512_update(
+                &center,
+                &mut grad,
+                w.w_out.add(target as usize * w.dim),
+                g[k],
+            );
         }
     } else {
         for neg in 0..=negative_samples {
@@ -814,7 +871,8 @@ unsafe fn avx512_pair_step<const CHUNKS: usize>(
                 continue;
             }
             let out = w.w_out.add(target as usize * w.dim);
-            let g = (label - sig.value(avx512_dot(&center, out))) * lr;
+            let dot = _mm512_reduce_add_ps(avx512_dot_lanes(&center, out));
+            let g = (label - sig.value(dot)) * lr;
             avx512_update(&center, &mut grad, out, g);
         }
     }
@@ -824,24 +882,131 @@ unsafe fn avx512_pair_step<const CHUNKS: usize>(
     }
 }
 
-/// `center · out` over one row: a multiply, `CHUNKS − 1` fused multiply-adds
-/// in chunk order, then the horizontal sum.
+/// Eight negative draws at once: lane `k` is
+/// `alias.sample_from_u64(splitmix64(base + k))`. The splitmix64 finaliser
+/// runs on 8 × 64-bit lanes (`vpmullq`, AVX512DQ), the column is the high
+/// half of `(r >> 32) · len`, one gather fetches the columns' packed
+/// thresholds and aliases, and an unsigned compare into a mask plus a blend
+/// (256-bit, AVX512VL) picks the direct or the redirected outcome — no
+/// branch anywhere.
+///
+/// # Safety
+/// Only call it from an `avx512f,avx512dq,avx512vl` context. The table must
+/// not be empty (the gather reads column 0 of an empty table otherwise).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx512_draw_lanes(alias: &AliasTable, base: u64) -> core::arch::x86_64::__m256i {
+    use core::arch::x86_64::*;
+    let columns = alias.columns();
+    debug_assert!(!columns.is_empty() && columns.len() <= u32::MAX as usize);
+    let x = _mm512_add_epi64(
+        _mm512_set1_epi64(base as i64),
+        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let mut z = _mm512_add_epi64(x, _mm512_set1_epi64(0x9E37_79B9_7F4A_7C15u64 as i64));
+    z = _mm512_mullo_epi64(
+        _mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)),
+        _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9u64 as i64),
+    );
+    z = _mm512_mullo_epi64(
+        _mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)),
+        _mm512_set1_epi64(0x94D0_49BB_1331_11EBu64 as i64),
+    );
+    let r = _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z));
+    let col = _mm512_srli_epi64::<32>(_mm512_mul_epu32(
+        _mm512_srli_epi64::<32>(r),
+        _mm512_set1_epi64(columns.len() as i64),
+    ));
+    let column = _mm512_i64gather_epi64::<8>(col, columns.as_ptr().cast());
+    let threshold = _mm512_cvtepi64_epi32(column);
+    let redirect = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(column));
+    let take_direct = _mm256_cmplt_epu32_mask(_mm512_cvtepi64_epi32(r), threshold);
+    _mm256_mask_blend_epi32(take_direct, redirect, _mm512_cvtepi64_epi32(col))
+}
+
+/// Horizontal sums of eight vectors at once, lane `k` of the result being
+/// `_mm512_reduce_add_ps(v[k])` bit for bit: the same tree (256-bit halves,
+/// then 128-bit halves, then `[2, 3, 0, 1]`, then `[1, 0]`) with the same
+/// operand order at every add, run on two or four vectors per instruction.
+///
+/// # Safety
+/// Only call it from an `avx512f` context.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx512_reduce_lanes(v: [core::arch::x86_64::__m512; 8]) -> core::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    // `[a.lo256, b.lo256] + [a.hi256, b.hi256]`: a's 8 partial sums, then b's.
+    let halves = |a, b| {
+        _mm512_add_ps(
+            _mm512_shuffle_f32x4::<0b01_00_01_00>(a, b),
+            _mm512_shuffle_f32x4::<0b11_10_11_10>(a, b),
+        )
+    };
+    // Block 0 plus block 1 of each 256-bit sum: four vectors' 4 partial sums.
+    let quarters = |a, b| {
+        _mm512_add_ps(
+            _mm512_shuffle_f32x4::<0b10_00_10_00>(a, b),
+            _mm512_shuffle_f32x4::<0b11_01_11_01>(a, b),
+        )
+    };
+    let p = quarters(halves(v[0], v[1]), halves(v[2], v[3]));
+    let q = quarters(halves(v[4], v[5]), halves(v[6], v[7]));
+    // Per 128-bit block j: `[c_j[0] + c_j[2], c_j[1] + c_j[3]]`, then the
+    // same for vector j + 4.
+    let d = _mm512_add_ps(
+        _mm512_shuffle_ps::<0b01_00_01_00>(p, q),
+        _mm512_shuffle_ps::<0b11_10_11_10>(p, q),
+    );
+    // `d[0] + d[1]`: vector j's sum lands in lane 4j, vector j + 4's in 4j + 2.
+    let e = _mm512_add_ps(d, _mm512_permute_ps::<0b10_11_00_01>(d));
+    let order = _mm512_setr_epi32(0, 4, 8, 12, 2, 6, 10, 14, 0, 0, 0, 0, 0, 0, 0, 0);
+    _mm512_castps512_ps256(_mm512_permutexvar_ps(order, e))
+}
+
+/// [`SigmoidTable::index`] of eight arguments at once: clamp, scale and
+/// truncate with the scalar bin's operations, then clamp the index to
+/// `[0, SIZE − 1]` (an argument of 6 scales to `SIZE`). A NaN leaves the
+/// argument clamp as −6 (`vmaxps` returns its second operand), and would
+/// truncate to `i32::MIN` otherwise, so either way it lands in bin 0 like
+/// the scalar `as i32`.
+///
+/// # Safety
+/// Only call it from an `avx512f` context.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx512_sigmoid_index_lanes(x: core::arch::x86_64::__m256) -> core::arch::x86_64::__m256i {
+    use core::arch::x86_64::*;
+    let max = SigmoidTable::MAX_EXP;
+    let x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-max)), _mm256_set1_ps(max));
+    let scaled = _mm256_mul_ps(
+        _mm256_add_ps(x, _mm256_set1_ps(max)),
+        _mm256_set1_ps(SigmoidTable::SIZE as f32 / (2.0 * max)),
+    );
+    let idx = _mm256_cvttps_epi32(scaled);
+    _mm256_min_epi32(
+        _mm256_max_epi32(idx, _mm256_setzero_si256()),
+        _mm256_set1_epi32(SigmoidTable::SIZE as i32 - 1),
+    )
+}
+
+/// `center · out` over one row, before the horizontal sum: a multiply,
+/// then `CHUNKS − 1` fused multiply-adds in chunk order.
 ///
 /// # Safety
 /// As [`avx512_pair_step`]; `out` must point at a row of `16 * CHUNKS`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-unsafe fn avx512_dot<const CHUNKS: usize>(
+unsafe fn avx512_dot_lanes<const CHUNKS: usize>(
     center: &[core::arch::x86_64::__m512; CHUNKS],
     out: *const f32,
-) -> f32 {
+) -> core::arch::x86_64::__m512 {
     use core::arch::x86_64::*;
     let mut acc = _mm512_mul_ps(center[0], _mm512_loadu_ps(out));
     for c in 1..CHUNKS {
         acc = _mm512_fmadd_ps(center[c], _mm512_loadu_ps(out.add(c * 16)), acc);
     }
-    _mm512_reduce_add_ps(acc)
+    acc
 }
 
 /// One SGD update with gradient scale `g`: accumulates `g · out` into the
@@ -1288,23 +1453,10 @@ mod tests {
         assert!((sig.value(0.0) - 0.5).abs() < 0.02);
     }
 
-    /// `SigmoidTable::index` must turn its scaled argument into the bin an
-    /// `f64` floor-and-clamp picks, on every compiled tier: the `as i32`
-    /// conversion is checked in plain, `avx2,fma` and `avx512f` code
-    /// generation wherever the CPU can run it. The reference scales in `f32`
-    /// like the table does, because exact scaling moves values within an
-    /// ulp of a bin edge into the neighbouring bin.
-    #[test]
-    fn sigmoid_table_index_matches_floor_and_clamp_reference() {
-        fn reference(x: f32) -> usize {
-            if x.is_nan() {
-                return 0;
-            }
-            let max = SigmoidTable::MAX_EXP;
-            let size = SigmoidTable::SIZE as f32;
-            let scaled = (x.clamp(-max, max) + max) * (size / (2.0 * max));
-            f64::from(scaled).floor().clamp(0.0, f64::from(size) - 1.0) as usize
-        }
+    /// Sigmoid arguments that probe every way a bin can go wrong: a dense
+    /// grid over [-6, 6], every bin edge and the floats either side of it,
+    /// ±0, ±6 and the floats just inside, ±∞, NaN, subnormals and ±MAX.
+    fn sigmoid_index_grid() -> Vec<f32> {
         let mut xs: Vec<f32> = (0..=120_000).map(|i| -6.0 + i as f32 * 1e-4).collect();
         let inside = [6.0f32.next_down(), (-6.0f32).next_up()];
         xs.extend(inside.iter().flat_map(|&x| [x, -x]));
@@ -1328,7 +1480,27 @@ mod tests {
             let edge = -6.0 + k as f32 * (12.0 / SigmoidTable::SIZE as f32);
             xs.extend([edge.next_down(), edge, edge.next_up()]);
         }
+        xs
+    }
 
+    /// `SigmoidTable::index` must turn its scaled argument into the bin an
+    /// `f64` floor-and-clamp picks, on every compiled tier: the `as i32`
+    /// conversion is checked in plain, `avx2,fma` and AVX-512-tier code
+    /// generation wherever the CPU can run it. The reference scales in `f32`
+    /// like the table does, because exact scaling moves values within an
+    /// ulp of a bin edge into the neighbouring bin.
+    #[test]
+    fn sigmoid_table_index_matches_floor_and_clamp_reference() {
+        fn reference(x: f32) -> usize {
+            if x.is_nan() {
+                return 0;
+            }
+            let max = SigmoidTable::MAX_EXP;
+            let size = SigmoidTable::SIZE as f32;
+            let scaled = (x.clamp(-max, max) + max) * (size / (2.0 * max));
+            f64::from(scaled).floor().clamp(0.0, f64::from(size) - 1.0) as usize
+        }
+        let xs = sigmoid_index_grid();
         let check = |tier: &str, index: &dyn Fn(f32) -> usize| {
             for &x in &xs {
                 assert_eq!(index(x), reference(x), "{tier}: bin of {x:e}");
@@ -1341,7 +1513,7 @@ mod tests {
             unsafe fn index_fma(x: f32) -> usize {
                 SigmoidTable::index(x)
             }
-            #[target_feature(enable = "avx512f")]
+            #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
             unsafe fn index_avx512(x: f32) -> usize {
                 SigmoidTable::index(x)
             }
@@ -1350,8 +1522,230 @@ mod tests {
                 check("avx2,fma", &|x| unsafe { index_fma(x) });
             }
             if subtab_kernels::Isa::Avx512.available() {
-                // SAFETY: the CPU supports AVX-512F.
-                check("avx512f", &|x| unsafe { index_avx512(x) });
+                // SAFETY: the CPU supports the AVX-512 tier.
+                check("avx512", &|x| unsafe { index_avx512(x) });
+            }
+        }
+    }
+
+    /// Entry points that run each lane piece of the AVX-512 pair step in
+    /// the tier's code generation (the pieces pass 512-bit vectors, so they
+    /// have no plain build), next to the scalar definitions they must match,
+    /// compiled both plain and with the tier's features.
+    #[cfg(target_arch = "x86_64")]
+    mod lanes {
+        use super::*;
+        use core::arch::x86_64::*;
+
+        pub const TIER: &str = "avx512f,avx512dq,avx512vl";
+
+        pub fn available() -> bool {
+            let ok = subtab_kernels::Isa::Avx512.available();
+            if !ok {
+                eprintln!("skipping: the CPU lacks {TIER}");
+            }
+            ok
+        }
+
+        pub fn draw(alias: &AliasTable, x: u64) -> u32 {
+            alias.sample_from_u64(splitmix64(x))
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn draw_tier(alias: &AliasTable, x: u64) -> u32 {
+            draw(alias, x)
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn draw_lanes(alias: &AliasTable, base: u64) -> [u32; 8] {
+            let mut out = [0u32; 8];
+            _mm256_storeu_si256(out.as_mut_ptr().cast(), avx512_draw_lanes(alias, base));
+            out
+        }
+
+        /// `(batched, one _mm512_reduce_add_ps per row)`.
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn reduce(rows: &[[f32; 16]; 8]) -> ([f32; 8], [f32; 8]) {
+            let mut v = [_mm512_setzero_ps(); 8];
+            let mut single = [0.0f32; 8];
+            for k in 0..8 {
+                v[k] = _mm512_loadu_ps(rows[k].as_ptr());
+                single[k] = _mm512_reduce_add_ps(v[k]);
+            }
+            let mut batched = [0.0f32; 8];
+            _mm256_storeu_ps(batched.as_mut_ptr(), avx512_reduce_lanes(v));
+            (batched, single)
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn sigmoid_index(x: &[f32; 8]) -> [i32; 8] {
+            let mut out = [0i32; 8];
+            let idx = avx512_sigmoid_index_lanes(_mm256_loadu_ps(x.as_ptr()));
+            _mm256_storeu_si256(out.as_mut_ptr().cast(), idx);
+            out
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn sigmoid_index_tier(x: f32) -> usize {
+            SigmoidTable::index(x)
+        }
+    }
+
+    /// The `x` with `splitmix64(x) == z`: each xor-shift and odd multiply
+    /// of the finaliser undone in reverse order.
+    fn splitmix64_inverse(z: u64) -> u64 {
+        fn unshift(y: u64, s: u32) -> u64 {
+            let mut x = y;
+            for _ in 0..64 / s {
+                x = y ^ (x >> s);
+            }
+            x
+        }
+        fn inverse(m: u64) -> u64 {
+            let mut inv = m;
+            for _ in 0..6 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+            }
+            inv
+        }
+        let mut x = unshift(z, 31);
+        x = unshift(x.wrapping_mul(inverse(0x94D0_49BB_1331_11EB)), 27);
+        x = unshift(x.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9)), 30);
+        x.wrapping_sub(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// Lane `k` of the batched draw must be the scalar draw
+    /// `sample_from_u64(splitmix64(base + k))`, for vocabularies of 1, 2, 3,
+    /// 288 and 2^20 tokens whose columns include thresholds 0 (zero-weight
+    /// tokens) and `u32::MAX` (full columns); for counters near both ends
+    /// of the `u64` range, where `base + k` wraps; and for bases whose
+    /// draws sit exactly on column boundaries and threshold edges.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn lane_draws_match_the_scalar_draw() {
+        if !lanes::available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        for size in [1usize, 2, 3, 288, 1 << 20] {
+            // Every seventh token has weight zero; the rest are skewed.
+            let weights: Vec<f64> = (0..size)
+                .map(|i| match i % 7 {
+                    3 if size > 1 => 0.0,
+                    r => (r as f64 + 1.0).powi(3),
+                })
+                .collect();
+            let alias = AliasTable::from_weights(&weights);
+            let thresholds: Vec<u32> = alias.columns().iter().map(|&c| c as u32).collect();
+            assert!(
+                thresholds.contains(&u32::MAX),
+                "size {size}: no full column"
+            );
+            if size > 3 {
+                assert!(thresholds.contains(&0), "size {size}: no zero column");
+            }
+            let mut bases: Vec<u64> = vec![0, 1, 7, u64::MAX, u64::MAX - 3, u64::MAX - 7];
+            bases.extend((0..2000).map(|_| rng.gen::<u64>()));
+            bases.extend((0..64u64).map(|c| c.wrapping_neg().wrapping_mul(0x632B_E5AB)));
+            // Bases that put each boundary draw into a lane (cycling k).
+            let stride = size / 300 + 1;
+            for (i, r) in alias.boundary_draws(stride).into_iter().enumerate() {
+                let k = (i % 8) as u64;
+                let base = splitmix64_inverse(r).wrapping_sub(k);
+                assert_eq!(splitmix64(base.wrapping_add(k)), r);
+                bases.push(base);
+            }
+            for base in bases {
+                // SAFETY: `lanes::available` checked the CPU.
+                let got = unsafe { lanes::draw_lanes(&alias, base) };
+                for (k, &lane) in got.iter().enumerate() {
+                    let x = base.wrapping_add(k as u64);
+                    let want = lanes::draw(&alias, x);
+                    assert_eq!(lane, want, "size {size}, base {base:#x}, lane {k}");
+                    // SAFETY: as above.
+                    assert_eq!(
+                        unsafe { lanes::draw_tier(&alias, x) },
+                        want,
+                        "{}",
+                        lanes::TIER
+                    );
+                }
+            }
+        }
+    }
+
+    /// The batched reduction must reproduce `_mm512_reduce_add_ps` lane for
+    /// lane on random rows mixed with ±0, ±∞, NaN, subnormals and
+    /// cancelling magnitudes, where any change of association shows. Equal
+    /// means equal bits; a NaN sum only has to be NaN, since Rust leaves
+    /// NaN payloads unspecified (and every NaN lands in sigmoid bin 0).
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn lane_reduction_matches_reduce_add_ps() {
+        if !lanes::available() {
+            return;
+        }
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(0x0000_0F00),
+            f32::MIN_POSITIVE,
+            1e30,
+            -1e30,
+            3.0e38,
+            -3.0e38,
+            1.0,
+            -1.0,
+            f32::EPSILON,
+        ];
+        let mut rng = StdRng::seed_from_u64(23);
+        for trial in 0..20_000 {
+            let mut rows = [[0.0f32; 16]; 8];
+            for x in rows.iter_mut().flatten() {
+                *x = if trial % 2 == 0 || rng.gen::<f32>() < 0.7 {
+                    (rng.gen::<f32>() - 0.5) * 2f32.powi(rng.gen_range(-30..30))
+                } else {
+                    specials[rng.gen_range(0..specials.len())]
+                };
+            }
+            // SAFETY: `lanes::available` checked the CPU.
+            let (batched, single) = unsafe { lanes::reduce(&rows) };
+            for k in 0..8 {
+                let (got, want) = (batched[k], single[k]);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "trial {trial}, row {k}: {got:e} vs {want:e} for {:?}",
+                    rows[k]
+                );
+            }
+        }
+    }
+
+    /// The lane sigmoid bins must equal `SigmoidTable::index` (plain and in
+    /// the tier's code generation) on the grid of
+    /// `sigmoid_table_index_matches_floor_and_clamp_reference`.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn lane_sigmoid_indices_match_the_scalar_bins() {
+        if !lanes::available() {
+            return;
+        }
+        let xs = sigmoid_index_grid();
+        for chunk in xs.chunks(8) {
+            let mut x = [0.0f32; 8];
+            x[..chunk.len()].copy_from_slice(chunk);
+            // SAFETY: `lanes::available` checked the CPU.
+            let got = unsafe { lanes::sigmoid_index(&x) };
+            for (k, &xk) in x.iter().enumerate() {
+                let want = SigmoidTable::index(xk);
+                assert_eq!(got[k] as usize, want, "bin of {xk:e}");
+                // SAFETY: as above.
+                let tier = unsafe { lanes::sigmoid_index_tier(xk) };
+                assert_eq!(tier, want, "{}: bin of {xk:e}", lanes::TIER);
             }
         }
     }

@@ -18,13 +18,26 @@ use std::collections::HashMap;
 /// inverse-CDF table, whose memory is fixed at 2^16 entries regardless of
 /// vocabulary size and whose accuracy degrades for vocabularies that
 /// approach it.
+///
+/// A draw is branch-free: the accept-or-redirect choice is a `cmov`
+/// ([`AliasTable::sample_from_u64`]). The SGNS trainer's AVX-512 tier
+/// (AVX512F + DQ + VL) makes eight draws at once from the same columns with
+/// one gather, an unsigned compare into a mask and a blend, each lane equal to
+/// the scalar draw. Replacing the compiled branch with the `cmov` took
+/// `train_pairs` on the 8 000 × 48 wide table from 1.97 s to 1.37 s
+/// (`threads = 2`, `deterministic = true`, 2-vCPU AVX-512 host; medians of
+/// 10 alternated runs).
 #[derive(Debug, Clone, Default)]
 pub struct AliasTable {
-    /// Acceptance threshold of each column, scaled to 2^32 so the draw
-    /// compares integers (no int→float conversion on the sampling path).
-    threshold: Vec<u32>,
-    /// Redirect target taken when the fractional draw exceeds `threshold`.
-    alias: Vec<u32>,
+    /// One word per column: the acceptance threshold in the low 32 bits,
+    /// scaled to 2^32 so the draw compares integers (no int→float
+    /// conversion on the sampling path), and the redirect target taken when
+    /// the fractional draw is not below it in the high 32 bits. One load
+    /// fetches both, so the select between the column and its redirect
+    /// works on registers and compiles to `cmov`; with a separate alias
+    /// load the compiler folds that load into the select and then turns
+    /// the select into a branch around it.
+    columns: Vec<u64>,
 }
 
 impl AliasTable {
@@ -66,26 +79,29 @@ impl AliasTable {
             threshold[i as usize] = u32::MAX;
             alias[i as usize] = i;
         }
-        AliasTable { threshold, alias }
+        let columns = threshold
+            .iter()
+            .zip(&alias)
+            .map(|(&t, &a)| u64::from(a) << 32 | u64::from(t))
+            .collect();
+        AliasTable { columns }
     }
 
     /// Number of outcomes.
     pub fn len(&self) -> usize {
-        self.threshold.len()
+        self.columns.len()
     }
 
     /// Whether the table is empty (no outcomes with positive weight).
     pub fn is_empty(&self) -> bool {
-        self.threshold.is_empty()
+        self.columns.is_empty()
     }
 
     /// Draws one outcome index. A single `u64` supplies both the column
     /// (high 32 bits, mapped by multiply-shift — no modulo bias worth
     /// caring about at vocabulary sizes) and the acceptance fraction
-    /// (low 32 bits). The accept-or-redirect choice is a branchless select:
-    /// its outcome is a coin flip the branch predictor cannot learn, and a
-    /// mispredict would cost more than unconditionally loading both
-    /// candidates.
+    /// (low 32 bits). The accept-or-redirect choice is a branch-free select
+    /// (see [`AliasTable::sample_from_u64`]).
     ///
     /// # Panics
     /// Panics if the table is empty.
@@ -94,23 +110,29 @@ impl AliasTable {
         self.sample_from_u64(rng.next_u64())
     }
 
+    /// The packed columns (`alias << 32 | threshold`), for vectorised
+    /// draws that must match [`AliasTable::sample_from_u64`].
+    pub(crate) fn columns(&self) -> &[u64] {
+        &self.columns
+    }
+
     /// The draw itself, from caller-supplied uniform bits — lets hot loops
     /// use counter-based bit streams whose draws have no serial dependency
-    /// on one another.
+    /// on one another. The choice goes through
+    /// [`std::hint::select_unpredictable`] and compiles to `cmov`: its
+    /// outcome is a coin flip the branch predictor cannot learn, and an
+    /// arithmetic select of the two candidates still compiled to a
+    /// `cmp` + `ja` around the alias load.
     ///
     /// # Panics
     /// Panics if the table is empty.
     #[inline]
     pub fn sample_from_u64(&self, r: u64) -> u32 {
-        assert!(!self.threshold.is_empty(), "alias table is empty");
-        let col = (((r >> 32) * self.threshold.len() as u64) >> 32) as usize;
-        let frac = r as u32;
-        let direct = col as u32;
-        let redirect = self.alias[col];
-        // Integer threshold compare plus an arithmetic select: no float
-        // conversion, no unpredictable branch on the sampling path.
-        let take_direct = frac < self.threshold[col];
-        (take_direct as u32).wrapping_mul(direct) + (1 - take_direct as u32).wrapping_mul(redirect)
+        assert!(!self.columns.is_empty(), "alias table is empty");
+        let col = (((r >> 32) * self.columns.len() as u64) >> 32) as usize;
+        let column = self.columns[col];
+        let take_direct = (r as u32) < column as u32;
+        std::hint::select_unpredictable(take_direct, col as u32, (column >> 32) as u32)
     }
 }
 
@@ -257,10 +279,72 @@ impl Vocab {
 }
 
 #[cfg(test)]
+impl AliasTable {
+    /// Draws that sit on the decision boundaries of every `stride`-th
+    /// column (and the last): the first and last `r >> 32` mapping to the
+    /// column, each with the fraction just below, at and just above the
+    /// column's threshold, and at 0 and `u32::MAX`.
+    pub(crate) fn boundary_draws(&self, stride: usize) -> Vec<u64> {
+        let len = self.len() as u128;
+        let mut cols: Vec<usize> = (0..self.len()).step_by(stride.max(1)).collect();
+        cols.push(self.len() - 1);
+        let mut draws = Vec::new();
+        for c in cols {
+            let c = c as u128;
+            let first = (c << 32).div_ceil(len);
+            let last = ((c + 1) << 32).div_ceil(len) - 1;
+            let t = self.columns[c as usize] as u32;
+            for hi in [first, last] {
+                for lo in [t.wrapping_sub(1), t, t.wrapping_add(1), 0, u32::MAX] {
+                    draws.push(((hi as u64) << 32) | u64::from(lo));
+                }
+            }
+        }
+        draws
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `sample_from_u64` must pick what the arithmetic select it replaced
+    /// picked, on every column boundary and threshold edge of several
+    /// tables plus a dense sweep of the `u64` range, in plain and (where
+    /// the CPU has it) AVX-512 code generation.
+    #[test]
+    fn sample_from_u64_matches_the_arithmetic_select() {
+        fn arithmetic(t: &AliasTable, r: u64) -> u32 {
+            let col = (((r >> 32) * t.len() as u64) >> 32) as usize;
+            let (threshold, redirect) = (t.columns[col] as u32, (t.columns[col] >> 32) as u32);
+            let take_direct = (r as u32) < threshold;
+            (take_direct as u32).wrapping_mul(col as u32)
+                + (1 - take_direct as u32).wrapping_mul(redirect)
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        unsafe fn sample_tier(t: &AliasTable, r: u64) -> u32 {
+            t.sample_from_u64(r)
+        }
+        for size in [1usize, 2, 3, 288, 5000] {
+            let weights: Vec<f64> = (0..size).map(|i| ((i * 37) % 11) as f64).collect();
+            let weights = if size == 1 { vec![1.0] } else { weights };
+            let t = AliasTable::from_weights(&weights);
+            let mut draws = t.boundary_draws(1);
+            draws.extend((0..200_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            for r in draws {
+                let want = arithmetic(&t, r);
+                assert_eq!(t.sample_from_u64(r), want, "size {size}, r {r:#x}");
+                #[cfg(target_arch = "x86_64")]
+                if subtab_kernels::Isa::Avx512.available() {
+                    // SAFETY: the CPU supports the AVX-512 tier.
+                    assert_eq!(unsafe { sample_tier(&t, r) }, want, "avx512: r {r:#x}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn interning_and_counts() {

@@ -71,7 +71,7 @@ fn digest(bt: &BinnedTable, threads: usize, deterministic: bool) -> u64 {
         );
         for token in emb.tokens() {
             h = fnv1a(h, token.as_bytes());
-            for x in emb.vector(token).unwrap() {
+            for x in emb.vector(token).unwrap().iter() {
                 h = fnv1a(h, &x.to_bits().to_le_bytes());
             }
         }

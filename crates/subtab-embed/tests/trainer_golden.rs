@@ -45,7 +45,7 @@ fn render_bits(emb: &CellEmbedding) -> String {
     let mut out = String::new();
     for token in emb.tokens() {
         out.push_str(token);
-        for x in emb.vector(token).unwrap() {
+        for x in emb.vector(token).unwrap().iter() {
             out.push_str(&format!(" {:08x}", x.to_bits()));
         }
         out.push('\n');

@@ -10,7 +10,10 @@ use std::sync::OnceLock;
 /// Instruction-set tier a kernel can dispatch to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Isa {
-    /// AVX-512F: 16 f32 / 8 f64 lanes.
+    /// AVX-512 (F + DQ + VL): 16 f32 / 8 f64 lanes. DQ supplies the 64-bit
+    /// lane multiply and VL the 256-bit masked compares and blends of the
+    /// SGNS trainer's lane-parallel step; a CPU with AVX-512F alone runs the
+    /// AVX2+FMA tier.
     Avx512,
     /// AVX2 + FMA: 8 f32 / 4 f64 lanes.
     Avx2Fma,
@@ -27,7 +30,7 @@ impl Isa {
     /// pinned the *default* dispatch.
     pub fn available(self) -> bool {
         match self {
-            Isa::Avx512 => cpu_has_avx512f(),
+            Isa::Avx512 => cpu_has_avx512(),
             Isa::Avx2Fma => cpu_has_avx2_fma(),
             Isa::Scalar => true,
         }
@@ -47,9 +50,10 @@ pub fn force_scalar() -> bool {
     })
 }
 
-/// True when the AVX-512F tier is usable (CPU support and no scalar override).
-pub fn has_avx512f() -> bool {
-    !force_scalar() && cpu_has_avx512f()
+/// True when the AVX-512 tier (F + DQ + VL) is usable (CPU support and no
+/// scalar override).
+pub fn has_avx512() -> bool {
+    !force_scalar() && cpu_has_avx512()
 }
 
 /// True when the AVX2+FMA tier is usable (CPU support and no scalar override).
@@ -59,7 +63,7 @@ pub fn has_avx2_fma() -> bool {
 
 /// Pick the best available tier, honouring the scalar override.
 pub fn detect() -> Isa {
-    if has_avx512f() {
+    if has_avx512() {
         Isa::Avx512
     } else if has_avx2_fma() {
         Isa::Avx2Fma
@@ -68,13 +72,16 @@ pub fn detect() -> Isa {
     }
 }
 
+/// The one place the AVX-512 tier's feature set is spelled out.
 #[cfg(target_arch = "x86_64")]
-fn cpu_has_avx512f() -> bool {
+fn cpu_has_avx512() -> bool {
     is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn cpu_has_avx512f() -> bool {
+fn cpu_has_avx512() -> bool {
     false
 }
 
@@ -112,9 +119,9 @@ mod tests {
     fn detect_is_consistent_with_tier_helpers() {
         let isa = detect();
         match isa {
-            Isa::Avx512 => assert!(has_avx512f()),
-            Isa::Avx2Fma => assert!(has_avx2_fma() && !has_avx512f()),
-            Isa::Scalar => assert!(!has_avx512f() && !has_avx2_fma()),
+            Isa::Avx512 => assert!(has_avx512()),
+            Isa::Avx2Fma => assert!(has_avx2_fma() && !has_avx512()),
+            Isa::Scalar => assert!(!has_avx512() && !has_avx2_fma()),
         }
     }
 
@@ -127,7 +134,7 @@ mod tests {
             .unwrap_or(false)
         {
             assert_eq!(detect(), Isa::Scalar);
-            assert!(!has_avx512f());
+            assert!(!has_avx512());
             assert!(!has_avx2_fma());
         }
     }

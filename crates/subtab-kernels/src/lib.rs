@@ -13,7 +13,7 @@
 //!
 //! # Dispatch tiers
 //!
-//! Kernels pick an ISA tier at runtime — AVX-512F, AVX2+FMA, or the
+//! Kernels pick an ISA tier at runtime — AVX-512 (F + DQ + VL), AVX2+FMA, or the
 //! portable scalar fallback — via [`dispatch::detect`]. Setting the
 //! environment variable `SUBTAB_FORCE_SCALAR_KERNELS` (to anything but `0`
 //! or the empty string) before the first kernel call pins every default
@@ -53,7 +53,7 @@ pub use dequant::{
     add_assign_f16, add_assign_f16_with_isa, add_assign_i8, add_assign_i8_with_isa, f16_to_f32,
     f32_to_f16,
 };
-pub use dispatch::{detect, fma_select, force_scalar, has_avx2_fma, has_avx512f, Isa};
+pub use dispatch::{detect, fma_select, force_scalar, has_avx2_fma, has_avx512, Isa};
 pub use distance::{euclidean, nearest_centroid_scalar, squared_euclidean, PointBlocks};
 pub use scan::{
     scan_bools, scan_bools_masked, scan_codes, scan_codes_masked, scan_codes_with_isa, scan_f64,
