@@ -28,13 +28,12 @@ pub const POLICY: GatePolicy = GatePolicy {
 
 /// The modes the benchmark exercises: the preserved seed implementation
 /// (the comparator the speedup is quoted against), the bit-exact reference,
-/// the fast single-thread kernels, and the two 4-thread modes.
+/// the fast single-thread kernels, and the 4-thread replica trainer.
 const MODES: &[(&str, usize, bool)] = &[
     (SEED_MODE, 1, true),
     ("reference-1t", 1, true),
     ("fast-1t", 1, false),
     ("deterministic-4t", 4, true),
-    ("hogwild-4t", 4, false),
 ];
 
 /// Label of the seed-legacy comparator mode.

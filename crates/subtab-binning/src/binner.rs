@@ -8,8 +8,6 @@ use crate::quantile::quantile_cuts;
 use crate::strategy::{BinId, BinLabel, BinningConfig, BinningError, BinningStrategy};
 use crate::Result;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use subtab_data::{Column, ColumnType, Table, Value};
 
 /// How the values of one column are mapped to bins.
@@ -127,12 +125,9 @@ impl Binner {
             ));
         }
         let cols = table.columns();
-        let threads = resolve_threads(config.threads, cols.len());
-        let columns = if threads <= 1 {
-            cols.iter().map(|c| fit_column(c, config)).collect()
-        } else {
-            fit_columns_parallel(cols, config, threads)
-        };
+        let columns = subtab_kernels::map_indexed(config.threads, cols.len(), |i| {
+            fit_column(&cols[i], config)
+        });
         let index = columns
             .iter()
             .enumerate()
@@ -306,18 +301,6 @@ fn bin_of_cuts(cuts: &[f64], x: f64) -> BinId {
     idx as BinId
 }
 
-/// Resolves a configured thread count: `0` means all available cores, and
-/// more workers than columns would only idle.
-fn resolve_threads(configured: usize, num_columns: usize) -> usize {
-    let threads = match configured {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    };
-    threads.min(num_columns.max(1))
-}
-
 /// Fits one column by its type (the unit of work the parallel fit fans out).
 fn fit_column(col: &Column, config: &BinningConfig) -> ColumnBinner {
     match col.column_type() {
@@ -340,39 +323,6 @@ fn fit_column(col: &Column, config: &BinningConfig) -> ColumnBinner {
         }
         ColumnType::Float => fit_numeric(col, config),
     }
-}
-
-/// Fans per-column fits out across `threads` scoped workers pulling column
-/// indices from a shared queue. Each fitted binner lands in its column's
-/// slot, so the output order (and content) matches the sequential fit
-/// exactly.
-fn fit_columns_parallel(
-    cols: &[Column],
-    config: &BinningConfig,
-    threads: usize,
-) -> Vec<ColumnBinner> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ColumnBinner>>> = cols.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cols.len() {
-                    break;
-                }
-                let fitted = fit_column(&cols[i], config);
-                *slots[i].lock().expect("binner slot lock poisoned") = Some(fitted);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("binner slot lock poisoned")
-                .expect("every column index was drained by a worker")
-        })
-        .collect()
 }
 
 fn fit_categorical(col: &subtab_data::Column, config: &BinningConfig) -> ColumnBinner {

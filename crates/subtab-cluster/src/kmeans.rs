@@ -95,7 +95,7 @@ impl KMeans {
         }
         let k = self.k.min(n);
         let dim = points.dim();
-        let threads = resolve_threads(self.threads);
+        let threads = subtab_kernels::resolve_threads(self.threads, n);
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         // Centroids live in one contiguous `k × dim` buffer for the duration
@@ -161,16 +161,6 @@ impl KMeans {
             inertia,
             iterations,
         }
-    }
-}
-
-/// Resolves a configured thread count (`0` = all available cores).
-fn resolve_threads(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
     }
 }
 

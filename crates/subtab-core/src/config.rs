@@ -70,10 +70,10 @@ impl SubTabConfig {
         self
     }
 
-    /// Sets the embedding trainer's reproducibility mode: `true` keeps
-    /// training run-to-run reproducible at any thread count (replica
-    /// averaging when parallel), `false` unlocks the fastest kernels
-    /// (lock-free Hogwild updates when parallel).
+    /// Sets the embedding trainer's single-thread mode: `true` selects the
+    /// bit-exact reference trainer, `false` the fast kernels. Parallel
+    /// training always averages per-worker replicas of the fast kernels,
+    /// whatever the flag, and is run-to-run reproducible.
     pub fn with_deterministic(mut self, deterministic: bool) -> Self {
         self.embedding.deterministic = deterministic;
         self
@@ -90,9 +90,6 @@ pub struct SelectionParams {
     pub l: usize,
     /// Target columns (`U*`): always included in the selected columns.
     pub target_columns: Vec<String>,
-    /// Whether to attach one highlighted association rule per selected row
-    /// (requires rules to be supplied at selection time).
-    pub highlight: bool,
 }
 
 impl Default for SelectionParams {
@@ -101,7 +98,6 @@ impl Default for SelectionParams {
             k: 10,
             l: 10,
             target_columns: Vec::new(),
-            highlight: false,
         }
     }
 }

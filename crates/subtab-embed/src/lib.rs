@@ -22,18 +22,18 @@
 //! * [`vocab`] — the token vocabulary with a unigram^0.75 negative-sampling
 //!   table,
 //! * [`sgns`] — a sharded skip-gram-with-negative-sampling trainer (the
-//!   fast Word2Vec variant of Mikolov et al. used by gensim) that scales
-//!   across cores Hogwild-style, with a bit-exact single-threaded reference
-//!   path and a reproducible parallel mode,
+//!   fast Word2Vec variant of Mikolov et al. used by gensim) with a
+//!   bit-exact single-threaded reference path and fast kernels that scale
+//!   across cores by averaging per-worker weight replicas after every
+//!   epoch,
 //! * [`model`] — the resulting [`CellEmbedding`]: one flat row-major vector
 //!   matrix over the (column, bin) tokens — storable as f32, f16 or scaled
 //!   i8 ([`Quantization`]) — plus the [`TokenPlane`] of precomputed per-cell
 //!   embedding-row ids that makes query-time row/column gathers string-free
 //!   (the string index is kept only for the cold API).
 //!
-//! Everything is deterministic given the seed in [`EmbeddingConfig`] unless
-//! `deterministic = false` is combined with `threads > 1` (lock-free
-//! Hogwild updates race by design); see the mode table in [`sgns`].
+//! Everything is deterministic given the seed in [`EmbeddingConfig`], at
+//! every thread count; see the mode table in [`sgns`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -443,8 +443,8 @@ impl CellEmbedding {
         }
         let dim = self.dim;
         let mut out = vec![0.0f32; items.len() * dim];
-        let threads = resolve_threads(threads);
-        if threads <= 1 || items.len() < 2 || items.len() * cells_per_item < PARALLEL_MIN_CELLS {
+        let threads = subtab_kernels::resolve_threads(threads, items.len());
+        if threads <= 1 || items.len() * cells_per_item < PARALLEL_MIN_CELLS {
             for (&item, chunk) in items.iter().zip(out.chunks_exact_mut(dim)) {
                 gather(item, chunk);
             }
@@ -512,16 +512,6 @@ impl CellEmbedding {
             acc.iter_mut().for_each(|a| *a *= inv);
         }
         acc
-    }
-}
-
-/// Resolves a configured thread count (`0` = all available cores).
-fn resolve_threads(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
     }
 }
 

@@ -4,17 +4,20 @@
 //! # Trainer architecture
 //!
 //! The corpus is flattened once into a contiguous buffer of
-//! `(center, context)` pairs, which is split into `threads` contiguous
-//! shards; each shard is trained by one worker with its own deterministic
-//! RNG stream derived from the seed. Four execution modes cover the
+//! `(center, context)` pairs. Three execution modes cover the
 //! speed/reproducibility trade-off:
 //!
 //! | `threads` | `deterministic` | mode |
 //! |---|---|---|
 //! | 1 | `true` (default) | **reference** — bit-exact with the original single-threaded trainer |
 //! | 1 | `false` | **fast sequential** — sigmoid table + alias sampling, reproducible |
-//! | >1 | `true` | **sharded replica averaging** — parallel, run-to-run reproducible |
-//! | >1 | `false` | **Hogwild** — lock-free shared weights, fastest, not bit-reproducible |
+//! | >1 | either | **sharded replica averaging** — the fast kernels in parallel, run-to-run reproducible |
+//!
+//! The parallel mode splits the buffer into `threads` contiguous shards.
+//! Every epoch, each worker trains a private replica of the weights on its
+//! shard with its own deterministic draw stream, and the replicas are then
+//! averaged in shard order. Fast sequential is the one-shard case of the
+//! same trainer. No two workers ever share writable memory.
 //!
 //! The reference path exists so golden embeddings and every downstream test
 //! that depends on exact vector values stay valid; the fast paths trade that
@@ -53,7 +56,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use subtab_binning::BinnedTable;
-use subtab_kernels::{fma_select, AlignedBuf};
+use subtab_kernels::{fma_select, map_indexed, resolve_threads, AlignedBuf};
 
 /// Hyper-parameters of the embedding step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,12 +101,11 @@ pub struct EmbeddingConfig {
     /// Worker threads for the sharded trainer. `0` uses all available
     /// cores; `1` (the default) trains on a single thread.
     pub threads: usize,
-    /// Reproducibility mode. With one thread, `true` selects the bit-exact
-    /// reference trainer; with several, workers train private replicas that
-    /// are averaged after every epoch, which is run-to-run reproducible
-    /// regardless of scheduling. `false` enables the fast kernels on one
-    /// thread and lock-free Hogwild updates on several (fastest, but racy
-    /// updates make repeated runs differ in the low bits).
+    /// Trainer choice on one thread: `true` selects the bit-exact reference
+    /// trainer, `false` the fast kernels. With several threads training
+    /// always runs the fast kernels on private replicas averaged after
+    /// every epoch, which is run-to-run reproducible regardless of
+    /// scheduling, so the flag has no effect there.
     pub deterministic: bool,
 }
 
@@ -149,17 +151,6 @@ impl EmbeddingConfig {
             subsample_t: self.subsample_t,
         }
     }
-
-    /// The worker count after resolving `threads = 0` to the machine's
-    /// available parallelism.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
 /// Trains cell embeddings for a binned table. This is the expensive half of
@@ -198,6 +189,9 @@ pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbeddi
 /// vocabulary — the shared back half of the streaming and materialized
 /// entry points. The weight matrices are allocated once, sized from the
 /// (possibly pruned) vocabulary.
+///
+/// # Panics
+/// Panics if `vocab` is not empty and a pair names a token id outside it.
 pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) -> CellEmbedding {
     let vocab_size = vocab.len();
     let dim = config.dim.max(1);
@@ -215,12 +209,12 @@ pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) 
     let mut w_out: Vec<f32> = vec![0.0; vocab_size * dim];
 
     if !pairs.is_empty() {
-        let threads = config.effective_threads().max(1).min(pairs.len());
-        match (threads, config.deterministic) {
+        match (
+            resolve_threads(config.threads, pairs.len()),
+            config.deterministic,
+        ) {
             (1, true) => train_reference(vocab, config, pairs, &mut w_in, &mut w_out, &mut rng),
-            (1, false) => train_fast_sequential(vocab, config, pairs, &mut w_in, &mut w_out),
-            (n, true) => train_sharded_averaged(vocab, config, pairs, n, &mut w_in, &mut w_out),
-            (n, false) => train_hogwild(vocab, config, pairs, n, &mut w_in, &mut w_out),
+            (n, _) => train_sharded_averaged(vocab, config, pairs, n, &mut w_in, &mut w_out),
         }
     }
 
@@ -393,86 +387,39 @@ fn shard_pairs(pairs: &[[u32; 2]], threads: usize) -> Vec<&[[u32; 2]]> {
     pairs.chunks(chunk).collect()
 }
 
-/// Raw pointers to the two weight matrices, shared across Hogwild workers.
-///
-/// Cloning the handle hands every worker mutable access to the same rows;
-/// concurrent updates race *by design* (Hogwild: sparse SGD updates rarely
-/// collide, and a lost f32 write costs a fraction of one gradient step).
-/// Aligned 4-byte stores cannot tear on the supported targets, so a racy
-/// read observes either the old or the new value.
-///
-/// This is formally a data race, which Rust's memory model does not bless
-/// even when every racing access is a plain aligned f32 — the same
-/// trade-off Hogwild implementations across the ecosystem make, because
-/// per-element relaxed atomics defeat the SIMD kernels. The race is only
-/// reachable in the explicitly opt-in `threads > 1, deterministic = false`
-/// mode; every other mode gives each worker exclusive storage. If a future
-/// toolchain miscompiles this, the fallback is swapping the fast mode's
-/// shared matrices for `AtomicU32` bit views at a measured throughput cost.
+/// The read-only inputs every shard kernel shares.
 #[derive(Clone, Copy)]
-struct WeightsPtr {
-    w_in: *mut f32,
-    w_out: *mut f32,
+struct KernelParams<'a> {
+    alias: &'a AliasTable,
+    sig: &'a SigmoidTable,
+    negative_samples: usize,
+    lr0: f32,
+    /// Row width of both weight matrices.
     dim: usize,
 }
 
-// SAFETY: the pointers stay valid for the whole thread::scope that uses
-// them, and the racy accesses are confined to `train_shard_fast` under the
-// Hogwild contract documented on the struct.
-unsafe impl Send for WeightsPtr {}
-unsafe impl Sync for WeightsPtr {}
-
-impl WeightsPtr {
-    fn new(w_in: &mut [f32], w_out: &mut [f32], dim: usize) -> Self {
-        WeightsPtr {
-            w_in: w_in.as_mut_ptr(),
-            w_out: w_out.as_mut_ptr(),
-            dim,
-        }
-    }
-
-    /// # Safety
-    /// `idx` must be a valid row; see the Hogwild contract on the struct.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // Hogwild: aliasing is the whole point
-    unsafe fn in_row(&self, idx: u32) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.w_in.add(idx as usize * self.dim), self.dim)
-    }
-
-    /// # Safety
-    /// `idx` must be a valid row; see the Hogwild contract on the struct.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // Hogwild: aliasing is the whole point
-    unsafe fn out_row(&self, idx: u32) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.w_out.add(idx as usize * self.dim), self.dim)
-    }
-}
-
-// The 64-byte-aligned training buffers (weight rows of the common
-// dimensionalities start on cache-line boundaries, so the wide loads and
-// stores of the kernels never straddle two lines) now live in
-// `subtab_kernels::AlignedBuf`, shared with every other SIMD consumer.
-
-/// Scratch state of one worker, kept across epochs so the learning-rate
+/// Schedule state of one shard, carried across epochs so the learning-rate
 /// schedule and draw stream continue seamlessly.
+#[derive(Clone, Copy)]
 struct ShardState {
     /// Counter for the counter-based negative-sampling stream: each draw is
     /// `splitmix64(ctr + k)`, so consecutive draws are independent
     /// computations the CPU can overlap (a stateful generator would chain
     /// them), while staying fully deterministic per shard.
     ctr: u64,
+    /// Pairs trained so far.
     processed: usize,
-    center: Vec<f32>,
-    grad: Vec<f32>,
+    /// The shard's full schedule length (`shard pairs × epochs`), so the
+    /// linear decay matches the single-threaded trainer's shape per stream.
+    lr_total: usize,
 }
 
 impl ShardState {
-    fn new(seed: u64, shard: usize, dim: usize) -> Self {
+    fn new(seed: u64, shard: usize, lr_total: usize) -> Self {
         ShardState {
             ctr: seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             processed: 0,
-            center: vec![0.0f32; dim],
-            grad: vec![0.0f32; dim],
+            lr_total,
         }
     }
 }
@@ -487,46 +434,21 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Signature shared by every fast shard kernel; see [`train_shard_fast`].
-type ShardKernel = unsafe fn(
-    &[[u32; 2]],
-    WeightsPtr,
-    &AliasTable,
-    &SigmoidTable,
-    usize,
-    f32,
-    usize,
-    &mut ShardState,
-);
-
-/// Trains one shard for one epoch with the fast kernels. `lr_total` is the
-/// shard's full schedule length (`shard pairs × epochs`), so the linear
-/// decay matches the single-threaded trainer's shape per stream.
+/// Signature shared by every fast shard kernel: trains one shard for one
+/// epoch on the worker's own input and output matrices.
 ///
 /// # Safety
-/// `w` must point into live matrices with `vocab × dim` elements; rows may
-/// be written concurrently by other workers only under the Hogwild contract
-/// documented on [`WeightsPtr`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn train_shard_fast(
-    pairs: &[[u32; 2]],
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
-    lr0: f32,
-    lr_total: usize,
-    state: &mut ShardState,
-) {
-    let kernel = shard_kernel_for(w.dim);
-    kernel(pairs, w, alias, sig, negative_samples, lr0, lr_total, state)
-}
+/// Both matrices must hold `vocab × params.dim` values, and every token id
+/// in the shard must be a row of them (the alias table draws only such
+/// ids). The kernel must be one [`shard_kernel_for`] picked for
+/// `params.dim`, so the CPU runs its target features.
+type ShardKernel = unsafe fn(&[[u32; 2]], &mut [f32], &mut [f32], &KernelParams, &mut ShardState);
 
-/// Picks the shard kernel once per shard. The common dimensionalities get a
-/// const-generic kernel, so the dot-product and update loops fully unroll
-/// and vectorise; other dimensions fall back to a runtime-length kernel.
-/// Dispatch honours `SUBTAB_FORCE_SCALAR_KERNELS`, which CI uses to
-/// exercise the portable path on any machine.
+/// Picks the shard kernel once per training run. The common
+/// dimensionalities get a const-generic kernel, so the dot-product and
+/// update loops fully unroll and vectorise; other dimensions fall back to a
+/// runtime-length kernel. Dispatch honours `SUBTAB_FORCE_SCALAR_KERNELS`,
+/// which CI uses to exercise the portable path on any machine.
 fn shard_kernel_for(dim: usize) -> ShardKernel {
     #[cfg(target_arch = "x86_64")]
     {
@@ -564,27 +486,32 @@ fn shard_kernel_for(dim: usize) -> ShardKernel {
 /// versus separate multiply-add.
 ///
 /// # Safety
-/// See [`train_shard_fast`]; additionally `w.dim` must equal `DIM`.
+/// See [`ShardKernel`]; additionally `p.dim` must equal `DIM`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop)]
 unsafe fn kernel_body<const DIM: usize, const FUSED: bool>(
     pairs: &[[u32; 2]],
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
-    lr0: f32,
-    lr_total: usize,
+    w_in: &mut [f32],
+    w_out: &mut [f32],
+    p: &KernelParams,
     state: &mut ShardState,
 ) {
-    debug_assert_eq!(w.dim, DIM);
-    let inv_total = 1.0 / (lr_total as f32 + 1.0);
+    debug_assert_eq!(p.dim, DIM);
+    let KernelParams {
+        alias,
+        sig,
+        negative_samples,
+        lr0,
+        ..
+    } = *p;
+    let (w_in, w_out) = (w_in.as_mut_ptr(), w_out.as_mut_ptr());
+    let inv_total = 1.0 / (state.lr_total as f32 + 1.0);
     let mut center = [0.0f32; DIM];
     for &[center_id, context] in pairs {
         let lr = lr0 * (1.0 - state.processed as f32 * inv_total).max(0.1);
         state.processed += 1;
 
-        let in_row = w.w_in.add(center_id as usize * DIM);
+        let in_row = w_in.add(center_id as usize * DIM);
         for d in 0..DIM {
             center[d] = *in_row.add(d);
         }
@@ -611,7 +538,7 @@ unsafe fn kernel_body<const DIM: usize, const FUSED: bool>(
             if label == 0.0 && target == context {
                 continue;
             }
-            let out = w.w_out.add(target as usize * DIM);
+            let out = w_out.add(target as usize * DIM);
             // Lane-parallel partial sums: a strict sequential reduction
             // would chain DIM scalar FMAs (FP adds cannot be reordered by
             // the compiler), serialising the whole kernel. Eight
@@ -657,19 +584,15 @@ unsafe fn kernel_body<const DIM: usize, const FUSED: bool>(
 /// inner loop has a compile-time trip count.
 ///
 /// # Safety
-/// See [`train_shard_fast`]; additionally `w.dim` must equal `DIM`.
-#[allow(clippy::too_many_arguments)]
+/// See [`ShardKernel`]; additionally `p.dim` must equal `DIM`.
 unsafe fn shard_kernel<const DIM: usize>(
     pairs: &[[u32; 2]],
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
-    lr0: f32,
-    lr_total: usize,
+    w_in: &mut [f32],
+    w_out: &mut [f32],
+    p: &KernelParams,
     state: &mut ShardState,
 ) {
-    kernel_body::<DIM, false>(pairs, w, alias, sig, negative_samples, lr0, lr_total, state)
+    kernel_body::<DIM, false>(pairs, w_in, w_out, p, state)
 }
 
 /// AVX2+FMA variant of the kernel, dispatched at runtime: the compile-time
@@ -682,18 +605,14 @@ unsafe fn shard_kernel<const DIM: usize>(
 /// CPU supports AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn shard_kernel_fma<const DIM: usize>(
     pairs: &[[u32; 2]],
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
-    lr0: f32,
-    lr_total: usize,
+    w_in: &mut [f32],
+    w_out: &mut [f32],
+    p: &KernelParams,
     state: &mut ShardState,
 ) {
-    kernel_body::<DIM, true>(pairs, w, alias, sig, negative_samples, lr0, lr_total, state)
+    kernel_body::<DIM, true>(pairs, w_in, w_out, p, state)
 }
 
 /// AVX-512 kernel for dimensions that are a multiple of 16 (at most 64): a
@@ -722,38 +641,35 @@ unsafe fn shard_kernel_fma<const DIM: usize>(
 ///
 /// # Safety
 /// See [`shard_kernel`]; the caller must have verified the AVX-512 tier
-/// (`avx512f`, `avx512dq`, `avx512vl`) and that `w.dim == 16 * CHUNKS`.
+/// (`avx512f`, `avx512dq`, `avx512vl`) and that `p.dim == 16 * CHUNKS`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
     pairs: &[[u32; 2]],
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
-    lr0: f32,
-    lr_total: usize,
+    w_in: &mut [f32],
+    w_out: &mut [f32],
+    p: &KernelParams,
     state: &mut ShardState,
 ) {
     use core::arch::x86_64::_mm256_setzero_si256;
-    debug_assert!((1..=4).contains(&CHUNKS) && w.dim == 16 * CHUNKS);
+    debug_assert!((1..=4).contains(&CHUNKS) && p.dim == 16 * CHUNKS);
     // The lane draws gather from the table without bounds checks.
     assert!(
-        negative_samples == 0 || !alias.is_empty(),
+        p.negative_samples == 0 || !p.alias.is_empty(),
         "alias table is empty"
     );
-    let inv_total = 1.0 / (lr_total as f32 + 1.0);
+    let (w_in, w_out) = (w_in.as_mut_ptr(), w_out.as_mut_ptr());
+    let inv_total = 1.0 / (state.lr_total as f32 + 1.0);
     let base_processed = state.processed;
     let base_ctr = state.ctr;
     state.processed += pairs.len();
     state.ctr = base_ctr.wrapping_add(pairs.len() as u64);
 
-    let lane_draws = (1..=7).contains(&negative_samples);
+    let lane_draws = (1..=7).contains(&p.negative_samples);
     let draw = |idx: usize| {
         if lane_draws {
             let ctr = base_ctr.wrapping_add(idx as u64);
-            avx512_draw_lanes(alias, ctr.wrapping_mul(0x632B_E5AB))
+            avx512_draw_lanes(p.alias, ctr.wrapping_mul(0x632B_E5AB))
         } else {
             _mm256_setzero_si256()
         }
@@ -775,9 +691,9 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
         if n + 1 < pairs.len() {
             next = draw(order(n + 1));
         }
-        let lr = lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
+        let lr = p.lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
         let ctr = base_ctr.wrapping_add(idx as u64);
-        avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, drawn, w, alias, sig, negative_samples);
+        avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, drawn, w_in, w_out, p);
     }
 }
 
@@ -785,9 +701,10 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
 /// targets are drawn and all dot products computed before any update: the
 /// reductions are independent dependency chains the CPU overlaps, instead
 /// of one serial draw→dot→sigmoid→update chain per sample. A dot therefore
-/// reads each out-row as it was before this pair's updates — staleness
-/// Hogwild already embraces, and still deterministic because program order
-/// is fixed.
+/// reads each out-row as it was before this pair's updates. SGD tolerates
+/// that one-pair staleness as it tolerates the replicas' per-epoch
+/// averaging, and the result stays deterministic because program order is
+/// fixed.
 ///
 /// With `1 + negative_samples ≤ 8` targets the per-target scalar work runs
 /// across lanes: `drawn` holds the negatives from [`avx512_draw_lanes`]
@@ -805,63 +722,58 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
 ///
 /// # Safety
 /// See [`shard_kernel_avx512`]; only call it from a function with those
-/// features.
+/// features. `w_in` and `w_out` point at the worker's matrices.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[allow(clippy::needless_range_loop)]
 unsafe fn avx512_pair_step<const CHUNKS: usize>(
     [center_id, context]: [u32; 2],
     lr: f32,
     ctr: u64,
     drawn: core::arch::x86_64::__m256i,
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
+    w_in: *mut f32,
+    w_out: *mut f32,
+    p: &KernelParams,
 ) {
     use core::arch::x86_64::*;
+    let dim = 16 * CHUNKS;
     let mut center = [_mm512_setzero_ps(); CHUNKS];
     let mut grad = [_mm512_setzero_ps(); CHUNKS];
-    let in_row = w.w_in.add(center_id as usize * w.dim);
+    let in_row = w_in.add(center_id as usize * dim);
     for c in 0..CHUNKS {
         center[c] = _mm512_loadu_ps(in_row.add(c * 16));
     }
-    let total = 1 + negative_samples;
+    let total = 1 + p.negative_samples;
     if total <= 8 {
         let mut targets = [0u32; 8];
         _mm256_storeu_si256(targets.as_mut_ptr().cast(), drawn);
         targets[0] = context;
         let mut acc = [_mm512_setzero_ps(); 8];
         for k in 0..total {
-            acc[k] = avx512_dot_lanes(&center, w.w_out.add(targets[k] as usize * w.dim));
+            acc[k] = avx512_dot_lanes(&center, w_out.add(targets[k] as usize * dim));
         }
         let dots = avx512_reduce_lanes(acc);
-        let p = _mm256_i32gather_ps::<4>(sig.table.as_ptr(), avx512_sigmoid_index_lanes(dots));
+        let sig = _mm256_i32gather_ps::<4>(p.sig.table.as_ptr(), avx512_sigmoid_index_lanes(dots));
         let label = _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
         let mut g = [0.0f32; 8];
         _mm256_storeu_ps(
             g.as_mut_ptr(),
-            _mm256_mul_ps(_mm256_sub_ps(label, p), _mm256_set1_ps(lr)),
+            _mm256_mul_ps(_mm256_sub_ps(label, sig), _mm256_set1_ps(lr)),
         );
         for k in 0..total {
             let target = targets[k];
             if k > 0 && target == context {
                 continue;
             }
-            avx512_update(
-                &center,
-                &mut grad,
-                w.w_out.add(target as usize * w.dim),
-                g[k],
-            );
+            avx512_update(&center, &mut grad, w_out.add(target as usize * dim), g[k]);
         }
     } else {
-        for neg in 0..=negative_samples {
+        for neg in 0..=p.negative_samples {
             let (target, label) = if neg == 0 {
                 (context, 1.0f32)
             } else {
                 (
-                    alias.sample_from_u64(splitmix64(
+                    p.alias.sample_from_u64(splitmix64(
                         ctr.wrapping_mul(0x632B_E5AB).wrapping_add(neg as u64),
                     )),
                     0.0f32,
@@ -870,9 +782,9 @@ unsafe fn avx512_pair_step<const CHUNKS: usize>(
             if label == 0.0 && target == context {
                 continue;
             }
-            let out = w.w_out.add(target as usize * w.dim);
+            let out = w_out.add(target as usize * dim);
             let dot = _mm512_reduce_add_ps(avx512_dot_lanes(&center, out));
-            let g = (label - sig.value(dot)) * lr;
+            let g = (label - p.sig.value(dot)) * lr;
             avx512_update(&center, &mut grad, out, g);
         }
     }
@@ -1013,7 +925,7 @@ unsafe fn avx512_dot_lanes<const CHUNKS: usize>(
 /// centre gradient and moves the out-row by `g · center`.
 ///
 /// # Safety
-/// As [`avx512_dot`], with `out` writable.
+/// As [`avx512_dot_lanes`], with `out` writable.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn avx512_update<const CHUNKS: usize>(
@@ -1031,30 +943,32 @@ unsafe fn avx512_update<const CHUNKS: usize>(
     }
 }
 
-/// Runtime-dimension fallback of [`shard_kernel`], using the worker's
-/// scratch vectors.
-///
-/// # Safety
-/// See [`train_shard_fast`].
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn shard_kernel_dyn(
+/// Runtime-dimension fallback of [`shard_kernel`]: the same per-target
+/// arithmetic over bounds-checked rows, with heap scratch.
+#[allow(clippy::needless_range_loop)]
+fn shard_kernel_dyn(
     pairs: &[[u32; 2]],
-    w: WeightsPtr,
-    alias: &AliasTable,
-    sig: &SigmoidTable,
-    negative_samples: usize,
-    lr0: f32,
-    lr_total: usize,
+    w_in: &mut [f32],
+    w_out: &mut [f32],
+    p: &KernelParams,
     state: &mut ShardState,
 ) {
-    let dim = w.dim;
-    let inv_total = 1.0 / (lr_total as f32 + 1.0);
+    let KernelParams {
+        alias,
+        sig,
+        negative_samples,
+        lr0,
+        dim,
+    } = *p;
+    let inv_total = 1.0 / (state.lr_total as f32 + 1.0);
+    let mut center_vec = vec![0.0f32; dim];
+    let mut grad = vec![0.0f32; dim];
     for &[center, context] in pairs {
         let lr = lr0 * (1.0 - state.processed as f32 * inv_total).max(0.1);
         state.processed += 1;
 
-        state.center.copy_from_slice(w.in_row(center));
-        state.grad.iter_mut().for_each(|g| *g = 0.0);
+        center_vec.copy_from_slice(row(w_in, center, dim));
+        grad.fill(0.0);
         let ctr = state.ctr;
         state.ctr = ctr.wrapping_add(negative_samples as u64);
         for neg in 0..=negative_samples {
@@ -1069,112 +983,32 @@ unsafe fn shard_kernel_dyn(
             if label == 0.0 && target == context {
                 continue;
             }
-            let out = w.out_row(target);
+            let out = row_mut(w_out, target, dim);
             let mut dot = 0.0f32;
             for d in 0..dim {
-                dot += state.center[d] * out[d];
+                dot += center_vec[d] * out[d];
             }
             let g = (label - sig.value(dot)) * lr;
             for d in 0..dim {
-                state.grad[d] += g * out[d];
-                out[d] += g * state.center[d];
+                grad[d] += g * out[d];
+                out[d] += g * center_vec[d];
             }
         }
-        let center_row = w.in_row(center);
+        let center_row = row_mut(w_in, center, dim);
         for d in 0..dim {
-            center_row[d] += state.grad[d];
+            center_row[d] += grad[d];
         }
     }
 }
 
-/// Fast kernels on a single thread: one shard, one RNG stream, exclusive
-/// weight access — reproducible run to run, but not bit-compatible with the
-/// reference path (table sigmoid, alias draws).
-fn train_fast_sequential(
-    vocab: &Vocab,
-    config: &EmbeddingConfig,
-    pairs: &[[u32; 2]],
-    w_in: &mut [f32],
-    w_out: &mut [f32],
-) {
-    let dim = config.dim.max(1);
-    let epochs = config.epochs.max(1);
-    let sig = SigmoidTable::new();
-    let alias = vocab.alias_table();
-    let mut a_in = AlignedBuf::from_slice(w_in);
-    let mut a_out = AlignedBuf::from_slice(w_out);
-    let w = WeightsPtr::new(a_in.as_mut_slice(), a_out.as_mut_slice(), dim);
-    let mut state = ShardState::new(config.seed, 0, dim);
-    for _ in 0..epochs {
-        // SAFETY: exclusive access — no other worker exists.
-        unsafe {
-            train_shard_fast(
-                pairs,
-                w,
-                alias,
-                &sig,
-                config.negative_samples,
-                config.learning_rate,
-                pairs.len() * epochs,
-                &mut state,
-            );
-        }
-    }
-    a_in.copy_back(w_in);
-    a_out.copy_back(w_out);
-}
-
-/// Hogwild: every worker trains its shard against the shared matrices with
-/// no synchronisation at all (scoped threads, racy f32 updates). Fastest
-/// mode; repeated runs differ in the low bits whenever shards truly race.
-fn train_hogwild(
-    vocab: &Vocab,
-    config: &EmbeddingConfig,
-    pairs: &[[u32; 2]],
-    threads: usize,
-    w_in: &mut [f32],
-    w_out: &mut [f32],
-) {
-    let dim = config.dim.max(1);
-    let epochs = config.epochs.max(1);
-    let sig = &SigmoidTable::new();
-    let alias = vocab.alias_table();
-    let shards = shard_pairs(pairs, threads);
-    let mut a_in = AlignedBuf::from_slice(w_in);
-    let mut a_out = AlignedBuf::from_slice(w_out);
-    let w = WeightsPtr::new(a_in.as_mut_slice(), a_out.as_mut_slice(), dim);
-    std::thread::scope(|scope| {
-        for (i, shard) in shards.into_iter().enumerate() {
-            let mut state = ShardState::new(config.seed, i, dim);
-            scope.spawn(move || {
-                for _ in 0..epochs {
-                    // SAFETY: Hogwild contract on `WeightsPtr`; the scope
-                    // keeps the matrices alive until every worker joins.
-                    unsafe {
-                        train_shard_fast(
-                            shard,
-                            w,
-                            alias,
-                            sig,
-                            config.negative_samples,
-                            config.learning_rate,
-                            shard.len() * epochs,
-                            &mut state,
-                        );
-                    }
-                }
-            });
-        }
-    });
-    a_in.copy_back(w_in);
-    a_out.copy_back(w_out);
-}
-
-/// Deterministic parallel mode: each worker trains a private replica of the
-/// weights on its shard for one epoch; replicas are then averaged into the
-/// master in worker order. Every worker's arithmetic depends only on its
-/// shard, replica and RNG stream — never on scheduling — so repeated runs
-/// are bit-identical even at high thread counts.
+/// The fast kernels at any thread count. The pair buffer is split into
+/// `threads` contiguous shards; every epoch, each worker trains a private
+/// replica of the weights on its shard with its own draw stream, and the
+/// replicas are then averaged into the master in shard order. A worker's
+/// arithmetic depends only on its shard, replica and stream, never on
+/// scheduling, so repeated runs are bit-identical at any thread count. One
+/// shard is the single-thread fast path: its average is its replica,
+/// exactly.
 fn train_sharded_averaged(
     vocab: &Vocab,
     config: &EmbeddingConfig,
@@ -1185,57 +1019,54 @@ fn train_sharded_averaged(
 ) {
     let dim = config.dim.max(1);
     let epochs = config.epochs.max(1);
-    let sig = &SigmoidTable::new();
-    let alias = vocab.alias_table();
+    let sig = SigmoidTable::new();
+    let params = KernelParams {
+        alias: vocab.alias_table(),
+        sig: &sig,
+        negative_samples: config.negative_samples,
+        lr0: config.learning_rate,
+        dim,
+    };
+    // The kernels index weight rows unchecked; the alias table draws only
+    // vocabulary ids, and the caller's pairs are checked here.
+    assert!(
+        pairs
+            .iter()
+            .flatten()
+            .max()
+            .is_none_or(|&id| (id as usize) < vocab.len()),
+        "pair token id outside the vocabulary"
+    );
+    let kernel = shard_kernel_for(dim);
     let shards = shard_pairs(pairs, threads);
-    let n = shards.len();
-
-    // Replica contents are overwritten from the master at the top of every
-    // epoch, so construction only needs correctly-sized zeroed storage.
-    let mut replicas: Vec<(AlignedBuf, AlignedBuf)> = (0..n)
-        .map(|_| {
-            (
-                AlignedBuf::zeroed(w_in.len()),
-                AlignedBuf::zeroed(w_out.len()),
-            )
-        })
-        .collect();
-    let mut states: Vec<ShardState> = (0..n)
-        .map(|i| ShardState::new(config.seed, i, dim))
+    let mut states: Vec<ShardState> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| ShardState::new(config.seed, i, shard.len() * epochs))
         .collect();
 
     for _epoch in 0..epochs {
-        for (rin, rout) in replicas.iter_mut() {
-            rin.as_mut_slice().copy_from_slice(w_in);
-            rout.as_mut_slice().copy_from_slice(w_out);
-        }
-        std::thread::scope(|scope| {
-            for ((shard, (rin, rout)), state) in shards
-                .iter()
-                .zip(replicas.iter_mut())
-                .zip(states.iter_mut())
-            {
-                let shard: &[[u32; 2]] = shard;
-                scope.spawn(move || {
-                    let w = WeightsPtr::new(rin.as_mut_slice(), rout.as_mut_slice(), dim);
-                    // SAFETY: exclusive access — each worker owns its replica.
-                    unsafe {
-                        train_shard_fast(
-                            shard,
-                            w,
-                            alias,
-                            sig,
-                            config.negative_samples,
-                            config.learning_rate,
-                            shard.len() * epochs,
-                            state,
-                        );
-                    }
-                });
-            }
+        let replicas = map_indexed(shards.len(), shards.len(), |i| {
+            let mut r_in = AlignedBuf::from_slice(w_in);
+            let mut r_out = AlignedBuf::from_slice(w_out);
+            let mut state = states[i];
+            // SAFETY: `shard_kernel_for` picked the kernel for `dim` and this
+            // CPU; both replicas are `vocab × dim`, and every pair id was
+            // checked against the vocabulary above.
+            unsafe {
+                kernel(
+                    shards[i],
+                    r_in.as_mut_slice(),
+                    r_out.as_mut_slice(),
+                    &params,
+                    &mut state,
+                )
+            };
+            (r_in, r_out, state)
         });
         average_into(w_in, replicas.iter().map(|r| r.0.as_slice()));
         average_into(w_out, replicas.iter().map(|r| r.1.as_slice()));
+        states = replicas.iter().map(|r| r.2).collect();
     }
 }
 
@@ -1780,8 +1611,10 @@ mod tests {
         assert!(sim_pos > sim_neg);
     }
 
+    /// `deterministic = false` at four threads runs the replica trainer,
+    /// like `true` does.
     #[test]
-    fn hogwild_mode_trains_finite_vectors() {
+    fn parallel_fast_flag_trains_finite_vectors() {
         let bt = patterned_binned(60);
         let cfg = EmbeddingConfig {
             threads: 4,
@@ -1810,13 +1643,29 @@ mod tests {
         }
     }
 
+    /// The fast kernels index rows unchecked, so a foreign id must stop
+    /// training before any kernel runs, as the reference path's slice index
+    /// does.
+    #[test]
+    #[should_panic(expected = "outside the vocabulary")]
+    fn fast_kernels_reject_pair_ids_outside_the_vocabulary() {
+        let mut vocab =
+            Vocab::from_tokens_and_counts(vec!["a".to_string(), "b".to_string()], vec![3, 2]);
+        vocab.build_sampling_table();
+        let cfg = EmbeddingConfig {
+            deterministic: false,
+            ..small_config()
+        };
+        train_pairs(&vocab, &[[0, 1], [1, 400_000_000]], &cfg);
+    }
+
     #[test]
     fn threads_zero_resolves_to_available_parallelism() {
         let cfg = EmbeddingConfig {
             threads: 0,
             ..Default::default()
         };
-        assert!(cfg.effective_threads() >= 1);
+        assert!(resolve_threads(cfg.threads, usize::MAX) >= 1);
         let bt = patterned_binned(30);
         let emb = train_embedding(
             &bt,

@@ -36,8 +36,9 @@ const ALL_KINDS: [DatasetKind; 6] = [
 /// Dimensionalities folded into each digest.
 const DIMS: [usize; 6] = [8, 16, 24, 32, 48, 64];
 
-/// `(name, threads, deterministic)`: the replica-averaging mode and the
-/// single-thread fast mode. Hogwild races, so it has no pinned bits.
+/// `(name, threads, deterministic)`: the two-shard replica-averaging mode
+/// and the single-thread fast mode, its one-shard case. Both run the fast
+/// kernels, so their bits differ per tier.
 const MODES: [(&str, usize, bool); 2] = [("t2-det", 2, true), ("t1-fast", 1, false)];
 
 fn binned(kind: DatasetKind) -> BinnedTable {

@@ -3,8 +3,8 @@
 //! The fixture in `tests/golden/embedding_ref_seed7.txt` was captured from
 //! the pre-refactor single-threaded trainer (hex `f32::to_bits` per
 //! component). The `threads = 1` reference path must keep reproducing it
-//! byte for byte; the parallel deterministic mode must stay run-to-run
-//! reproducible at any thread count.
+//! byte for byte; the parallel replica-averaging mode must stay run-to-run
+//! reproducible at any thread count, whatever `deterministic` says.
 
 use subtab_binning::{Binner, BinningConfig};
 use subtab_data::Table;
@@ -79,11 +79,29 @@ fn threads_4_deterministic_mode_is_run_to_run_reproducible() {
 }
 
 #[test]
-fn hogwild_learns_the_planted_co_occurrence() {
-    // Hogwild is racy by design, so no bit-exactness — but the learned
-    // structure must hold: a=0 co-occurs with b="p" in every row sentence
-    // and never with b="q". A 4-way keyed pattern keeps the embedding
-    // space non-degenerate so the ordering is stable across racy runs.
+fn threads_4_give_the_same_bits_for_either_deterministic_flag() {
+    let (bt, cfg) = golden_setup();
+    let train = |deterministic| {
+        render_bits(&train_embedding(
+            &bt,
+            &EmbeddingConfig {
+                threads: 4,
+                deterministic,
+                ..cfg.clone()
+            },
+        ))
+    };
+    let fast = train(false);
+    assert_eq!(fast, train(true));
+    assert_eq!(fast, train(false));
+}
+
+#[test]
+fn parallel_replicas_learn_the_planted_co_occurrence() {
+    // `threads = 4, deterministic = false` trains four averaged replicas.
+    // The learned structure must hold: a=0 co-occurs with b="p" in every
+    // row sentence and never with b="q". A 4-way keyed pattern keeps the
+    // embedding space non-degenerate.
     let rows = 200usize;
     let labels = ["p", "q", "r", "s"];
     let t = Table::builder()
@@ -94,7 +112,7 @@ fn hogwild_learns_the_planted_co_occurrence() {
         .unwrap();
     let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
     let bt = binner.apply(&t).unwrap();
-    let hog = train_embedding(
+    let emb = train_embedding(
         &bt,
         &EmbeddingConfig {
             dim: 8,
@@ -109,14 +127,14 @@ fn hogwild_learns_the_planted_co_occurrence() {
     );
     let a_col = bt.column_index("a").unwrap();
     let b_col = bt.column_index("b").unwrap();
-    let pos = hog
+    let pos = emb
         .cosine(&bt.cell_token(0, a_col), &bt.cell_token(0, b_col))
         .unwrap();
-    let neg = hog
+    let neg = emb
         .cosine(&bt.cell_token(0, a_col), &bt.cell_token(1, b_col))
         .unwrap();
     assert!(
         pos > neg,
-        "hogwild lost the planted co-occurrence: cos+ = {pos}, cos- = {neg}"
+        "the replicas lost the planted co-occurrence: cos+ = {pos}, cos- = {neg}"
     );
 }

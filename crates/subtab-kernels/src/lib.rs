@@ -9,7 +9,10 @@
 //! bitmap words directly (the compiled query leaves in `subtab-core`). The
 //! feature-detection and FMA helpers that used to be trapped inside
 //! `subtab-embed`'s SGNS trainer are exported from [`dispatch`] so every
-//! consumer shares one dispatch story.
+//! consumer shares one dispatch story. The workspace's one thread policy
+//! lives here too: [`threads`] resolves every `threads` knob and runs the
+//! order-preserving fan-outs of the binning fit, rule mining and the SGNS
+//! trainer's replicas.
 //!
 //! # Dispatch tiers
 //!
@@ -47,6 +50,7 @@ pub mod dequant;
 pub mod dispatch;
 pub mod distance;
 pub mod scan;
+pub mod threads;
 
 pub use aligned::AlignedBuf;
 pub use dequant::{
@@ -60,3 +64,4 @@ pub use scan::{
     scan_f64_masked, scan_f64_with_isa, scan_i64, scan_i64_masked, scan_i64_with_isa, CmpOp,
     NumericScan,
 };
+pub use threads::{map_indexed, resolve_threads};

@@ -22,9 +22,8 @@
 
 use crate::apriori::FrequentItemset;
 use crate::interner::{ItemId, ItemInterner};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use subtab_binning::BinnedTable;
+use subtab_kernels::map_indexed;
 
 // Row bitmaps are the shared workspace `Bitmap`. Bit `i` corresponds to the
 // `i`-th row of the mining scope: for whole-table mining that is row `i`
@@ -196,7 +195,7 @@ pub fn frequent_itemsets_bitmap(
         extend(&mut prefix, exts, interner, min_count, max_size, &mut found);
         found
     };
-    let per_root: Vec<Vec<FoundItemset>> = parallel_map_indexed(threads, frequent.len(), walk_root);
+    let per_root: Vec<Vec<FoundItemset>> = map_indexed(threads, frequent.len(), walk_root);
 
     // Group by size and sort each level by item ids — the exact shape the
     // Apriori reference produces.
@@ -277,54 +276,6 @@ fn extend(
         }
         prefix.pop();
     }
-}
-
-/// Resolves a thread-count knob: `0` = all available cores, clamped to the
-/// number of independent work units.
-pub(crate) fn effective_threads(threads: usize, units: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    t.min(units).max(1)
-}
-
-/// Runs `f(0..n)` across scoped worker threads pulling indices from a
-/// shared counter, collecting results in index order — the fan-out shape
-/// shared by the lattice-root walk and the target-partition mining (`0`
-/// threads = all available cores, `≤ 1` = sequential in the caller's
-/// thread).
-pub(crate) fn parallel_map_indexed<T: Send>(
-    threads: usize,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let threads = effective_threads(threads, n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("fan-out slot lock poisoned") = Some(f(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("fan-out slot lock poisoned")
-                .expect("every index was drained by a worker")
-        })
-        .collect()
 }
 
 #[cfg(test)]

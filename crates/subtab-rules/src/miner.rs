@@ -12,12 +12,13 @@
 //!   comparator the `rules` benchmark quotes speedups against.
 
 use crate::apriori::{self, FrequentItemset};
-use crate::bitmap::{self, parallel_map_indexed, VerticalIndex};
+use crate::bitmap::{self, VerticalIndex};
 use crate::interner::{ItemId, ItemInterner};
 use crate::rule::{AssociationRule, ColumnMask, RuleSet};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use subtab_binning::BinnedTable;
+use subtab_kernels::map_indexed;
 
 /// Parameters of the rule-mining step.
 ///
@@ -185,7 +186,7 @@ impl RuleMiner {
             Engine::Apriori => 1,
             Engine::Bitmap => self.config.threads,
         };
-        let mut all: Vec<AssociationRule> = parallel_map_indexed(threads, partitions.len(), |i| {
+        let mut all: Vec<AssociationRule> = map_indexed(threads, partitions.len(), |i| {
             mine_partition(&partitions[i])
         })
         .into_iter()
