@@ -156,16 +156,17 @@ fn main() {
     }
 }
 
-/// Runs one gated experiment, prints its report, writes the JSON to
-/// `json_path` and gates it against `baseline_path`; exits 1 when any check
-/// of the experiment's policy fails.
+/// Runs one gated experiment behind the shared reference row, prints its
+/// report, writes the JSON to `json_path` and gates it against
+/// `baseline_path`; exits 1 when any check of the experiment's policy
+/// fails.
 fn run_gated(
     experiment: &GatedExperiment,
     scale: ExperimentScale,
     json_path: Option<&str>,
     baseline_path: Option<&str>,
 ) {
-    let report = (experiment.run)(scale);
+    let report = experiment.report(scale);
     println!("{}", (experiment.render)(&report));
     if let Some(path) = json_path {
         std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));

@@ -18,7 +18,8 @@ pub mod user_study;
 use report::GatedExperiment;
 
 /// The CI-gated experiments: each writes a `BENCH_*.json` report and is
-/// gated against a checked-in baseline under its own policy.
+/// gated against its checked-in `ci/BENCH_<name>_baseline.json` under its
+/// own policy.
 pub const GATED: [GatedExperiment; 5] = [
     GatedExperiment {
         name: "preprocess",
@@ -36,7 +37,7 @@ pub const GATED: [GatedExperiment; 5] = [
     },
     GatedExperiment {
         name: "rules",
-        about: "rule-engine scaling: bitmap vs Apriori mining, highlight index",
+        about: "rule-engine scaling: bitmap mining and the highlight index",
         run: rules_mining::run,
         render: rules_mining::render,
         policy: &rules_mining::POLICY,

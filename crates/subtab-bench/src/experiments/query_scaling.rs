@@ -1,7 +1,7 @@
 //! Query-time selection scaling: times `select` / `select_for_query` through
-//! the token-ID engine against the preserved string-keyed reference path and
-//! emits machine-readable JSON (`BENCH_query.json`) for the CI
-//! bench-regression gate.
+//! the token-ID engine, plus the SIMD k-means assignment and compiled-leaf
+//! scans against their scalar runtime tiers, and emits machine-readable
+//! JSON (`BENCH_query.json`) for the CI bench-regression gate.
 //!
 //! Pre-processing (binning, corpus, SGNS) is paid once outside the timed
 //! region — this experiment measures what the paper calls the *interactive*
@@ -9,9 +9,11 @@
 //! and for every exploratory query issued over it.
 
 use crate::experiments::common::ExperimentScale;
-use crate::experiments::report::{best_of, format_rows, BenchReport, BenchRow, GatePolicy, Meta};
+use crate::experiments::report::{
+    best_of_each, format_rows, BenchReport, BenchRow, GatePolicy, Meta,
+};
 use subtab_cluster::{assign_blocks, assign_points_scalar, PointBlocks};
-use subtab_core::select::{select_sub_table, select_sub_table_strkey};
+use subtab_core::select::select_sub_table;
 use subtab_core::{leaf_bitmap, leaf_bitmap_scalar, PreprocessedTable, SelectionParams};
 use subtab_data::Predicate;
 use subtab_datasets::{
@@ -19,19 +21,9 @@ use subtab_datasets::{
     benchmark_projected_query, DatasetKind,
 };
 
-/// Label of the string-keyed query comparator (the gate's normalisation
-/// reference, like `seed-legacy-1t` for the preprocess experiment).
-const STRKEY_QUERY_MODE: &str = "query-strkey-1t";
-
-/// The query gate: every selection and kernel mode, normalised to the
-/// string-keyed comparator of the same capture.
-pub const POLICY: GatePolicy = GatePolicy {
-    reference_mode: STRKEY_QUERY_MODE,
-    wall_threshold: 0.25,
-    rss_factor: None,
-    rss_ceiling: None,
-    ratio_floors: &[],
-};
+/// The query gate: normalised wall times of every selection and kernel
+/// mode.
+pub const POLICY: GatePolicy = GatePolicy::WALL_ONLY;
 
 /// Which selection each benchmark mode runs.
 #[derive(Clone, Copy)]
@@ -71,46 +63,36 @@ enum Workload {
 /// microseconds, below timer noise.
 const KERNEL_INNER_ITERS: usize = 24;
 
-/// The selection modes: `(label, threads, strkey, workload)`.
+/// The selection modes: `(label, threads, workload)`.
 ///
 /// `query-*` modes time `select_for_query` (row/column vectors recomputed
-/// per call on both engines — the honest apples-to-apples comparison);
-/// `select-*` modes time the whole-table `select`, where the token-ID engine
-/// reuses the Arc-cached flat row matrix (primed before timing) while the
-/// string-keyed comparator re-gathers every vector, which is what the
-/// selection would cost without the precomputed plane.
-const MODES: &[(&str, usize, bool, Workload)] = &[
-    (STRKEY_QUERY_MODE, 1, true, Workload::FilterQuery),
-    ("query-tokenid-1t", 1, false, Workload::FilterQuery),
-    ("query-tokenid-4t", 4, false, Workload::FilterQuery),
-    ("query-proj-strkey-1t", 1, true, Workload::ProjQuery),
-    ("query-proj-tokenid-1t", 1, false, Workload::ProjQuery),
-    ("query-ast-1t", 1, false, Workload::AstQuery),
-    ("query-ast-deep-nest-1t", 1, false, Workload::DeepNestQuery),
-    ("select-strkey-1t", 1, true, Workload::WholeTable),
-    ("select-tokenid-1t", 1, false, Workload::WholeTable),
+/// per call); `select-tokenid-1t` times the whole-table `select`, which
+/// reuses the Arc-cached flat row matrix (primed before timing).
+const MODES: &[(&str, usize, Workload)] = &[
+    ("query-tokenid-1t", 1, Workload::FilterQuery),
+    ("query-tokenid-4t", 4, Workload::FilterQuery),
+    ("query-proj-tokenid-1t", 1, Workload::ProjQuery),
+    ("query-ast-1t", 1, Workload::AstQuery),
+    ("query-ast-deep-nest-1t", 1, Workload::DeepNestQuery),
+    ("select-tokenid-1t", 1, Workload::WholeTable),
     (
         "select-kernel-simd-1t",
         1,
-        false,
         Workload::KernelAssign { scalar: false },
     ),
     (
         "select-kernel-scalar-1t",
         1,
-        false,
         Workload::KernelAssign { scalar: true },
     ),
     (
         "compile-leaf-simd-1t",
         1,
-        false,
         Workload::CompileLeaf { scalar: false },
     ),
     (
         "compile-leaf-scalar-1t",
         1,
-        false,
         Workload::CompileLeaf { scalar: true },
     ),
 ];
@@ -118,27 +100,6 @@ const MODES: &[(&str, usize, bool, Workload)] = &[
 /// The headline ratios, `(key, slow mode, fast mode)`: the wall-time
 /// ratio of the slow mode over the fast one.
 const SPEEDUPS: &[(&str, &str, &str)] = &[
-    // Single-core speedup of the token-ID engine on `select_for_query`
-    // over the full schema width.
-    (
-        "speedup_tokenid_vs_strkey",
-        STRKEY_QUERY_MODE,
-        "query-tokenid-1t",
-    ),
-    // The same with half the columns projected (clustering makes up a
-    // larger share, so the ratio is smaller).
-    (
-        "proj_speedup_tokenid_vs_strkey",
-        "query-proj-strkey-1t",
-        "query-proj-tokenid-1t",
-    ),
-    // Whole-table select (the token-ID side is the steady-state cached
-    // path a live session actually runs).
-    (
-        "table_speedup_tokenid_vs_strkey",
-        "select-strkey-1t",
-        "select-tokenid-1t",
-    ),
     // The raw k-means assignment step, scalar twin over SIMD.
     (
         "kernel_assign_speedup",
@@ -155,11 +116,12 @@ const SPEEDUPS: &[(&str, &str, &str)] = &[
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
 pub fn run(scale: ExperimentScale) -> BenchReport {
-    run_on(DatasetKind::Flights, scale, 7)
+    run_on(DatasetKind::Flights, scale, 40)
 }
 
 /// Runs the benchmark on an explicit dataset with `reps` repetitions per
-/// mode (best-of wall time is reported, damping scheduler noise).
+/// mode, taken in rounds over all modes (best-of wall time is reported,
+/// damping scheduler noise).
 pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let config = scale.subtab_config();
@@ -195,9 +157,9 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         .flat_map(|q| q.leaf_predicates())
         .collect();
 
-    let mut rows = Vec::new();
-    for &(mode, threads, strkey, workload) in MODES {
-        let wall_ms = best_of(reps, || match workload {
+    let walls = best_of_each(reps, MODES.len(), |i| {
+        let (_, threads, workload) = MODES[i];
+        match workload {
             Workload::KernelAssign { scalar } => {
                 for _ in 0..KERNEL_INNER_ITERS {
                     if scalar {
@@ -236,20 +198,20 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
                     Workload::DeepNestQuery => Some(&deep_q),
                     _ => None,
                 };
-                let r = if strkey {
-                    select_sub_table_strkey(&pre, q, &params, config.seed, threads)
-                } else {
-                    select_sub_table(&pre, q, &params, config.seed, threads)
-                }
-                .expect("selection succeeds");
+                let r = select_sub_table(&pre, q, &params, config.seed, threads)
+                    .expect("selection succeeds");
                 assert!(!r.row_indices.is_empty());
             }
-        });
-        rows.push(BenchRow {
+        }
+    });
+    let rows = MODES
+        .iter()
+        .zip(walls)
+        .map(|(&(mode, threads, _), wall_ms)| BenchRow {
             threads: Some(threads),
             ..BenchRow::new(mode, wall_ms)
-        });
-    }
+        })
+        .collect();
     let mut report = BenchReport::new(
         "query_scaling",
         vec![
@@ -268,17 +230,12 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
 pub fn render(report: &BenchReport) -> String {
     format!(
         "Query-time selection on {} ({} rows × {} cols, query matches {} rows): \
-         token-ID engine {:.2}x over the string-keyed path on select_for_query \
-         ({:.2}x with a half-schema projection, {:.2}x on whole-table select); \
          SIMD kernels {:.2}x on the k-means assignment step, {:.2}x on \
          compiled-leaf plane scans\n{}",
         report.meta("dataset"),
         report.meta("rows"),
         report.meta("cols"),
         report.meta("query_rows"),
-        report.ratio("speedup_tokenid_vs_strkey"),
-        report.ratio("proj_speedup_tokenid_vs_strkey"),
-        report.ratio("table_speedup_tokenid_vs_strkey"),
         report.ratio("kernel_assign_speedup"),
         report.ratio("compile_leaf_speedup"),
         format_rows(&report.rows)
@@ -289,6 +246,7 @@ pub fn render(report: &BenchReport) -> String {
 mod tests {
     use super::*;
     use crate::experiments::report::tests::{assert_round_trip, assert_wall_gate};
+    use crate::experiments::report::REFERENCE_MODE;
     use std::sync::OnceLock;
 
     /// The benchmark is slow under the debug test profile, so every test
@@ -301,6 +259,8 @@ mod tests {
     #[test]
     fn report_covers_every_mode_with_positive_times() {
         let report = tiny_report();
+        // Only the gated runner adds the shared reference row.
+        assert!(report.row(REFERENCE_MODE).is_none());
         assert_eq!(report.rows.len(), MODES.len());
         assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
         for &(key, ..) in SPEEDUPS {
@@ -313,7 +273,7 @@ mod tests {
         );
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
-        assert!(rendered.contains(STRKEY_QUERY_MODE));
+        assert!(rendered.contains("query-tokenid-1t"));
         for kernel_mode in [
             "select-kernel-simd-1t",
             "select-kernel-scalar-1t",

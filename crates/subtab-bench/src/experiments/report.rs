@@ -6,13 +6,17 @@
 //! [`BenchRow`] per mode and the headline ratios.
 //! [`BenchReport::to_json`] writes it with one `{"mode": …}` object per
 //! line, so one line-based parser reads reports and checked-in baselines
-//! back without a JSON dependency. [`gate`] compares a fresh report against a
+//! back without a JSON dependency. [`GatedExperiment::report`] puts the one
+//! normalisation reference, [`REFERENCE_MODE`], in front of the
+//! experiment's own rows, and [`gate`] compares the result against a
 //! baseline under the experiment's [`GatePolicy`], a code constant in the
 //! experiment's module; the baseline files hold measurements only.
 
 use crate::experiments::common::{format_table, ExperimentScale};
 use std::fmt;
 use std::time::Instant;
+use subtab_data::Table;
+use subtab_datasets::{generate, scale_spec, ScaleShape};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -306,15 +310,95 @@ pub(crate) fn best_of_with<S, T>(
     mut setup: impl FnMut() -> S,
     mut run: impl FnMut(S) -> T,
 ) -> f64 {
-    let mut best_ms = f64::INFINITY;
+    best_of_each_with(reps, 1, |_| setup(), |_, input| run(input))[0]
+}
+
+/// Best-of-`reps` wall time of each of the `jobs` jobs `run(0..jobs)`, in
+/// ms, with the reps taken round-robin: one run of every job, then the
+/// next round. On a shared machine a slow spell lasts longer than one
+/// short job's reps back to back, so taking them in rounds spreads every
+/// job's reps over the whole experiment instead of one window of it.
+pub(crate) fn best_of_each<T>(
+    reps: usize,
+    jobs: usize,
+    mut run: impl FnMut(usize) -> T,
+) -> Vec<f64> {
+    best_of_each_with(reps, jobs, |_| (), |job, ()| run(job))
+}
+
+/// [`best_of_each`] with an untimed `setup(job)` before every run, whose
+/// output the run consumes.
+pub(crate) fn best_of_each_with<S, T>(
+    reps: usize,
+    jobs: usize,
+    mut setup: impl FnMut(usize) -> S,
+    mut run: impl FnMut(usize, S) -> T,
+) -> Vec<f64> {
+    let mut best_ms = vec![f64::INFINITY; jobs];
     for _ in 0..reps.max(1) {
-        let input = setup();
-        let start = Instant::now();
-        let output = run(input);
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        drop(std::hint::black_box(output));
+        for (job, best) in best_ms.iter_mut().enumerate() {
+            let input = setup(job);
+            let start = Instant::now();
+            let output = run(job, input);
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            drop(std::hint::black_box(output));
+        }
     }
     best_ms
+}
+
+/// The one mode every gate divides wall times by, within its own capture,
+/// before comparison: a row-wise scan over the wide scale shape at 2 000
+/// rows, seed 97, best of 1 000 scans, measured once before and once after
+/// the experiment, the smaller wall kept. It is a fixed workload run in the
+/// same process, so the ratio cancels raw machine speed, and it runs none
+/// of the code the gates guard, so no change to a gated path moves it.
+/// Only [`GatedExperiment::report`] measures it.
+///
+/// The table (about 0.6 MiB) stays in a core's cache and one scan takes a
+/// fraction of a millisecond, like the quick modes it normalises. On a
+/// shared machine such code runs fast or slow in spells of tens of
+/// milliseconds to seconds; many short scans on both sides of the run find
+/// the fast spells, as the modes' reps taken in rounds do. A scan over a
+/// table in main memory tracks the memory traffic of other tenants instead,
+/// and one allocating a value per cell mostly times the allocator.
+pub const REFERENCE_MODE: &str = "ref-rowscan";
+
+/// Row count of the reference table.
+const REFERENCE_ROWS: usize = 2_000;
+
+/// Repetitions of the reference scan on each side of the run (best-of).
+const REFERENCE_REPS: usize = 1_000;
+
+/// A mode regresses when its normalised wall exceeds the baseline's by
+/// more than this fraction.
+pub const WALL_THRESHOLD: f64 = 0.25;
+
+/// Best-of wall time of the reference scan, in ms. The table is generated
+/// untimed and dropped before the caller goes on.
+fn reference_wall_ms() -> f64 {
+    let table = generate(&scale_spec(ScaleShape::Wide, REFERENCE_ROWS), 97).table;
+    best_of(REFERENCE_REPS, || {
+        rowscan_checksum(std::hint::black_box(&table))
+    })
+}
+
+/// The reference workload: every cell of every row through the per-cell
+/// accessors (numbers as `f64`, strings as dictionary codes, a null as
+/// 1), folded into a checksum the optimiser cannot discard. It allocates
+/// nothing. The wide shape has the most columns, so the row-wise walk pays
+/// the full fan-out cost the columnar paths avoid.
+fn rowscan_checksum(table: &Table) -> f64 {
+    let mut acc = 0.0f64;
+    for row in 0..table.num_rows() {
+        for col in table.columns() {
+            acc += match col.get_f64(row) {
+                Some(x) => x,
+                None => col.get_code(row).map_or(1.0, f64::from),
+            };
+        }
+    }
+    acc
 }
 
 /// An absolute resident-memory ceiling, applied only at the row count that
@@ -329,17 +413,10 @@ pub struct RssCeiling {
     pub bytes: u64,
 }
 
-/// What one experiment's gate checks.
+/// What one experiment's gate checks beyond the normalised wall times,
+/// which every gate checks against [`WALL_THRESHOLD`].
 #[derive(Debug, Clone, Copy)]
 pub struct GatePolicy {
-    /// Mode every wall time is divided by, within its own capture, before
-    /// comparison. It is a fixed workload run in the same process, so the
-    /// ratio cancels raw machine speed. Missing on either side, the walls
-    /// are not comparable and the gate fails.
-    pub reference_mode: &'static str,
-    /// A mode regresses when its normalised wall exceeds the baseline's by
-    /// more than this fraction.
-    pub wall_threshold: f64,
     /// A mode regresses when its resident bytes exceed the baseline's by
     /// more than this factor (skipped where either side captured none).
     pub rss_factor: Option<f64>,
@@ -350,14 +427,23 @@ pub struct GatePolicy {
     pub ratio_floors: &'static [(&'static str, f64)],
 }
 
+impl GatePolicy {
+    /// Normalised wall times only.
+    pub const WALL_ONLY: GatePolicy = GatePolicy {
+        rss_factor: None,
+        rss_ceiling: None,
+        ratio_floors: &[],
+    };
+}
+
 /// A gated experiment: what the `experiments` binary runs, prints and gates
 /// under one name.
 pub struct GatedExperiment {
-    /// Command-line name.
+    /// Command-line name; the baseline is `ci/BENCH_<name>_baseline.json`.
     pub name: &'static str,
     /// One-line description for the usage text.
     pub about: &'static str,
-    /// Runs the experiment at the given scale.
+    /// Runs the experiment's own modes at the given scale.
     pub run: fn(ExperimentScale) -> BenchReport,
     /// Renders the report for humans.
     pub render: fn(&BenchReport) -> String,
@@ -365,10 +451,37 @@ pub struct GatedExperiment {
     pub policy: &'static GatePolicy,
 }
 
+impl GatedExperiment {
+    /// Runs the experiment between two measurements of the reference: the
+    /// report the gate reads, with the faster reference first. A slow
+    /// spell of the machine on one side of the run then does not skew
+    /// every normalised wall.
+    pub fn report(&self, scale: ExperimentScale) -> BenchReport {
+        let before = reference_wall_ms();
+        let own = (self.run)(scale);
+        let wall_ms = before.min(reference_wall_ms());
+        with_reference(own, BenchRow::new(REFERENCE_MODE, wall_ms))
+    }
+}
+
+/// `report` with `reference` as its first row.
+///
+/// # Panics
+/// If the report already has a reference row: experiments never measure it
+/// themselves.
+pub(crate) fn with_reference(mut report: BenchReport, reference: BenchRow) -> BenchReport {
+    assert!(
+        report.row(REFERENCE_MODE).is_none(),
+        "{} measured {REFERENCE_MODE} itself",
+        report.experiment
+    );
+    report.rows.insert(0, reference);
+    report
+}
+
 /// Compares `current` against a baseline JSON under `policy`. Returns the
 /// comparison lines when every check passes, or every failed check — a
-/// failure never hides another. Baseline rows of modes the report does not
-/// measure (another experiment sharing the file) are ignored.
+/// failure never hides another.
 pub fn gate(
     current: &BenchReport,
     baseline_json: &str,
@@ -379,7 +492,7 @@ pub fn gate(
     match parse_rows(baseline_json) {
         Err(e) => failures.push(format!("unreadable baseline: {e}")),
         Ok(baseline) => {
-            gate_walls(current, &baseline, policy, &mut lines, &mut failures);
+            gate_walls(current, &baseline, &mut lines, &mut failures);
             if let Some(factor) = policy.rss_factor {
                 gate_rss(current, &baseline, factor, &mut lines, &mut failures);
             }
@@ -424,15 +537,15 @@ pub fn gate(
     }
 }
 
-/// Normalised wall-time check of every measured mode.
+/// Normalised wall-time check of every measured mode. A baseline mode the
+/// report lacks fails: it would otherwise stop being gated unnoticed.
 fn gate_walls(
     current: &BenchReport,
     baseline: &[BenchRow],
-    policy: &GatePolicy,
     lines: &mut Vec<String>,
     failures: &mut Vec<String>,
 ) {
-    let reference = policy.reference_mode;
+    let reference = REFERENCE_MODE;
     let find = |rows: &[BenchRow]| rows.iter().find(|r| r.mode == reference).map(|r| r.wall_ms);
     let (Some(ref_cur), Some(ref_base)) = (find(&current.rows), find(baseline)) else {
         for (side, rows) in [
@@ -448,6 +561,12 @@ fn gate_walls(
         }
         return;
     };
+    for b in baseline.iter().filter(|b| current.row(&b.mode).is_none()) {
+        failures.push(format!(
+            "MISSING MODE {}: in the baseline but not measured by the report",
+            b.mode
+        ));
+    }
     for r in &current.rows {
         if r.mode == reference {
             lines.push(format!(
@@ -468,10 +587,10 @@ fn gate_walls(
             r.mode,
             (ratio - 1.0) * 100.0
         );
-        if ratio > 1.0 + policy.wall_threshold {
+        if ratio > 1.0 + WALL_THRESHOLD {
             failures.push(format!(
                 "REGRESSION {line} exceeds {:.0}%",
-                policy.wall_threshold * 100.0
+                WALL_THRESHOLD * 100.0
             ));
         } else {
             lines.push(line);
@@ -519,7 +638,9 @@ fn gate_rss(
 }
 
 /// The gate contract, as assertions every gated experiment's real report
-/// and every policy's synthetic report are run through.
+/// and every policy's synthetic report are run through. The helpers take
+/// an experiment's own report and gate it with a fixed reference row in
+/// front, as [`GatedExperiment::report`] would.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -547,6 +668,12 @@ pub(crate) mod tests {
         out
     }
 
+    /// An experiment's own report as the gated runner hands it to the
+    /// gate, with a fixed reference wall.
+    fn gated(own: &BenchReport) -> BenchReport {
+        with_reference(own.clone(), BenchRow::new(REFERENCE_MODE, 40.0))
+    }
+
     /// The report has resident bytes for every mode (a Linux capture).
     fn rss_captured(report: &BenchReport) -> bool {
         report.rows.iter().all(|r| r.rss_bytes > Some(0))
@@ -563,59 +690,60 @@ pub(crate) mod tests {
         }
     }
 
-    /// Self-pass, machine-speed cancellation, N−1 regressions flagged, and
-    /// an unreadable baseline is an error.
-    pub(crate) fn assert_wall_gate(report: &BenchReport, policy: &GatePolicy) {
-        let reference = policy.reference_mode;
+    /// Self-pass, machine-speed cancellation, a regression flagged for
+    /// every mode, and an unreadable baseline is an error.
+    pub(crate) fn assert_wall_gate(own: &BenchReport, policy: &GatePolicy) {
+        let report = gated(own);
         let json = report.to_json();
         // An identical baseline is never a regression.
-        let own = gate(report, &json, policy);
-        assert!(own.is_ok(), "{}: {own:?}", report.experiment);
+        let same = gate(&report, &json, policy);
+        assert!(same.is_ok(), "{}: {same:?}", report.experiment);
         // A uniformly 10x faster machine, reference included, is not a
         // regression: normalisation cancels it.
-        let faster_machine = scaled_walls(report, 0.1, "");
-        assert!(gate(report, &faster_machine.to_json(), policy).is_ok());
+        let faster_machine = scaled_walls(&report, 0.1, "");
+        assert!(gate(&report, &faster_machine.to_json(), policy).is_ok());
         // A baseline whose modes are 10x faster relative to the unchanged
-        // reference: every mode but the reference regresses.
-        let fast = scaled_walls(report, 0.1, reference);
-        let err = gate(report, &fast.to_json(), policy).unwrap_err();
-        assert_eq!(err.len(), report.rows.len() - 1, "{err:?}");
+        // reference: every mode of the experiment regresses.
+        let fast = scaled_walls(&report, 0.1, REFERENCE_MODE);
+        let err = gate(&report, &fast.to_json(), policy).unwrap_err();
+        assert_eq!(err.len(), own.rows.len(), "{err:?}");
         assert!(err.iter().all(|e| e.starts_with("REGRESSION")));
         // A garbage baseline is an error, not a silent pass.
-        assert!(gate(report, "not json", policy).is_err());
+        assert!(gate(&report, "not json", policy).is_err());
     }
 
     /// A baseline with a fraction of the resident footprint fails every
     /// mode under an RSS factor, even though wall times are identical.
-    pub(crate) fn assert_rss_budget(report: &BenchReport, policy: &GatePolicy) {
+    pub(crate) fn assert_rss_budget(own: &BenchReport, policy: &GatePolicy) {
         let Some(factor) = policy.rss_factor else {
             return;
         };
-        if !rss_captured(report) {
+        if !rss_captured(own) {
             // Non-Linux capture: the rss check skips zero sides.
             return;
         }
+        let report = gated(own);
         let mut lean = report.clone();
         for r in &mut lean.rows {
             r.rss_bytes = r.rss_bytes.map(|b| b / (factor.ceil() as u64 + 1));
         }
-        let err = gate(report, &lean.to_json(), policy).unwrap_err();
-        assert_eq!(err.len(), report.rows.len(), "{err:?}");
+        let err = gate(&report, &lean.to_json(), policy).unwrap_err();
+        assert_eq!(err.len(), own.rows.len(), "{err:?}");
         assert!(err.iter().all(|e| e.contains("resident-memory budget")));
     }
 
     /// The absolute ceiling fires on its modes at the pinned row count
     /// only.
-    pub(crate) fn assert_rss_ceiling(report: &BenchReport, policy: &GatePolicy) {
+    pub(crate) fn assert_rss_ceiling(own: &BenchReport, policy: &GatePolicy) {
         let Some(ceiling) = policy.rss_ceiling else {
             return;
         };
-        if !rss_captured(report) {
+        if !rss_captured(own) {
             return;
         }
         // Re-badged as the pinned tier, small footprints pass against
         // themselves.
-        let mut pinned = with_rows(report, ceiling.rows);
+        let mut pinned = with_rows(&gated(own), ceiling.rows);
         assert!(gate(&pinned, &pinned.to_json(), policy).is_ok());
         // Blow the ceiling modes past it. The baseline records the same
         // bytes, so the relative rss check stays quiet and only the
@@ -638,7 +766,8 @@ pub(crate) mod tests {
 
     /// A ratio under its floor fails, alongside — not instead of — any
     /// wall regression, and a missing ratio fails too.
-    pub(crate) fn assert_ratio_floors(report: &BenchReport, policy: &GatePolicy) {
+    pub(crate) fn assert_ratio_floors(own: &BenchReport, policy: &GatePolicy) {
+        let report = gated(own);
         let json = report.to_json();
         for &(key, floor) in policy.ratio_floors {
             let mut slow = report.clone();
@@ -649,9 +778,9 @@ pub(crate) mod tests {
             let err = gate(&slow, &json, policy).unwrap_err();
             assert_eq!(err.len(), 1, "{err:?}");
             assert!(err[0].contains("acceptance floor"));
-            let fast = scaled_walls(report, 0.1, policy.reference_mode);
+            let fast = scaled_walls(&report, 0.1, REFERENCE_MODE);
             let err = gate(&slow, &fast.to_json(), policy).unwrap_err();
-            assert_eq!(err.len(), report.rows.len(), "{err:?}");
+            assert_eq!(err.len(), own.rows.len() + 1, "{err:?}");
             assert!(err.last().unwrap().contains("acceptance floor"));
             let mut missing = report.clone();
             missing.ratios.retain(|(k, _)| *k != key);
@@ -659,12 +788,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// A small report every check of `exp`'s policy applies to, with every
-    /// optional row field exercised.
+    /// A small report of an experiment's own modes that every check of
+    /// `exp`'s policy applies to, with every optional row field exercised.
     fn synthetic(exp: &GatedExperiment) -> BenchReport {
         let policy = exp.policy;
         let mut rows = vec![
-            BenchRow::new(policy.reference_mode, 40.0),
             BenchRow {
                 threads: Some(4),
                 train_ms: Some(3.25),
@@ -678,10 +806,6 @@ pub(crate) mod tests {
             BenchRow::new(format!("{}-fast", exp.name), 1.75),
         ];
         if let Some(ceiling) = policy.rss_ceiling {
-            rows.push(BenchRow::new(
-                format!("{}legacy", ceiling.mode_prefix),
-                90.0,
-            ));
             rows.push(BenchRow::new(
                 format!("{}stream", ceiling.mode_prefix),
                 30.0,
@@ -731,7 +855,7 @@ pub(crate) mod tests {
     #[test]
     fn reports_record_the_kernel_tier_and_the_gate_ignores_it() {
         for exp in &GATED {
-            let report = synthetic(exp);
+            let report = gated(&synthetic(exp));
             let tier = format!("{:?}", subtab_kernels::detect());
             assert_eq!(report.meta("kernel_tier"), &Meta::Text(tier.clone()));
             let forced = subtab_kernels::force_scalar();
@@ -755,16 +879,12 @@ pub(crate) mod tests {
 
     #[test]
     fn policies_match_the_documented_gates() {
-        for (name, reference) in [
-            ("preprocess", "seed-legacy-1t"),
-            ("query", "query-strkey-1t"),
-            ("rules", "rules-apriori-1t"),
-            ("server", "serve-direct-1t"),
-            ("scale", "scale-ref-rowscan"),
-        ] {
+        assert_eq!(REFERENCE_MODE, "ref-rowscan");
+        assert_eq!(WALL_THRESHOLD, 0.25);
+        let names: Vec<&str> = GATED.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["preprocess", "query", "rules", "server", "scale"]);
+        for name in names {
             let p = policy(name);
-            assert_eq!(p.reference_mode, reference);
-            assert_eq!(p.wall_threshold, 0.25);
             assert_eq!(p.rss_factor, (name == "scale").then_some(2.0));
             assert_eq!(p.rss_ceiling.is_some(), name == "scale");
             let floors: &[(&str, f64)] = if name == "server" {
@@ -780,22 +900,74 @@ pub(crate) mod tests {
         assert_eq!(ceiling.bytes, 1 << 30);
     }
 
+    /// The gated runner puts exactly one measured reference row in front
+    /// of every experiment's own rows, and refuses a report that already
+    /// has one. (Each experiment's own test checks that its `run` emits
+    /// none.)
+    #[test]
+    fn the_gated_runner_adds_one_reference_row_first() {
+        // The real runner, once (the scans are slow in a debug build),
+        // around a stand-in for an experiment's run.
+        let probe = GatedExperiment {
+            run: |_| BenchReport::new("probe", Vec::new(), vec![BenchRow::new("m", 1.0)]),
+            ..GATED[0]
+        };
+        let probed = probe.report(ExperimentScale::Quick);
+        assert_eq!(probed.rows.len(), 2);
+        let reference = probed.rows[0].clone();
+        assert_eq!(reference.mode, REFERENCE_MODE);
+        assert!(reference.wall_ms > 0.0);
+        for exp in &GATED {
+            let own = synthetic(exp);
+            let report = with_reference(own.clone(), reference.clone());
+            let references = report
+                .rows
+                .iter()
+                .filter(|r| r.mode == REFERENCE_MODE)
+                .count();
+            assert_eq!(references, 1, "{}", exp.name);
+            assert_eq!(report.rows[0], reference);
+            assert_eq!(report.rows[1..], own.rows[..], "{}", exp.name);
+            let twice = std::panic::catch_unwind(|| gated(&report));
+            assert!(twice.is_err(), "{}", exp.name);
+        }
+    }
+
     #[test]
     fn a_missing_reference_mode_fails_the_gate_on_either_side() {
         for exp in &GATED {
-            let report = synthetic(exp);
-            let reference = exp.policy.reference_mode;
-            let mut without = report.clone();
-            without.rows.retain(|r| r.mode != reference);
+            let own = synthetic(exp);
+            let report = gated(&own);
             for (current, baseline, side) in [
-                (&report, &without, "baseline"),
-                (&without, &report, "current report"),
+                (&report, &own, "baseline"),
+                (&own, &report, "current report"),
             ] {
                 let err = gate(current, &baseline.to_json(), exp.policy).unwrap_err();
                 assert_eq!(err.len(), 1, "{err:?}");
                 assert!(err[0].contains("MISSING REFERENCE"), "{err:?}");
                 assert!(err[0].contains(side), "{err:?}");
             }
+        }
+    }
+
+    /// A baseline mode the report no longer measures fails, so a renamed
+    /// or dropped mode cannot silently stop being gated; a new mode the
+    /// baseline lacks is reported but passes.
+    #[test]
+    fn a_baseline_mode_missing_from_the_report_fails_the_gate() {
+        for exp in &GATED {
+            let report = gated(&synthetic(exp));
+            let dropped = report.rows[1].mode.clone();
+            let mut without = report.clone();
+            without.rows.retain(|r| r.mode != dropped);
+            let err = gate(&without, &report.to_json(), exp.policy).unwrap_err();
+            assert_eq!(err.len(), 1, "{err:?}");
+            assert!(
+                err[0].starts_with(&format!("MISSING MODE {dropped}:")),
+                "{err:?}"
+            );
+            let lines = gate(&report, &without.to_json(), exp.policy).unwrap();
+            assert!(lines.contains(&format!("{dropped}: 12.50 ms (no baseline)")));
         }
     }
 
@@ -815,7 +987,7 @@ pub(crate) mod tests {
         }
         // A malformed rss_bytes in a baseline fails the memory gate rather
         // than silently switching it off.
-        let report = synthetic(&GATED[4]);
+        let report = gated(&synthetic(&GATED[4]));
         let baseline = report
             .to_json()
             .replacen("\"rss_bytes\": ", "\"rss_bytes\": x", 1);
@@ -823,15 +995,7 @@ pub(crate) mod tests {
         assert!(err[0].contains("malformed rss_bytes"), "{err:?}");
     }
 
-    /// The baseline files CI gates each experiment against.
-    const BASELINES: [(&str, &str); 5] = [
-        ("preprocess", "BENCH_preprocess_baseline.json"),
-        ("query", "BENCH_preprocess_baseline.json"),
-        ("rules", "BENCH_rules_baseline.json"),
-        ("server", "BENCH_server_baseline.json"),
-        ("scale", "BENCH_scale_baseline.json"),
-    ];
-
+    /// CI gates each experiment against `ci/BENCH_<name>_baseline.json`.
     #[test]
     fn checked_in_baselines_parse_and_hold_every_reference_mode() {
         let ci = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
@@ -841,20 +1005,17 @@ pub(crate) mod tests {
             .filter(|f| f.starts_with("BENCH_") && f.ends_with("_baseline.json"))
             .collect();
         files.sort();
-        let mut gated_files: Vec<String> = BASELINES.iter().map(|(_, f)| f.to_string()).collect();
+        let mut gated_files: Vec<String> = GATED
+            .iter()
+            .map(|e| format!("BENCH_{}_baseline.json", e.name))
+            .collect();
         gated_files.sort();
-        gated_files.dedup();
         assert_eq!(files, gated_files, "every baseline file is gated");
-        for exp in &GATED {
-            let (_, file) = BASELINES.iter().find(|(n, _)| *n == exp.name).unwrap();
+        for file in &gated_files {
             let json = std::fs::read_to_string(ci.join(file)).unwrap();
             let rows = parse_rows(&json).unwrap_or_else(|e| panic!("{file}: {e}"));
-            assert!(
-                rows.iter().any(|r| r.mode == exp.policy.reference_mode),
-                "{file} lacks {}, the reference mode of `{}`",
-                exp.policy.reference_mode,
-                exp.name
-            );
+            let references = rows.iter().filter(|r| r.mode == REFERENCE_MODE).count();
+            assert_eq!(references, 1, "{file} needs one {REFERENCE_MODE} row");
         }
     }
 }

@@ -1,97 +1,60 @@
 //! Load-time rule-engine scaling: times association-rule mining through the
-//! vertical bitmap engine against the preserved Apriori reference twin, and
-//! per-row rule highlighting through the column-mask index against the
-//! linear scan, emitting machine-readable JSON (`BENCH_rules.json`) for the
-//! CI bench-regression gate.
+//! vertical bitmap engine, whole-table and target-partitioned, and per-row
+//! rule highlighting through the column-mask index, emitting
+//! machine-readable JSON (`BENCH_rules.json`) for the CI bench-regression
+//! gate.
 //!
 //! Rule mining runs once per loaded table (and once per target-column
 //! choice) in the paper's architecture, feeding both the quality metrics
 //! and the UI's per-row highlights; highlighting runs on every displayed
-//! sub-table. Both are load-path costs the token-ID query engine of PR 4
-//! does not cover, which is why they get their own gate.
+//! sub-table. Both are load-path costs the query gate does not cover,
+//! which is why they get their own gate.
 
 use crate::experiments::common::ExperimentScale;
-use crate::experiments::report::{best_of, format_rows, BenchReport, BenchRow, GatePolicy, Meta};
+use crate::experiments::report::{
+    best_of_each, format_rows, BenchReport, BenchRow, GatePolicy, Meta,
+};
 use subtab_binning::Binner;
-use subtab_core::{highlight_rules, highlight_rules_linear};
+use subtab_core::highlight_rules;
 use subtab_datasets::{benchmark_target_column, DatasetKind};
 use subtab_rules::{MiningConfig, RuleMiner};
 
-/// Label of the Apriori reference comparator (the gate's normalisation
-/// reference, like `seed-legacy-1t` for the preprocess experiment).
-const APRIORI_MODE: &str = "rules-apriori-1t";
-
-/// The rules gate: every mining and highlight mode, normalised to the
-/// Apriori twin of the same capture (a fixed algorithm running in the same
-/// process on the same data).
-pub const POLICY: GatePolicy = GatePolicy {
-    reference_mode: APRIORI_MODE,
-    wall_threshold: 0.25,
-    rss_factor: None,
-    rss_ceiling: None,
-    ratio_floors: &[],
-};
-
-/// The headline ratios, `(key, slow mode, fast mode)`: the wall-time
-/// ratio of the slow mode over the fast one.
-const SPEEDUPS: &[(&str, &str, &str)] = &[
-    // Single-core speedup of the vertical engine on whole-table mining.
-    ("speedup_bitmap_vs_apriori", APRIORI_MODE, "rules-bitmap-1t"),
-    // The same for the target-partitioned run (smaller: the pooled
-    // post-processing is shared by both engines).
-    (
-        "target_speedup_bitmap_vs_apriori",
-        "rules-target-apriori-1t",
-        "rules-target-bitmap-1t",
-    ),
-    (
-        "highlight_speedup_indexed_vs_linear",
-        "highlight-linear-1t",
-        "highlight-indexed-1t",
-    ),
-];
+/// The rules gate: normalised wall times of every mining and highlight
+/// mode.
+pub const POLICY: GatePolicy = GatePolicy::WALL_ONLY;
 
 /// Which rule-engine stage a benchmark mode runs.
 #[derive(Clone, Copy)]
 enum Workload {
-    /// Whole-table mining with the Apriori twin.
-    MineApriori,
-    /// Whole-table mining with the bitmap engine.
-    MineBitmap,
-    /// Target-partitioned mining with the Apriori twin.
-    TargetApriori,
-    /// Target-partitioned mining with the bitmap engine.
-    TargetBitmap,
-    /// Per-row highlighting via the preserved linear scan.
-    HighlightLinear,
+    /// Whole-table mining.
+    Mine,
+    /// Target-partitioned mining.
+    Target,
     /// Per-row highlighting via the column-mask index.
-    HighlightIndexed,
+    Highlight,
 }
 
-/// The benchmark modes: `(label, threads, workload)`. The headline
-/// `rules-*` modes time whole-table mining — the pure engine-vs-engine
-/// comparison; `rules-target-*` modes time the Section 6.1 per-target-bin
-/// run, whose pooled post-processing (global support recompute, dedup,
-/// deterministic sort) is shared by both engines and therefore dilutes the
-/// ratio; highlight modes time one full-selection highlight pass over the
-/// probe rows with the target-mined rules.
+/// The benchmark modes: `(label, threads, workload)`. The `rules-*` modes
+/// time whole-table mining; `rules-target-*` times the Section 6.1
+/// per-target-bin run with its pooled post-processing (global support
+/// recompute, dedup, deterministic sort); the highlight mode times one
+/// full-selection highlight pass over the probe rows with the target-mined
+/// rules.
 const MODES: &[(&str, usize, Workload)] = &[
-    (APRIORI_MODE, 1, Workload::MineApriori),
-    ("rules-bitmap-1t", 1, Workload::MineBitmap),
-    ("rules-bitmap-4t", 4, Workload::MineBitmap),
-    ("rules-target-apriori-1t", 1, Workload::TargetApriori),
-    ("rules-target-bitmap-1t", 1, Workload::TargetBitmap),
-    ("highlight-linear-1t", 1, Workload::HighlightLinear),
-    ("highlight-indexed-1t", 1, Workload::HighlightIndexed),
+    ("rules-bitmap-1t", 1, Workload::Mine),
+    ("rules-bitmap-4t", 4, Workload::Mine),
+    ("rules-target-bitmap-1t", 1, Workload::Target),
+    ("highlight-indexed-1t", 1, Workload::Highlight),
 ];
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
 pub fn run(scale: ExperimentScale) -> BenchReport {
-    run_on(DatasetKind::Flights, scale, 3)
+    run_on(DatasetKind::Flights, scale, 8)
 }
 
 /// Runs the benchmark on an explicit dataset with `reps` repetitions per
-/// mode (best-of wall time is reported, damping scheduler noise).
+/// mode, taken in rounds over all modes (best-of wall time is reported,
+/// damping scheduler noise).
 pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let config = scale.subtab_config();
@@ -101,59 +64,45 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
     let target_idx = binned.column_index(&target).expect("target column exists");
     let mining = MiningConfig::default();
 
-    // Rules for the highlight modes and the mode sanity asserts, mined once
-    // (engine choice does not matter — outputs are pinned identical).
+    // Rules for the highlight mode and the mode sanity asserts, mined once.
     let plain_rules = RuleMiner::new(mining.clone()).mine(&binned);
     let rules = RuleMiner::new(mining.clone()).mine_with_targets(&binned, &[target_idx]);
     let all_columns: Vec<String> = binned.column_names().to_vec();
     let probe_rows: Vec<usize> = (0..binned.num_rows().min(512)).collect();
 
-    let mut rows = Vec::new();
-    for &(mode, threads, workload) in MODES {
-        let wall_ms = best_of(reps, || match workload {
-            Workload::MineApriori => {
-                let r = RuleMiner::new(mining.clone()).mine_apriori(&binned);
-                assert_eq!(r.len(), plain_rules.len());
-            }
-            Workload::MineBitmap => {
-                let r = RuleMiner::new(mining.clone().with_threads(threads)).mine(&binned);
-                assert_eq!(r.len(), plain_rules.len());
-            }
-            Workload::TargetApriori => {
-                let r = RuleMiner::new(mining.clone())
-                    .mine_with_targets_apriori(&binned, &[target_idx]);
-                assert_eq!(r.len(), rules.len());
-            }
-            Workload::TargetBitmap => {
-                let r = RuleMiner::new(mining.clone().with_threads(threads))
-                    .mine_with_targets(&binned, &[target_idx]);
-                assert_eq!(r.len(), rules.len());
-            }
-            Workload::HighlightLinear => {
-                assert_highlights(highlight_rules_linear(
-                    &binned,
-                    &rules,
-                    &probe_rows,
-                    &all_columns,
-                ));
-            }
-            Workload::HighlightIndexed => {
-                assert_highlights(highlight_rules(&binned, &rules, &probe_rows, &all_columns));
-            }
-        });
-        rows.push(BenchRow {
+    let miners: Vec<RuleMiner> = MODES
+        .iter()
+        .map(|&(_, threads, _)| RuleMiner::new(mining.clone().with_threads(threads)))
+        .collect();
+    let walls = best_of_each(reps, MODES.len(), |i| match MODES[i].2 {
+        Workload::Mine => assert_eq!(miners[i].mine(&binned).len(), plain_rules.len()),
+        Workload::Target => assert_eq!(
+            miners[i].mine_with_targets(&binned, &[target_idx]).len(),
+            rules.len()
+        ),
+        Workload::Highlight => {
+            let h = highlight_rules(&binned, &rules, &probe_rows, &all_columns);
+            assert!(
+                h.iter().any(Option::is_some),
+                "planted data must produce at least one highlight"
+            );
+        }
+    });
+    let rows = MODES
+        .iter()
+        .zip(walls)
+        .map(|(&(mode, threads, _), wall_ms)| BenchRow {
             threads: Some(threads),
             ..BenchRow::new(mode, wall_ms)
-        });
-    }
-    let mut report = BenchReport::new(
+        })
+        .collect();
+    BenchReport::new(
         "rules_scaling",
         vec![
             ("dataset", Meta::Text(kind.label().to_string())),
             ("rows", Meta::Count(binned.num_rows())),
             ("cols", Meta::Count(binned.num_columns())),
-            // Rules mined by one whole-table run (both engines mine the
-            // identical set — the equivalence suite pins that).
+            // Rules mined by one whole-table run.
             ("num_rules", Meta::Count(plain_rules.len())),
             // Rules pooled by the target-partitioned run.
             ("num_target_rules", Meta::Count(rules.len())),
@@ -161,33 +110,19 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
             ("highlight_rows", Meta::Count(probe_rows.len())),
         ],
         rows,
-    );
-    report.ratios = report.speedups(SPEEDUPS);
-    report
-}
-
-fn assert_highlights(h: Vec<Option<subtab_core::RuleHighlight>>) {
-    assert!(
-        h.iter().any(Option::is_some),
-        "planted data must produce at least one highlight"
-    );
+    )
 }
 
 /// Renders the report as an aligned text table.
 pub fn render(report: &BenchReport) -> String {
     format!(
-        "Rule engine on {} ({} rows × {} cols, {} rules / {} target-pooled, {} highlighted rows): \
-         bitmap miner {:.2}x over the Apriori twin single-core ({:.2}x on the target-partitioned \
-         run incl. shared pooling), highlight index {:.2}x over the linear scan\n{}",
+        "Rule engine on {} ({} rows × {} cols, {} rules / {} target-pooled, {} highlighted rows)\n{}",
         report.meta("dataset"),
         report.meta("rows"),
         report.meta("cols"),
         report.meta("num_rules"),
         report.meta("num_target_rules"),
         report.meta("highlight_rows"),
-        report.ratio("speedup_bitmap_vs_apriori"),
-        report.ratio("target_speedup_bitmap_vs_apriori"),
-        report.ratio("highlight_speedup_indexed_vs_linear"),
         format_rows(&report.rows)
     )
 }
@@ -196,7 +131,9 @@ pub fn render(report: &BenchReport) -> String {
 mod tests {
     use super::*;
     use crate::experiments::report::tests::{assert_round_trip, assert_wall_gate};
+    use crate::experiments::report::REFERENCE_MODE;
     use std::sync::OnceLock;
+    use subtab_core::highlight_rules_linear;
 
     /// The benchmark is slow under the debug test profile, so every test
     /// shares one report.
@@ -208,11 +145,10 @@ mod tests {
     #[test]
     fn report_covers_every_mode_with_positive_times() {
         let report = tiny_report();
+        // Only the gated runner adds the shared reference row.
+        assert!(report.row(REFERENCE_MODE).is_none());
         assert_eq!(report.rows.len(), MODES.len());
         assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
-        for &(key, ..) in SPEEDUPS {
-            assert!(report.ratio(key) > 0.0, "{key}");
-        }
         for key in ["num_rules", "num_target_rules", "highlight_rows"] {
             assert_ne!(
                 report.meta(key),
@@ -222,7 +158,7 @@ mod tests {
         }
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
-        assert!(rendered.contains(APRIORI_MODE));
+        assert!(rendered.contains("highlight-indexed-1t"));
     }
 
     #[test]
@@ -235,10 +171,10 @@ mod tests {
         assert_wall_gate(tiny_report(), &POLICY);
     }
 
+    /// The timed bitmap engine mines exactly the rules of the Apriori
+    /// reference twin.
     #[test]
     fn mining_modes_time_identical_rule_sets() {
-        // The assert inside the timed loop already pins rule counts; this
-        // re-checks the full equality contract once at test scale.
         let dataset = DatasetKind::Cyber.build(subtab_datasets::DatasetSize::Tiny, 31);
         let binner = Binner::fit(
             &dataset.table,
@@ -255,6 +191,7 @@ mod tests {
         assert_eq!(apriori.rules, bitmap.rules);
     }
 
+    /// The timed index highlights exactly as the linear reference scan.
     #[test]
     fn highlight_modes_agree_on_real_selections() {
         let dataset = DatasetKind::Cyber.build(subtab_datasets::DatasetSize::Tiny, 31);

@@ -10,20 +10,19 @@
 //! 100 000 rows (the CI quick sub-tier) or 1 000 000 rows (`--scale paper`,
 //! the local acceptance tier) and records, per `(shape, stage)` pair, the
 //! best-of-reps wall time plus the process resident set sampled right
-//! after the stage — the number that actually pages a laptop. Three extra
-//! modes ride along: the embed-stage preprocess twins
-//! (`scale-preprocess-legacy` vs `scale-preprocess-stream`, the
-//! materialized corpus against the streaming builder with pruning,
-//! subsampling and f16 storage on) and the CSV spill → reserved-capacity
+//! after the stage — the number that actually pages a laptop. Two extra
+//! modes ride along: the embed stage alone with the scale knobs on
+//! (`scale-preprocess-stream`: the streaming builder with pruning,
+//! subsampling and f16 storage) and the CSV spill → reserved-capacity
 //! ingest path (`scale-ingest-csv`) that feeds the 1M tier.
 //!
-//! The gate is [`POLICY`]. Wall times are normalised to a fixed reference
-//! mode (`scale-ref-rowscan`, a per-row `Value`-API scan that exercises none
-//! of the optimised columnar paths) so CI-runner generations cancel out.
-//! Resident memory is machine-independent at a pinned row count, so it is
-//! gated on the *absolute* ratio against the baseline with a deliberately
-//! generous 2× threshold (allocator and fragmentation noise stay well under
-//! that; a forgotten plane copy does not).
+//! The gate is [`POLICY`]. Wall times are normalised to the shared fixed
+//! reference, [`crate::experiments::report::REFERENCE_MODE`], so CI-runner
+//! generations cancel out. Resident memory is machine-independent at a
+//! pinned row count, so it is gated on the *absolute* ratio against the
+//! baseline with a deliberately generous 2× threshold (allocator and
+//! fragmentation noise stay well under that; a forgotten plane copy does
+//! not).
 
 use crate::experiments::common::ExperimentScale;
 use crate::experiments::report::{
@@ -35,38 +34,25 @@ use subtab_core::{SelectionParams, SubTab, SubTabConfig};
 use subtab_data::csv::{read_csv_file, write_csv_file};
 use subtab_data::{Query, Table};
 use subtab_datasets::{generate, scale_spec, ScaleShape, ScaleTier};
-use subtab_embed::{train_embedding, train_embedding_materialized, EmbeddingConfig, Quantization};
+use subtab_embed::{train_embedding, EmbeddingConfig, Quantization};
 use subtab_rules::{MiningConfig, RuleMiner};
 use subtab_server::{ExplorationServer, Request, ServerConfig};
-
-/// The gate's normalisation reference: a per-row `Value`-API scan over the
-/// wide shape. It touches every cell through the row-wise shim — a fixed
-/// workload that bypasses the columnar fast paths under test — so the
-/// ratio of any stage to it cancels raw machine speed.
-const REF_MODE: &str = "scale-ref-rowscan";
 
 /// Pipeline stages timed per shape, in execution order.
 const STAGES: [&str; 4] = ["preprocess", "select", "mine", "serve"];
 
-/// Modes beyond the `(shape, stage)` grid: the two embed-stage preprocess
-/// twins on the high-cardinality shape (the materialized-corpus legacy
-/// path against the streaming builder with pruning, subsampling and f16
-/// storage on) and the CSV spill-to-disk → reserved-capacity ingest path
-/// the 1M tier loads through.
-const EXTRA_MODES: [&str; 3] = [
-    "scale-preprocess-legacy",
-    "scale-preprocess-stream",
-    "scale-ingest-csv",
-];
+/// Modes beyond the `(shape, stage)` grid: the embed stage on the
+/// high-cardinality shape with pruning, subsampling and f16 storage on,
+/// and the CSV spill-to-disk → reserved-capacity ingest path the 1M tier
+/// loads through.
+const EXTRA_MODES: [&str; 2] = ["scale-preprocess-stream", "scale-ingest-csv"];
 
 /// The scale gate: >25% normalised wall regressions and >2x resident
 /// memory against the baseline fail. At the pinned 100k CI tier the
-/// embed-stage twins (`scale-preprocess-*`) must also stay under 1 GiB
+/// embed-stage mode (`scale-preprocess-*`) must also stay under 1 GiB
 /// resident, baseline or not: blowing that means the embed stage re-grew a
 /// materialized corpus or a full-vocabulary weight matrix.
 pub const POLICY: GatePolicy = GatePolicy {
-    reference_mode: REF_MODE,
-    wall_threshold: 0.25,
     rss_factor: Some(2.0),
     rss_ceiling: Some(RssCeiling {
         mode_prefix: "scale-preprocess-",
@@ -108,16 +94,7 @@ pub fn run_on(rows: usize, reps: usize) -> BenchReport {
         r if r == ScaleTier::Rows1M.num_rows() => ScaleTier::Rows1M.label().to_string(),
         r => r.to_string(),
     };
-    let mut results =
-        Vec::with_capacity(1 + ScaleShape::ALL.len() * STAGES.len() + EXTRA_MODES.len());
-
-    // Reference scan first: the wide shape has the most columns, so the
-    // row-wise shim pays the full fan-out cost the columnar paths avoid.
-    let ref_table = generate(&scale_spec(ScaleShape::Wide, rows), 97).table;
-    let wall_ms = best_of(reps, || rowscan_checksum(&ref_table));
-    results.push(measured(REF_MODE, wall_ms));
-    drop(ref_table);
-
+    let mut results = Vec::with_capacity(ScaleShape::ALL.len() * STAGES.len() + EXTRA_MODES.len());
     for shape in ScaleShape::ALL {
         results.extend(run_shape(shape, rows, reps));
     }
@@ -209,23 +186,15 @@ fn run_shape(shape: ScaleShape, rows: usize, reps: usize) -> Vec<BenchRow> {
     out
 }
 
-/// Times the [`EXTRA_MODES`]: both embed-stage preprocess twins on the
-/// high-cardinality shape (the shape whose vocabulary stresses corpus
-/// construction hardest) and the CSV spill → reserved-capacity ingest
-/// path.
+/// Times the [`EXTRA_MODES`]: the embed stage on the high-cardinality
+/// shape (the shape whose vocabulary stresses corpus construction
+/// hardest) and the CSV spill → reserved-capacity ingest path.
 fn run_extra_modes(rows: usize, reps: usize) -> Vec<BenchRow> {
     let mut out = Vec::with_capacity(EXTRA_MODES.len());
     let dataset = generate(&scale_spec(ScaleShape::HighCardinality, rows), 97);
     let config = SubTabConfig::fast();
     let binner = Binner::fit(&dataset.table, &config.binning).expect("binner fits generated data");
     let binned = binner.apply(&dataset.table).expect("binning succeeds");
-
-    // Legacy twin: materialized sentence corpus, full vocabulary, dense
-    // f32 weights — the pre-streaming pipeline, kept as the perf anchor.
-    let wall_ms = best_of(reps, || {
-        train_embedding_materialized(&binned, &config.embedding)
-    });
-    out.push(measured("scale-preprocess-legacy", wall_ms));
 
     // Streaming path with the scale knobs on: pairs built straight from
     // the code planes, rare bins pruned, frequent bins subsampled, and
@@ -265,21 +234,6 @@ fn run_extra_modes(rows: usize, reps: usize) -> Vec<BenchRow> {
     out
 }
 
-/// The reference workload: every cell of every row through the row-wise
-/// `Value` shim, folded into a checksum the optimiser cannot discard.
-fn rowscan_checksum(table: &Table) -> f64 {
-    let mut acc = 0.0f64;
-    for row in 0..table.num_rows() {
-        for col in table.columns() {
-            match col.get_f64(row) {
-                Some(x) => acc += x,
-                None => acc += col.get(row).is_null() as u8 as f64,
-            }
-        }
-    }
-    acc
-}
-
 /// Resident set size of the current process in bytes: `VmRSS` from
 /// `/proc/self/status` on Linux, 0 elsewhere (the gate skips zero sides).
 pub fn resident_bytes() -> u64 {
@@ -313,6 +267,7 @@ mod tests {
     use crate::experiments::report::tests::{
         assert_round_trip, assert_rss_budget, assert_rss_ceiling, assert_wall_gate,
     };
+    use crate::experiments::report::REFERENCE_MODE;
     use std::sync::OnceLock;
 
     /// The full tiers are release-binary territory; the tests pin the
@@ -325,13 +280,14 @@ mod tests {
     #[test]
     fn report_covers_every_shape_and_stage() {
         let report = tiny_report();
+        // Only the gated runner adds the shared reference row.
+        assert!(report.row(REFERENCE_MODE).is_none());
         assert_eq!(report.meta("rows"), &Meta::Count(1_200));
         assert_eq!(report.meta("tier"), &Meta::Text("1200".into()));
         assert_eq!(
             report.rows.len(),
-            1 + ScaleShape::ALL.len() * STAGES.len() + EXTRA_MODES.len()
+            ScaleShape::ALL.len() * STAGES.len() + EXTRA_MODES.len()
         );
-        assert_eq!(report.rows[0].mode, REF_MODE);
         for shape in ScaleShape::ALL {
             for stage in STAGES {
                 let mode = format!("scale-{}-{}", shape.label(), stage);
@@ -344,7 +300,7 @@ mod tests {
         assert!(report.rows.iter().all(|r| r.wall_ms > 0.0));
         let rendered = render(report);
         assert!(rendered.contains("rss-MiB"));
-        assert!(rendered.contains(REF_MODE));
+        assert!(rendered.contains("scale-ingest-csv"));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! Modes (all replay the identical trace corpus):
 //!
 //! * `serve-direct-1t` — sequential direct facade calls, no server, no
-//!   cache: the pre-serving baseline and the gate's normalisation
-//!   reference.
+//!   cache: the pre-serving baseline.
 //! * `serve-cold-1w` — one simulated user against a 1-worker server with
 //!   caching disabled: isolates the dispatch/queue overhead per request.
 //! * `serve-cold-4w` — 4 users against a 4-worker server, caches disabled:
@@ -27,20 +26,23 @@ use subtab_data::Query;
 use subtab_datasets::{generate_server_traces, DatasetKind, SessionConfig};
 use subtab_server::{ExplorationServer, Request, ServerConfig};
 
-/// Label of the direct-call reference mode (the gate normalises every
-/// capture to it, cancelling raw machine speed).
+/// Label of the direct-call mode.
 const DIRECT_MODE: &str = "serve-direct-1t";
 
-/// The server gate: every serving mode normalised to the direct-call
-/// reference, plus the session cache's acceptance floor — mean cold select
-/// wall over mean cached-hit wall for one repeated query must be at least
-/// 10x.
+/// The server modes: `(label, users, workers, select cache capacity)`. A
+/// mode with a cache is warmed before it is timed.
+const SERVED_MODES: [(&str, usize, usize, usize); 3] = [
+    ("serve-cold-1w", 1, 1, 0),
+    ("serve-cold-4w", 4, 4, 0),
+    ("serve-warm-4w", 4, 4, 1024),
+];
+
+/// The server gate: normalised wall times of every serving mode, plus the
+/// session cache's acceptance floor — mean cold select wall over mean
+/// cached-hit wall for one repeated query must be at least 10x.
 pub const POLICY: GatePolicy = GatePolicy {
-    reference_mode: DIRECT_MODE,
-    wall_threshold: 0.25,
-    rss_factor: None,
-    rss_ceiling: None,
     ratio_floors: &[("cached_speedup", 10.0)],
+    ..GatePolicy::WALL_ONLY
 };
 
 /// Per-request latencies of one replay, merged across user threads.
@@ -61,14 +63,15 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 /// session corpus was recorded over).
 pub fn run(scale: ExperimentScale) -> BenchReport {
     let (num_sessions, reps) = match scale {
-        ExperimentScale::Quick => (16, 3),
-        ExperimentScale::Paper => (48, 3),
+        ExperimentScale::Quick => (16, 15),
+        ExperimentScale::Paper => (48, 15),
     };
     run_on(DatasetKind::Cyber, scale, num_sessions, reps)
 }
 
 /// Runs the benchmark on an explicit dataset with `num_sessions` traces and
-/// `reps` replays per mode (best-of wall time is reported).
+/// `reps` replays per mode, taken in rounds over all modes (best-of wall
+/// time is reported).
 pub fn run_on(
     kind: DatasetKind,
     scale: ExperimentScale,
@@ -86,8 +89,8 @@ pub fn run_on(
         },
     );
     let params = SelectionParams::default();
-    // One preprocessing run shared (via `Arc`) by the direct reference and
-    // every server mode.
+    // One preprocessing run shared (via `Arc`) by the direct mode and every
+    // server mode.
     let subtab =
         Arc::new(SubTab::preprocess(dataset.table, scale.subtab_config()).expect("pre-processing"));
     let rows = subtab.table().num_rows();
@@ -96,36 +99,52 @@ pub fn run_on(
     // same steady preprocessed state.
     subtab.preprocessed().full_row_vectors();
 
-    let mut results = Vec::new();
-
-    // Reference: the same corpus, sequential direct calls.
-    results.push(run_mode(DIRECT_MODE, 1, 0, reps, || {
-        replay_direct(&subtab, &traces, &params)
-    }));
-
-    let mut served = |mode: &str, users: usize, workers: usize, warm: bool, caches: usize| {
-        let server = ExplorationServer::from_subtab(
-            Arc::clone(&subtab),
-            ServerConfig {
-                workers,
-                heavy_slots: 1,
-                select_cache_capacity: caches,
-                rules_cache_capacity: 4,
-            },
-        );
-        if warm {
-            // One untimed replay fills the cache.
-            replay_served(&server, &traces, &params, 1);
+    // One server per served mode, built before timing starts; one untimed
+    // replay fills the warm mode's cache.
+    let servers: Vec<ExplorationServer> = SERVED_MODES
+        .iter()
+        .map(|&(_, _, workers, caches)| {
+            ExplorationServer::from_subtab(
+                Arc::clone(&subtab),
+                ServerConfig {
+                    workers,
+                    heavy_slots: 1,
+                    select_cache_capacity: caches,
+                    rules_cache_capacity: 4,
+                },
+            )
+        })
+        .collect();
+    for (server, (_, _, _, caches)) in servers.iter().zip(SERVED_MODES) {
+        if caches > 0 {
+            replay_served(server, &traces, &params, 1);
         }
-        let result = run_mode(mode, users, workers, reps, || {
-            replay_served(&server, &traces, &params, users)
-        });
-        results.push(result);
-    };
-
-    served("serve-cold-1w", 1, 1, false, 0);
-    served("serve-cold-4w", 4, 4, false, 0);
-    served("serve-warm-4w", 4, 4, true, 1024);
+    }
+    // The best replay of every mode, the direct one first, with the reps
+    // taken in rounds over all modes.
+    let mut best: Vec<Option<Replay>> = (0..=SERVED_MODES.len()).map(|_| None).collect();
+    for _ in 0..reps.max(1) {
+        for (i, slot) in best.iter_mut().enumerate() {
+            let replay = match i.checked_sub(1) {
+                None => replay_direct(&subtab, &traces, &params),
+                Some(s) => replay_served(&servers[s], &traces, &params, SERVED_MODES[s].1),
+            };
+            if slot.as_ref().is_none_or(|b| replay.wall_ms < b.wall_ms) {
+                *slot = Some(replay);
+            }
+        }
+    }
+    let modes = std::iter::once((DIRECT_MODE, 1, 0)).chain(
+        SERVED_MODES
+            .iter()
+            .map(|&(mode, users, workers, _)| (mode, users, workers)),
+    );
+    let results = modes
+        .zip(best)
+        .map(|((mode, users, workers), replay)| {
+            summarize(mode, users, workers, replay.expect("at least one replay"))
+        })
+        .collect();
 
     let cached_speedup = measure_cached_speedup(&subtab, &traces, &params);
 
@@ -145,22 +164,9 @@ pub fn run_on(
     }
 }
 
-fn run_mode(
-    mode: &str,
-    users: usize,
-    workers: usize,
-    reps: usize,
-    mut replay: impl FnMut() -> Replay,
-) -> BenchRow {
-    let mut best: Option<Replay> = None;
-    for _ in 0..reps.max(1) {
-        let r = replay();
-        if best.as_ref().is_none_or(|b| r.wall_ms < b.wall_ms) {
-            best = Some(r);
-        }
-    }
-    let best = best.expect("at least one replay");
-    let mut sorted = best.latencies_ms.clone();
+/// The row of a mode from its best replay.
+fn summarize(mode: &str, users: usize, workers: usize, best: Replay) -> BenchRow {
+    let mut sorted = best.latencies_ms;
     sorted.sort_by(f64::total_cmp);
     BenchRow {
         users: Some(users),
@@ -315,6 +321,7 @@ mod tests {
     use crate::experiments::report::tests::{
         assert_ratio_floors, assert_round_trip, assert_wall_gate,
     };
+    use crate::experiments::report::REFERENCE_MODE;
     use std::sync::OnceLock;
 
     fn tiny_report() -> &'static BenchReport {
@@ -339,6 +346,8 @@ mod tests {
     #[test]
     fn report_covers_every_mode_with_latency_stats() {
         let report = tiny_report();
+        // Only the gated runner adds the shared reference row.
+        assert!(report.row(REFERENCE_MODE).is_none());
         assert_eq!(report.rows.len(), 4);
         for r in &report.rows {
             assert!(r.wall_ms > 0.0, "{} wall must be positive", r.mode);

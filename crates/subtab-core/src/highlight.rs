@@ -163,8 +163,7 @@ pub fn highlight_rules(
 /// The pre-refactor linear scan, preserved as the reference twin: for every
 /// row, every rule of the set is tested (column containment and per-item
 /// match), keeping the largest holding rule with support as the
-/// tie-breaker. Output is pinned identical to [`highlight_rules`]; the
-/// `rules` benchmark quotes the index's speedup against this path.
+/// tie-breaker. Output is pinned identical to [`highlight_rules`].
 pub fn highlight_rules_linear(
     binned_full: &BinnedTable,
     rules: &RuleSet,

@@ -93,8 +93,7 @@ pub fn select_sub_table_cached(
 /// ([`Query::selection_rows`]) rather than compiled bitmaps, and
 /// whole-table selections recompute their row vectors rather than using
 /// the cache. The equivalence suite asserts [`select_sub_table`] is
-/// bit-identical to this on every planted dataset, and the query benchmark
-/// quotes its speedup against it.
+/// bit-identical to this on every planted dataset.
 pub fn select_sub_table_strkey(
     pre: &PreprocessedTable,
     query: Option<&Query>,

@@ -469,8 +469,7 @@ impl CellEmbedding {
 
     /// The pre-refactor string-keyed row gather (a token is formatted and
     /// hashed per cell). Preserved as the reference implementation for the
-    /// equivalence suite and the query benchmark comparator; production code
-    /// uses [`CellEmbedding::row_vector`].
+    /// equivalence suite; production code uses [`CellEmbedding::row_vector`].
     pub fn row_vector_strkey(&self, binned: &BinnedTable, row: usize, cols: &[usize]) -> Vec<f32> {
         let mut acc = vec![0.0f32; self.dim];
         let mut n = 0usize;

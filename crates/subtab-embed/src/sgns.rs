@@ -169,8 +169,7 @@ pub fn train_embedding(binned: &BinnedTable, config: &EmbeddingConfig) -> CellEm
 /// The pre-streaming preprocess pipeline, preserved as the pinned reference
 /// twin: materialize the sentence corpus, then flatten and train. Ignores
 /// `min_count` / `subsample_t` (the materialized builder has no pruning);
-/// the equivalence suite and the `scale-preprocess-legacy` bench comparator
-/// run through here.
+/// the equivalence suite runs through here.
 pub fn train_embedding_materialized(
     binned: &BinnedTable,
     config: &EmbeddingConfig,

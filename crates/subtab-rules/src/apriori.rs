@@ -11,8 +11,7 @@
 //! This module keeps the seed architecture on purpose: level-wise candidate
 //! generation with hash-map counting at level 1 and one full row scan per
 //! candidate afterwards. [`crate::bitmap::frequent_itemsets_bitmap`] is the
-//! production path; its output is pinned identical to this one, and the
-//! `rules` benchmark quotes its speedup against this twin.
+//! production path; its output is pinned identical to this one.
 
 use crate::interner::{ItemId, ItemInterner};
 use std::collections::HashMap;

@@ -8,8 +8,7 @@
 //!   extension, optional scoped-thread fan-out;
 //! * the **Apriori reference twin** ([`crate::apriori`]) — the preserved
 //!   seed architecture (level-wise candidates, one row scan per candidate),
-//!   kept as the correctness oracle for the equivalence suite and as the
-//!   comparator the `rules` benchmark quotes speedups against.
+//!   kept as the correctness oracle for the equivalence suite.
 
 use crate::apriori::{self, FrequentItemset};
 use crate::bitmap::{self, VerticalIndex};
@@ -105,8 +104,7 @@ impl RuleMiner {
 
     /// Mines with the preserved Apriori reference twin. Produces the exact
     /// same rule set as [`RuleMiner::mine`] (same rules, supports,
-    /// confidences and order); exists as the correctness oracle and the
-    /// benchmark comparator.
+    /// confidences and order); exists as the correctness oracle.
     pub fn mine_apriori(&self, binned: &BinnedTable) -> RuleSet {
         self.mine_with_engine(binned, Engine::Apriori)
     }
@@ -269,16 +267,7 @@ impl RuleMiner {
                 if itemset.items.len() < cfg.min_rule_size {
                     continue;
                 }
-                self.rules_from_itemset(
-                    binned,
-                    interner,
-                    n,
-                    rows,
-                    itemset,
-                    &levels,
-                    &mut scratch,
-                    &mut rules,
-                );
+                self.rules_from_itemset(interner, n, itemset, &levels, &mut scratch, &mut rules);
             }
         }
         self.cap(rules)
@@ -306,13 +295,10 @@ impl RuleMiner {
     /// antecedent and consequent, meeting the confidence threshold. Shared
     /// by both engines: subset supports come from the (identical) frequent
     /// levels, so the resulting statistics are bit-equal.
-    #[allow(clippy::too_many_arguments)]
     fn rules_from_itemset(
         &self,
-        binned: &BinnedTable,
         interner: &ItemInterner,
         n: usize,
-        rows: Option<&[usize]>,
         itemset: &FrequentItemset,
         levels: &[Vec<FrequentItemset>],
         scratch: &mut SplitScratch,
@@ -321,21 +307,11 @@ impl RuleMiner {
         let nf = n as f64;
         let items = &itemset.items;
         let k = items.len();
-        // Every proper subset of a frequent itemset is frequent
-        // (anti-monotonicity), so `lookup_count` almost always hits; the
-        // scan fallback only exists for defensive completeness.
         let count_of = |subset: &[ItemId]| {
-            lookup_count(levels, subset).unwrap_or_else(|| {
-                let all_rows: Vec<usize>;
-                let rows = match rows {
-                    Some(r) => r,
-                    None => {
-                        all_rows = (0..binned.num_rows()).collect();
-                        &all_rows
-                    }
-                };
-                apriori::support_count(binned, interner, subset, rows)
-            })
+            lookup_count(levels, subset).expect(
+                "every proper subset of a frequent itemset is frequent (anti-monotonicity), \
+                 so its count is in the levels",
+            )
         };
         // One column mask per itemset: every antecedent/consequent split
         // shares it.
