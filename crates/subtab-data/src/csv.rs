@@ -1,58 +1,100 @@
-//! Minimal CSV reader/writer with type inference.
+//! CSV reader/writer with type inference.
 //!
-//! Supports quoted fields, embedded commas and quotes, and recognises empty
-//! fields / `NaN` / `null` as missing values. Column types are inferred from
-//! the data: a column is `Int` if every non-null value parses as an integer,
-//! `Float` if every non-null value parses as a number, `Bool` if every value
-//! is `true`/`false`, and `Str` otherwise.
+//! # Grammar
+//!
+//! * Records end at `\n` and fields at `,`, both outside quotes. `\r`
+//!   outside quotes is dropped, so CRLF and LF files read the same.
+//! * Blank and whitespace-only lines are skipped. The first other record
+//!   is the header; every later record must have as many fields.
+//! * A field whose first character is `"` is quoted: it runs to the next
+//!   lone `"`, may hold `,`, `\n` and `\r`, and writes a literal quote as
+//!   `""`. Text after the closing quote joins the field. Any other `"`
+//!   outside quotes is an error, and so is a quote still open at the end.
+//! * Cells are trimmed of whitespace; an empty cell, `NaN` or `null` (any
+//!   ASCII case) is missing. Header names are kept as written.
+//! * A column's type is the first that fits every present cell: `Bool`
+//!   (`true`/`false`, any ASCII case), then `Int` (`i64`), then `Float`
+//!   (`f64`), else `Str`. A column with no present cell is `Str`.
+//!
+//! # Errors
+//!
+//! A [`DataError::CsvParse`] names the 1-based physical line on which the
+//! offending record starts; blank lines and newlines inside quoted fields
+//! count. The first offending record in the file is the one reported.
+//! [`read_csv_file`] reports invalid UTF-8 at the line and byte offset of
+//! the first invalid byte.
+//!
+//! # Memory
+//!
+//! [`parse_csv`] makes one pass over the text. Fields borrow from it; only
+//! a field with a `""` escape, a dropped `\r` or text after its closing
+//! quote is copied. Transient memory is the file text plus one slice per
+//! field, kept in one `Vec` per column, next to the table being built.
 
 use crate::column::Column;
 use crate::error::DataError;
 use crate::table::Table;
 use crate::Result;
+use std::borrow::Cow;
 use std::path::Path;
+use std::str::FromStr;
 
-/// Parses CSV text (first line = header) into a [`Table`].
+/// Parses CSV text into a [`Table`] (see the [module docs](self) for the
+/// grammar).
 pub fn parse_csv(text: &str) -> Result<Table> {
-    let mut records = Vec::new();
-    let mut line_no = 0usize;
-    for line in split_records(text) {
-        line_no += 1;
-        if line.trim().is_empty() {
+    let mut fields = Fields {
+        text,
+        pos: 0,
+        line: 1,
+    };
+    // One record's fields, then one `Vec` per column: a column's cells
+    // stay contiguous for inference, and no block spans the whole table.
+    let (mut record, mut header, mut columns) = (Vec::new(), None, Vec::new());
+    while fields.pos < text.len() {
+        let (start, line) = (fields.pos, fields.line);
+        record.clear();
+        while fields.push_next(&mut record, line)? {}
+        if record.len() == 1 && text[start..fields.pos].trim().is_empty() {
             continue;
         }
-        records.push((line_no, parse_record(&line, line_no)?));
-    }
-    if records.is_empty() {
-        return Err(DataError::EmptyTable("CSV input has no header".into()));
-    }
-    let (_, header) = records.remove(0);
-    let ncols = header.len();
-    let mut cells: Vec<Vec<Option<String>>> = vec![Vec::with_capacity(records.len()); ncols];
-    for (line, rec) in &records {
-        if rec.len() != ncols {
-            return Err(DataError::CsvParse {
-                line: *line,
-                message: format!("expected {ncols} fields, found {}", rec.len()),
+        let Some(names) = &header else {
+            columns = vec![Vec::new(); record.len()];
+            header = Some(std::mem::take(&mut record));
+            continue;
+        };
+        if record.len() != names.len() {
+            let (expected, found) = (names.len(), record.len());
+            let message = format!("expected {expected} fields, found {found}");
+            return Err(csv_error(line, message));
+        }
+        // While the record is in cache: trim each cell, and empty a missing one.
+        for (column, cell) in columns.iter_mut().zip(record.drain(..)) {
+            column.push(match cell {
+                Cow::Borrowed(s) => Cow::Borrowed(trim_cell(s)),
+                Cow::Owned(s) => Cow::Owned(trim_cell(&s).to_owned()),
             });
         }
-        for (i, field) in rec.iter().enumerate() {
-            cells[i].push(normalize_missing(field));
-        }
     }
-
-    let mut columns = Vec::with_capacity(ncols);
-    for (name, values) in header.iter().zip(cells) {
-        columns.push(infer_column(name, values));
-    }
-    Table::from_columns(columns)
+    let header = header.ok_or_else(|| DataError::EmptyTable("CSV input has no header".into()))?;
+    let columns = header.iter().zip(&columns).map(|(name, cells)| {
+        let values = cells.iter().map(|v| (!v.is_empty()).then_some(&**v));
+        infer_column(name, values.collect())
+    });
+    Table::from_columns(columns.collect())
 }
 
 /// Reads a CSV file from disk into a [`Table`].
 pub fn read_csv_file(path: impl AsRef<Path>) -> Result<Table> {
-    let text = std::fs::read_to_string(path.as_ref()).map_err(|e| DataError::CsvParse {
-        line: 0,
-        message: format!("io error reading {}: {e}", path.as_ref().display()),
+    let path = path.as_ref();
+    let bytes = std::fs::read(path)
+        .map_err(|e| csv_error(0, format!("io error reading {}: {e}", path.display())))?;
+    let text = String::from_utf8(bytes).map_err(|e| {
+        let at = e.utf8_error().valid_up_to();
+        let line = 1 + e.as_bytes()[..at].iter().filter(|&&b| b == b'\n').count();
+        csv_error(
+            line,
+            format!("invalid UTF-8 at byte {at} of {}", path.display()),
+        )
     })?;
     parse_csv(&text)
 }
@@ -97,128 +139,133 @@ pub fn write_csv_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
 }
 
 fn quote_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
+    if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
     }
 }
 
-fn normalize_missing(field: &str) -> Option<String> {
-    let t = field.trim();
-    if t.is_empty() || t.eq_ignore_ascii_case("nan") || t.eq_ignore_ascii_case("null") {
-        None
+fn csv_error(line: usize, message: impl Into<String>) -> DataError {
+    DataError::CsvParse {
+        line,
+        message: message.into(),
+    }
+}
+
+/// A cursor over CSV text that yields one field at a time.
+struct Fields<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Physical line of `pos`.
+    line: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// Pushes the field at the cursor and steps past its terminator;
+    /// returns whether the record goes on. `record` is the line the record
+    /// starts on, for errors.
+    fn push_next(&mut self, cells: &mut Vec<Cow<'a, str>>, record: usize) -> Result<bool> {
+        let (text, start) = (self.text, self.pos);
+        let bytes = text.as_bytes();
+        // Borrow `text[from..to]` for a plain field or a quoted one without
+        // escapes (a `\r` before the terminator is dropped); anything else
+        // takes the copying path.
+        let quoted = bytes.get(start) == Some(&b'"');
+        let from = start + usize::from(quoted);
+        let stop = |b: &u8| *b == b'"' || !quoted && matches!(b, b',' | b'\n' | b'\r');
+        let to = bytes[from..].iter().position(stop);
+        let to = to.map_or(bytes.len(), |n| from + n);
+        let mut end = to + usize::from(quoted);
+        end += usize::from(bytes.get(end) == Some(&b'\r'));
+        if end > bytes.len() || !matches!(bytes.get(end), None | Some(b',' | b'\n')) {
+            return self.copy_next(cells, record);
+        }
+        if quoted {
+            self.line += bytes[from..to].iter().filter(|&&b| b == b'\n').count();
+        }
+        self.line += usize::from(bytes.get(end) == Some(&b'\n'));
+        self.pos = (end + 1).min(bytes.len());
+        cells.push(Cow::Borrowed(&text[from..to]));
+        Ok(bytes.get(end) == Some(&b','))
+    }
+
+    /// [`Self::push_next`] by the full grammar, copying the field: `""`
+    /// escapes, `\r` dropped outside quotes, text after the closing quote.
+    fn copy_next(&mut self, cells: &mut Vec<Cow<'a, str>>, record: usize) -> Result<bool> {
+        let bytes = self.text.as_bytes();
+        let (mut field, mut quoted, mut i) = (Vec::new(), false, self.pos);
+        let more = loop {
+            let Some(&b) = bytes.get(i) else { break false };
+            i += 1;
+            self.line += usize::from(b == b'\n');
+            if quoted && b == b'"' {
+                // A dropped `\r` between two quotes leaves them an escape.
+                while bytes.get(i) == Some(&b'\r') {
+                    i += 1;
+                }
+                quoted = bytes.get(i) == Some(&b'"');
+                if quoted {
+                    field.push(b'"');
+                    i += 1;
+                }
+                continue;
+            }
+            match b {
+                _ if quoted => field.push(b),
+                b'"' if field.is_empty() => quoted = true,
+                b'"' => return Err(csv_error(record, "unexpected quote inside unquoted field")),
+                b'\r' => {}
+                b',' => break true,
+                b'\n' => break false,
+                _ => field.push(b),
+            }
+        };
+        if quoted {
+            return Err(csv_error(record, "unterminated quoted field"));
+        }
+        self.pos = i;
+        let field = String::from_utf8(field).expect("dropping ASCII bytes keeps UTF-8 valid");
+        cells.push(Cow::Owned(field));
+        Ok(more)
+    }
+}
+
+/// The trimmed cell, or `""` for a missing value (empty, `NaN`, `null`).
+fn trim_cell(cell: &str) -> &str {
+    let t = cell.trim();
+    let missing = t.eq_ignore_ascii_case("nan") || t.eq_ignore_ascii_case("null");
+    if missing {
+        ""
     } else {
-        Some(t.to_string())
+        t
     }
 }
 
-/// Splits CSV text into logical records, respecting quoted newlines.
-fn split_records(text: &str) -> Vec<String> {
-    let mut records = Vec::new();
-    let mut current = String::new();
-    let mut in_quotes = false;
-    for ch in text.chars() {
-        match ch {
-            '"' => {
-                in_quotes = !in_quotes;
-                current.push(ch);
-            }
-            '\n' if !in_quotes => {
-                records.push(std::mem::take(&mut current));
-            }
-            '\r' if !in_quotes => {}
-            _ => current.push(ch),
-        }
-    }
-    if !current.is_empty() {
-        records.push(current);
-    }
-    records
-}
-
-/// Parses one CSV record into fields.
-fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(ch) = chars.next() {
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        field.push('"');
-                        chars.next();
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(ch),
-            }
-        } else {
-            match ch {
-                '"' => {
-                    if field.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err(DataError::CsvParse {
-                            line: line_no,
-                            message: "unexpected quote inside unquoted field".into(),
-                        });
-                    }
-                }
-                ',' => fields.push(std::mem::take(&mut field)),
-                _ => field.push(ch),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(DataError::CsvParse {
-            line: line_no,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    fields.push(field);
-    Ok(fields)
-}
-
-fn infer_column(name: &str, values: Vec<Option<String>>) -> Column {
-    let non_null: Vec<&String> = values.iter().flatten().collect();
-    let all_bool = !non_null.is_empty()
-        && non_null
+/// Builds a column of the first type every present value fits.
+fn infer_column(name: &str, values: Vec<Option<&str>>) -> Column {
+    let is_bool = |v: &&str| v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("false");
+    if values.iter().flatten().next().is_some() && values.iter().flatten().all(is_bool) {
+        let bools = values
             .iter()
-            .all(|v| v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("false"));
-    if all_bool {
-        return Column::from_bool(
-            name,
-            values
-                .iter()
-                .map(|v| v.as_ref().map(|s| s.eq_ignore_ascii_case("true")))
-                .collect(),
-        );
+            .map(|v| v.map(|s| s.eq_ignore_ascii_case("true")));
+        return Column::from_bool(name, bools.collect());
     }
-    let all_int = !non_null.is_empty() && non_null.iter().all(|v| v.parse::<i64>().is_ok());
-    if all_int {
-        return Column::from_i64(
-            name,
-            values
-                .iter()
-                .map(|v| v.as_ref().and_then(|s| s.parse::<i64>().ok()))
-                .collect(),
-        );
+    if let Some(ints) = parse_all(&values) {
+        return Column::from_i64(name, ints);
     }
-    let all_float = !non_null.is_empty() && non_null.iter().all(|v| v.parse::<f64>().is_ok());
-    if all_float {
-        return Column::from_f64(
-            name,
-            values
-                .iter()
-                .map(|v| v.as_ref().and_then(|s| s.parse::<f64>().ok()))
-                .collect(),
-        );
+    if let Some(floats) = parse_all(&values) {
+        return Column::from_f64(name, floats);
     }
-    Column::from_str_values(name, values.iter().map(|v| v.as_deref()).collect())
+    Column::from_str_values(name, values)
+}
+
+/// Parses every present value as `T`, stopping at the first that fails;
+/// `None` when one fails or none is present.
+fn parse_all<T: FromStr>(values: &[Option<&str>]) -> Option<Vec<Option<T>>> {
+    values.iter().flatten().next()?;
+    let parse = |v: &Option<&str>| v.map_or(Some(None), |s| s.parse().ok().map(Some));
+    values.iter().map(parse).collect()
 }
 
 #[cfg(test)]
@@ -271,6 +318,58 @@ mod tests {
         let csv = "a,b\n1,2\n3\n";
         let err = parse_csv(csv).unwrap_err();
         assert!(matches!(err, DataError::CsvParse { line: 3, .. }));
+    }
+
+    #[test]
+    fn error_line_is_where_the_offending_record_starts() {
+        let line = |csv: &str| match parse_csv(csv) {
+            Err(DataError::CsvParse { line, .. }) => line,
+            other => panic!("{csv:?} gave {other:?}"),
+        };
+        // Newlines inside quotes and blank lines count as physical lines.
+        assert_eq!(line("a,b\n\"x\ny\",1\n3\n"), 4);
+        assert_eq!(line("a,b\n\n1,\"p\nq\nr\"\n\n2,x\"y\n"), 7);
+        // The first offending record in the file, whatever the fault.
+        assert_eq!(line("a,b\n1\n\"oops\n"), 2);
+        assert_eq!(line("a,b\n1,2\nx\"y,1\n3\n"), 3);
+    }
+
+    #[test]
+    fn crlf_reads_like_lf() {
+        let lf = parse_csv("a,b\n1,\"x\"\n2,y\n").unwrap();
+        let crlf = parse_csv("a,b\r\n1,\"x\"\r\n2,y\r\n").unwrap();
+        assert_eq!(to_csv(&crlf), to_csv(&lf));
+        assert_eq!(crlf.schema(), lf.schema());
+    }
+
+    #[test]
+    fn carriage_return_in_a_value_roundtrips() {
+        let t = Table::builder()
+            .column_str("s", vec![Some("a\rb"), Some("p\rq\rr")])
+            .build()
+            .unwrap();
+        let back = parse_csv(&to_csv(&t)).unwrap();
+        assert_eq!(back.value(0, "s").unwrap(), Value::from("a\rb"));
+        assert_eq!(back.value(1, "s").unwrap(), Value::from("p\rq\rr"));
+    }
+
+    #[test]
+    fn invalid_utf8_is_located() {
+        let path = std::env::temp_dir().join(format!("subtab_csv_utf8_{}.csv", std::process::id()));
+        for (bytes, line, at) in [
+            (&b"a\xff,b\n1,2\n"[..], 1, 1),
+            (&b"a,b\n1,2\n3,\"x\ny\xc3\"\n"[..], 4, 14),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            match read_csv_file(&path) {
+                Err(DataError::CsvParse { line: l, message }) => {
+                    assert_eq!(l, line);
+                    assert!(message.contains(&format!("byte {at}")), "{message}");
+                }
+                other => panic!("expected a located UTF-8 error, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

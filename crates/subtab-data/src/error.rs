@@ -36,7 +36,8 @@ pub enum DataError {
     InvalidOperation(String),
     /// CSV input could not be parsed.
     CsvParse {
-        /// 1-based line number of the offending record.
+        /// 1-based physical line on which the offending record starts (for
+        /// invalid UTF-8, the line of the first bad byte; 0 for I/O errors).
         line: usize,
         /// Human-readable explanation.
         message: String,
