@@ -176,11 +176,11 @@ fn bench_ablation_binning(c: &mut Criterion) {
     group.finish();
 }
 
-/// Rule engine: bitmap vs Apriori mining and indexed vs linear
-/// highlighting (the load-path costs gated by the `rules` experiment).
+/// Rule engine: bitmap mining and indexed highlighting (the load-path
+/// costs gated by the `rules` experiment).
 fn bench_rule_engine(c: &mut Criterion) {
     use subtab_binning::Binner;
-    use subtab_core::{highlight_rules, highlight_rules_linear};
+    use subtab_core::highlight_rules;
     use subtab_datasets::benchmark_target_column;
     use subtab_rules::{MiningConfig, RuleMiner};
     let mut group = c.benchmark_group("rule_engine");
@@ -197,17 +197,11 @@ fn bench_rule_engine(c: &mut Criterion) {
         .expect("target column exists");
     let miner = RuleMiner::new(MiningConfig::default());
     group.bench_function("mine_bitmap", |b| b.iter(|| black_box(miner.mine(&binned))));
-    group.bench_function("mine_apriori", |b| {
-        b.iter(|| black_box(miner.mine_apriori(&binned)))
-    });
     let rules = miner.mine_with_targets(&binned, &[target]);
     let cols: Vec<String> = binned.column_names().to_vec();
     let rows: Vec<usize> = (0..binned.num_rows().min(256)).collect();
     group.bench_function("highlight_indexed", |b| {
         b.iter(|| black_box(highlight_rules(&binned, &rules, &rows, &cols)))
-    });
-    group.bench_function("highlight_linear", |b| {
-        b.iter(|| black_box(highlight_rules_linear(&binned, &rules, &rows, &cols)))
     });
     group.finish();
 }

@@ -133,7 +133,6 @@ mod tests {
     use crate::experiments::report::tests::{assert_round_trip, assert_wall_gate};
     use crate::experiments::report::REFERENCE_MODE;
     use std::sync::OnceLock;
-    use subtab_core::highlight_rules_linear;
 
     /// The benchmark is slow under the debug test profile, so every test
     /// shares one report.
@@ -169,46 +168,5 @@ mod tests {
     #[test]
     fn gate_passes_against_itself_and_catches_regressions() {
         assert_wall_gate(tiny_report(), &POLICY);
-    }
-
-    /// The timed bitmap engine mines exactly the rules of the Apriori
-    /// reference twin.
-    #[test]
-    fn mining_modes_time_identical_rule_sets() {
-        let dataset = DatasetKind::Cyber.build(subtab_datasets::DatasetSize::Tiny, 31);
-        let binner = Binner::fit(
-            &dataset.table,
-            &ExperimentScale::Quick.subtab_config().binning,
-        )
-        .unwrap();
-        let binned = binner.apply(&dataset.table).unwrap();
-        let t = binned
-            .column_index(&benchmark_target_column(&dataset.table))
-            .unwrap();
-        let miner = RuleMiner::new(MiningConfig::default());
-        let apriori = miner.mine_with_targets_apriori(&binned, &[t]);
-        let bitmap = miner.mine_with_targets(&binned, &[t]);
-        assert_eq!(apriori.rules, bitmap.rules);
-    }
-
-    /// The timed index highlights exactly as the linear reference scan.
-    #[test]
-    fn highlight_modes_agree_on_real_selections() {
-        let dataset = DatasetKind::Cyber.build(subtab_datasets::DatasetSize::Tiny, 31);
-        let binner = Binner::fit(
-            &dataset.table,
-            &ExperimentScale::Quick.subtab_config().binning,
-        )
-        .unwrap();
-        let binned = binner.apply(&dataset.table).unwrap();
-        let t = binned
-            .column_index(&benchmark_target_column(&dataset.table))
-            .unwrap();
-        let rules = RuleMiner::new(MiningConfig::default()).mine_with_targets(&binned, &[t]);
-        let cols: Vec<String> = binned.column_names().to_vec();
-        let rows: Vec<usize> = (0..binned.num_rows().min(64)).collect();
-        let indexed = highlight_rules(&binned, &rules, &rows, &cols);
-        let linear = highlight_rules_linear(&binned, &rules, &rows, &cols);
-        assert_eq!(indexed, linear);
     }
 }

@@ -7,9 +7,8 @@
 //! columns are all currently selected, and each test is a merge of the
 //! rule's sorted item-id slice against the row's own (column-ordered)
 //! item-id list — no string comparison, no per-rule column materialisation.
-//! The pre-refactor linear scan is preserved as
-//! [`highlight_rules_linear`], the reference twin the index is pinned
-//! against.
+//! The `highlight_equivalence` suite pins the probe to a linear scan over
+//! every rule on the six planted datasets.
 
 use std::collections::HashMap;
 use subtab_binning::BinnedTable;
@@ -57,11 +56,6 @@ impl<'r> HighlightIndex<'r> {
         HighlightIndex { rules, buckets }
     }
 
-    /// Number of distinct column-mask buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// For every probed row, picks at most one rule to highlight: among the
     /// rules whose columns are all in `selected_columns` and which hold for
     /// the row, the largest one (most cells highlighted), ties broken by
@@ -82,8 +76,8 @@ impl<'r> HighlightIndex<'r> {
         // Candidate rules: every rule in a bucket whose mask is a subset of
         // the selection, ordered best-first — the probe stops at the first
         // candidate that holds for the row. Best-first is (size desc,
-        // support desc, index asc), which picks exactly the rule the linear
-        // reference twin picks.
+        // support desc, index asc): the largest holding rule, ties broken
+        // by support, then by index.
         let mut candidates: Vec<usize> = self
             .buckets
             .iter()
@@ -92,8 +86,7 @@ impl<'r> HighlightIndex<'r> {
             .collect();
         candidates.sort_by(|&a, &b| {
             let (ra, rb) = (&self.rules.rules[a], &self.rules.rules[b]);
-            // Rank by distinct-column count (what the UI colours), exactly
-            // like the linear twin's `rule.columns().len()`.
+            // Rank by distinct-column count (what the UI colours).
             rb.column_mask
                 .len()
                 .cmp(&ra.column_mask.len())
@@ -158,60 +151,6 @@ pub fn highlight_rules(
     selected_columns: &[String],
 ) -> Vec<Option<RuleHighlight>> {
     HighlightIndex::build(rules).probe(binned_full, row_indices, selected_columns)
-}
-
-/// The pre-refactor linear scan, preserved as the reference twin: for every
-/// row, every rule of the set is tested (column containment and per-item
-/// match), keeping the largest holding rule with support as the
-/// tie-breaker. Output is pinned identical to [`highlight_rules`].
-pub fn highlight_rules_linear(
-    binned_full: &BinnedTable,
-    rules: &RuleSet,
-    row_indices: &[usize],
-    selected_columns: &[String],
-) -> Vec<Option<RuleHighlight>> {
-    let interner = rules.interner();
-    let selected_idx: Vec<usize> = selected_columns
-        .iter()
-        .filter_map(|c| binned_full.column_index(c))
-        .collect();
-    row_indices
-        .iter()
-        .map(|&row| {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, rule) in rules.iter().enumerate() {
-                let cols = rule.columns();
-                if !cols.iter().all(|c| selected_idx.contains(c)) {
-                    continue;
-                }
-                if !rule.holds_for_row(interner, binned_full, row) {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((b, size)) => {
-                        cols.len() > size
-                            || (cols.len() == size && rule.support > rules.rules[b].support)
-                    }
-                };
-                if better {
-                    best = Some((i, cols.len()));
-                }
-            }
-            best.map(|(i, _)| {
-                let rule = &rules.rules[i];
-                RuleHighlight {
-                    rule_index: i,
-                    columns: rule
-                        .columns()
-                        .iter()
-                        .map(|&c| binned_full.column_names()[c].clone())
-                        .collect(),
-                    description: rule.render(interner),
-                }
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -286,28 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn indexed_probe_matches_the_linear_twin() {
-        let (binned, rules) = setup();
-        let all_cols: Vec<String> = binned.column_names().to_vec();
-        let all_rows: Vec<usize> = (0..binned.num_rows()).collect();
-        let selections: Vec<Vec<String>> = vec![
-            all_cols.clone(),
-            all_cols[..2].to_vec(),
-            vec![all_cols[0].clone(), all_cols[2].clone()],
-            vec![],
-        ];
-        for cols in &selections {
-            let indexed = highlight_rules(&binned, &rules, &all_rows, cols);
-            let linear = highlight_rules_linear(&binned, &rules, &all_rows, cols);
-            assert_eq!(indexed, linear, "selection {cols:?}");
-        }
-    }
-
-    #[test]
     fn buckets_group_rules_with_identical_masks() {
         let (_, rules) = setup();
         let index = HighlightIndex::build(&rules);
-        assert!(index.num_buckets() >= 1);
-        assert!(index.num_buckets() <= rules.len());
+        assert!(!index.buckets.is_empty());
+        assert!(index.buckets.len() <= rules.len());
     }
 }

@@ -61,10 +61,10 @@ pub use error::CoreError;
 /// The error type of the query surface, under the paper's name for the
 /// system. Alias of [`CoreError`].
 pub use error::CoreError as SubTabError;
-pub use highlight::{highlight_rules, highlight_rules_linear, HighlightIndex, RuleHighlight};
+pub use highlight::{highlight_rules, HighlightIndex, RuleHighlight};
 pub use preprocess::PreprocessedTable;
 pub use result::SubTableResult;
-pub use select::{select_sub_table, select_sub_table_cached, select_sub_table_strkey};
+pub use select::{select_sub_table, select_sub_table_cached};
 pub use subtab::SubTab;
 
 /// Result alias for SubTab operations.

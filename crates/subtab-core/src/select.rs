@@ -1,4 +1,12 @@
 //! Centroid-based sub-table selection (Algorithm 2, lines 5–19).
+//!
+//! A selection has one path: the query compiles onto row bitmaps
+//! ([`crate::compile`]), row and column vectors are integer gathers over
+//! the token-id plane, and k-means picks the representatives. The
+//! `tokenid_equivalence` suite pins the compiled rows to the per-row tree
+//! walk ([`Query::selection_rows`]) and the gathers to a string-keyed
+//! oracle over [`subtab_embed::CellEmbedding::cell_vector`];
+//! `tests/golden/selection_ref.txt` pins whole selections.
 
 use crate::config::SelectionParams;
 use crate::error::CoreError;
@@ -50,9 +58,7 @@ pub fn select_sub_table_cached(
     threads: usize,
     cache: Option<&crate::compile::LeafBitmapCache>,
 ) -> Result<SubTableResult> {
-    let Some(ctx) =
-        SelectionContext::prepare(pre, query, params, QueryEngine::CompiledBitmap, cache)?
-    else {
+    let Some(ctx) = SelectionContext::prepare(pre, query, params, cache)? else {
         return empty_result(pre);
     };
     let embedding = pre.embedding();
@@ -86,60 +92,7 @@ pub fn select_sub_table_cached(
     finish_selection(pre, &ctx, row_vectors, col_vectors.view(), seed, threads)
 }
 
-/// The pre-refactor string-keyed selection path, preserved as the reference
-/// implementation: every cell vector is resolved by formatting a
-/// `"column=label"` token and hashing it into the embedding's string index,
-/// query predicates are evaluated by the per-row tree walk
-/// ([`Query::selection_rows`]) rather than compiled bitmaps, and
-/// whole-table selections recompute their row vectors rather than using
-/// the cache. The equivalence suite asserts [`select_sub_table`] is
-/// bit-identical to this on every planted dataset.
-pub fn select_sub_table_strkey(
-    pre: &PreprocessedTable,
-    query: Option<&Query>,
-    params: &SelectionParams,
-    seed: u64,
-    threads: usize,
-) -> Result<SubTableResult> {
-    let Some(ctx) = SelectionContext::prepare(pre, query, params, QueryEngine::PerRow, None)?
-    else {
-        return empty_result(pre);
-    };
-    let embedding = pre.embedding();
-    let binned = pre.binned();
-
-    let mut row_vectors = Matrix::with_capacity(ctx.candidate_rows.len(), embedding.dim());
-    for &r in &ctx.candidate_rows {
-        row_vectors.push_row(&embedding.row_vector_strkey(binned, r, &ctx.candidate_columns));
-    }
-    let mut col_vectors = Matrix::with_capacity(ctx.free_columns.len(), embedding.dim());
-    if ctx.l_free > 0 {
-        for &c in &ctx.free_columns {
-            col_vectors.push_row(&embedding.column_vector_strkey(binned, c, &ctx.candidate_rows));
-        }
-    }
-
-    finish_selection(
-        pre,
-        &ctx,
-        row_vectors.view(),
-        col_vectors.view(),
-        seed,
-        threads,
-    )
-}
-
-/// How a selection evaluates its query's predicate tree.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QueryEngine {
-    /// Lower the tree onto row bitmaps ([`crate::compile`]); one pass per
-    /// leaf, word-parallel combination.
-    CompiledBitmap,
-    /// The brute-force reference: re-walk the tree for every row.
-    PerRow,
-}
-
-/// Validated candidate sets shared by both selection engines.
+/// Validated candidate sets of one selection.
 struct SelectionContext {
     candidate_rows: Vec<usize>,
     candidate_columns: Vec<usize>,
@@ -168,7 +121,6 @@ impl SelectionContext {
         pre: &PreprocessedTable,
         query: Option<&Query>,
         params: &SelectionParams,
-        engine: QueryEngine,
         cache: Option<&crate::compile::LeafBitmapCache>,
     ) -> Result<Option<Self>> {
         if params.target_columns.len() > params.l {
@@ -218,14 +170,9 @@ impl SelectionContext {
         // result may draw from (predicate tree plus sort-aware limit).
         let candidate_rows: Vec<usize> = match query {
             None => (0..table.num_rows()).collect(),
-            Some(q) => match (engine, cache) {
-                (QueryEngine::CompiledBitmap, Some(c)) => {
-                    crate::compile::compiled_selection_rows_cached(table, q, c)?
-                }
-                (QueryEngine::CompiledBitmap, None) => {
-                    crate::compile::compiled_selection_rows(table, q)?
-                }
-                (QueryEngine::PerRow, _) => q.selection_rows(table)?,
+            Some(q) => match cache {
+                Some(c) => crate::compile::compiled_selection_rows_cached(table, q, c)?,
+                None => crate::compile::compiled_selection_rows(table, q)?,
             },
         };
         if candidate_rows.is_empty() {
@@ -307,7 +254,7 @@ fn empty_result(pre: &PreprocessedTable) -> Result<SubTableResult> {
     })
 }
 
-/// The clustering + assembly tail shared by both engines: k-means centroid
+/// The clustering + assembly tail of a selection: k-means centroid
 /// representatives over the row matrix, column clustering into
 /// `l − |U*|` clusters over the column matrix, schema-ordered assembly.
 fn finish_selection(
@@ -515,8 +462,6 @@ mod tests {
         ] {
             let r = select_sub_table(&pre, None, &params, 0, 1).unwrap();
             assert_empty(&r);
-            let r = select_sub_table_strkey(&pre, None, &params, 0, 1).unwrap();
-            assert_empty(&r);
         }
     }
 
@@ -525,8 +470,6 @@ mod tests {
         let pre = preprocessed(20);
         let q = Query::new().filter(Predicate::eq("airline", Value::from("ZZ")));
         let r = select_sub_table(&pre, Some(&q), &SelectionParams::new(3, 2), 0, 1).unwrap();
-        assert_empty(&r);
-        let r = select_sub_table_strkey(&pre, Some(&q), &SelectionParams::new(3, 2), 0, 1).unwrap();
         assert_empty(&r);
     }
 
@@ -559,10 +502,6 @@ mod tests {
         for &row in &r.row_indices {
             assert!(row <= 11, "row {row} is outside the limited query result");
         }
-        // The string-keyed twin agrees bit for bit.
-        let s = select_sub_table_strkey(&pre, Some(&q), &SelectionParams::new(4, 3), 2, 1).unwrap();
-        assert_eq!(r.row_indices, s.row_indices);
-        assert_eq!(r.columns, s.columns);
     }
 
     #[test]
@@ -603,22 +542,5 @@ mod tests {
             assert_eq!(sequential.row_indices, parallel.row_indices);
             assert_eq!(sequential.columns, parallel.columns);
         }
-    }
-
-    #[test]
-    fn strkey_reference_path_matches_the_token_id_engine() {
-        let pre = preprocessed(120);
-        let params = SelectionParams::new(6, 3).with_targets(&["cancelled"]);
-        let a = select_sub_table(&pre, None, &params, 9, 1).unwrap();
-        let b = select_sub_table_strkey(&pre, None, &params, 9, 1).unwrap();
-        assert_eq!(a.row_indices, b.row_indices);
-        assert_eq!(a.columns, b.columns);
-        let q = Query::new()
-            .filter(Predicate::eq("airline", Value::from("DL")))
-            .select(&["distance", "airline"]);
-        let a = select_sub_table(&pre, Some(&q), &params, 9, 1).unwrap();
-        let b = select_sub_table_strkey(&pre, Some(&q), &params, 9, 1).unwrap();
-        assert_eq!(a.row_indices, b.row_indices);
-        assert_eq!(a.columns, b.columns);
     }
 }

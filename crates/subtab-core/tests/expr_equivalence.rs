@@ -2,11 +2,11 @@
 //! dataset, the bitmap-compiled evaluation of a `QueryExpr` tree must be
 //! bit-identical to the per-row `QueryExpr::matches` reference — including
 //! NULL-bearing columns, empty-match expressions, and deeply nested trees —
-//! and the full selection pipeline must agree between the compiled engine
-//! (`select_sub_table`) and the preserved per-row engine
-//! (`select_sub_table_strkey`) at every thread count.
+//! the compiled candidate rows of the benchmark queries must equal the
+//! per-row `Query::selection_rows`, and selections over them must agree at
+//! every thread count.
 
-use subtab_core::select::{select_sub_table, select_sub_table_strkey};
+use subtab_core::select::select_sub_table;
 use subtab_core::{
     compiled_selection_rows, query_bitmap, PreprocessedTable, SelectionParams, SubTabConfig,
 };
@@ -145,7 +145,12 @@ fn compiled_and_per_row_selection_engines_agree_at_every_thread_count() {
             benchmark_ast_query(pre.table()),
             benchmark_deep_nest_query(pre.table()),
         ] {
-            let reference = select_sub_table_strkey(&pre, Some(&query), &params, 5, 1).unwrap();
+            assert_eq!(
+                compiled_selection_rows(pre.table(), &query).unwrap(),
+                query.selection_rows(pre.table()).unwrap(),
+                "{kind:?}: compiled rows diverge from the per-row walk"
+            );
+            let reference = select_sub_table(&pre, Some(&query), &params, 5, 1).unwrap();
             assert!(
                 !reference.row_indices.is_empty(),
                 "{kind:?}: benchmark query must match rows"

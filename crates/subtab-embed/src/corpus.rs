@@ -1,25 +1,16 @@
-//! Building the tabular-sentence corpus.
+//! The tabular-sentence corpus as explicit sentences.
 //!
-//! The corpus consists of two kinds of sentences over the binned table
-//! (Section 5.1):
-//!
-//! * **tuple-sentences** — one per row, containing the row's cell tokens,
-//! * **column-sentences** — one per column, containing the column's cell
-//!   tokens over all rows. Because whole-column sentences can be arbitrarily
-//!   long (and the skip-gram window the paper uses is the full sentence),
-//!   long column sentences are chunked into segments of bounded length; the
-//!   co-occurrence statistics within a column are preserved because bin
-//!   tokens repeat heavily.
-//!
-//! The corpus is capped at `max_sentences` sentences chosen uniformly at
-//! random (the paper uses 100 000) to bound pre-processing time on large
-//! tables.
+//! The paper's corpus (Section 5.1) has two kinds of sentences over the
+//! binned table: one **tuple-sentence** per row and one **column-sentence**
+//! per column, long columns chunked. SubTab's own preprocess never
+//! materializes it: [`crate::stream`] emits the training pairs straight
+//! from the code planes. A [`Corpus`] of explicit sentences is the input of
+//! [`crate::sgns::train_on_corpus`], which trainers over other sentence
+//! shapes use (the EmbDI graph-walk baseline). The `corpus_equivalence`
+//! test suite keeps the materialized row/column corpus builder as the
+//! oracle the pair stream is pinned to.
 
 use crate::vocab::Vocab;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use subtab_binning::BinnedTable;
 
 /// A tokenised corpus: sentences of vocabulary ids plus the vocabulary.
 #[derive(Debug, Clone, Default)]
@@ -28,202 +19,4 @@ pub struct Corpus {
     pub sentences: Vec<Vec<u32>>,
     /// The vocabulary (with its negative-sampling table already built).
     pub vocab: Vocab,
-}
-
-impl Corpus {
-    /// Total number of tokens across all sentences.
-    pub fn num_tokens(&self) -> usize {
-        self.sentences.iter().map(Vec::len).sum()
-    }
-
-    /// Number of sentences.
-    pub fn num_sentences(&self) -> usize {
-        self.sentences.len()
-    }
-}
-
-/// Parameters controlling corpus construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorpusOptions {
-    /// Maximum number of sentences kept (uniform random sample). The paper
-    /// uses 100 000.
-    pub max_sentences: usize,
-    /// Maximum length of a column-sentence chunk.
-    pub max_column_sentence_len: usize,
-    /// Whether to include column sentences at all (ablated in the benches).
-    pub include_column_sentences: bool,
-    /// RNG seed for the sentence subsample.
-    pub seed: u64,
-}
-
-impl Default for CorpusOptions {
-    fn default() -> Self {
-        CorpusOptions {
-            max_sentences: 100_000,
-            max_column_sentence_len: 64,
-            include_column_sentences: true,
-            seed: 42,
-        }
-    }
-}
-
-/// Builds the tabular-sentence corpus from a binned table.
-pub fn build_corpus(binned: &BinnedTable, options: &CorpusOptions) -> Corpus {
-    let mut vocab = Vocab::default();
-    let mut sentences: Vec<Vec<u32>> = Vec::new();
-
-    // A cell's token is fully determined by its (column, bin), so the token
-    // string is rendered and interned only on the first sight of each pair;
-    // every later cell is a table lookup plus a count bump. Identical vocab
-    // ids, order and counts to interning per cell — without the O(cells)
-    // string allocations.
-    let mut bin_ids: Vec<Vec<Option<u32>>> = (0..binned.num_columns())
-        .map(|c| vec![None; binned.num_bins(c)])
-        .collect();
-    let mut intern = |vocab: &mut Vocab, r: usize, c: usize| -> u32 {
-        let bin = binned.bin_id(r, c) as usize;
-        match bin_ids[c][bin] {
-            Some(id) => {
-                vocab.record_occurrence(id);
-                id
-            }
-            None => {
-                let id = vocab.add(&binned.cell_token(r, c));
-                bin_ids[c][bin] = Some(id);
-                id
-            }
-        }
-    };
-
-    // Tuple-sentences: one per row.
-    for r in 0..binned.num_rows() {
-        let sentence: Vec<u32> = (0..binned.num_columns())
-            .map(|c| intern(&mut vocab, r, c))
-            .collect();
-        if !sentence.is_empty() {
-            sentences.push(sentence);
-        }
-    }
-
-    // Column-sentences: one per column, chunked.
-    if options.include_column_sentences {
-        let chunk = options.max_column_sentence_len.max(2);
-        for c in 0..binned.num_columns() {
-            let mut sentence: Vec<u32> = Vec::with_capacity(chunk);
-            for r in 0..binned.num_rows() {
-                sentence.push(intern(&mut vocab, r, c));
-                if sentence.len() >= chunk {
-                    sentences.push(std::mem::take(&mut sentence));
-                }
-            }
-            if sentence.len() > 1 {
-                sentences.push(sentence);
-            }
-        }
-    }
-
-    // Uniform random cap.
-    if sentences.len() > options.max_sentences && options.max_sentences > 0 {
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        sentences.shuffle(&mut rng);
-        sentences.truncate(options.max_sentences);
-    }
-
-    vocab.build_sampling_table();
-    Corpus { sentences, vocab }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use subtab_binning::{Binner, BinningConfig};
-    use subtab_data::Table;
-
-    fn binned(rows: usize) -> BinnedTable {
-        let t = Table::builder()
-            .column_i64("a", (0..rows).map(|i| Some((i % 3) as i64)).collect())
-            .column_str(
-                "b",
-                (0..rows)
-                    .map(|i| Some(if i % 2 == 0 { "x" } else { "y" }))
-                    .collect(),
-            )
-            .build()
-            .unwrap();
-        let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
-        binner.apply(&t).unwrap()
-    }
-
-    #[test]
-    fn row_and_column_sentences_are_built() {
-        let bt = binned(10);
-        let corpus = build_corpus(&bt, &CorpusOptions::default());
-        // 10 row sentences + 2 column sentences (10 < chunk size).
-        assert_eq!(corpus.num_sentences(), 12);
-        // Row sentences have one token per column.
-        assert!(corpus.sentences[..10].iter().all(|s| s.len() == 2));
-        // Vocabulary: 3 bins of `a` + 2 bins of `b` actually used.
-        assert_eq!(corpus.vocab.len(), 5);
-        assert!(corpus.num_tokens() > 0);
-    }
-
-    #[test]
-    fn column_sentences_can_be_disabled() {
-        let bt = binned(10);
-        let options = CorpusOptions {
-            include_column_sentences: false,
-            ..Default::default()
-        };
-        let corpus = build_corpus(&bt, &options);
-        assert_eq!(corpus.num_sentences(), 10);
-    }
-
-    #[test]
-    fn long_columns_are_chunked() {
-        let bt = binned(200);
-        let options = CorpusOptions {
-            max_column_sentence_len: 50,
-            ..Default::default()
-        };
-        let corpus = build_corpus(&bt, &options);
-        // 200 row sentences + 2 columns * 4 chunks of 50.
-        assert_eq!(corpus.num_sentences(), 208);
-        assert!(corpus.sentences.iter().all(|s| s.len() <= 50));
-    }
-
-    #[test]
-    fn corpus_cap_is_respected_and_deterministic() {
-        let bt = binned(100);
-        let options = CorpusOptions {
-            max_sentences: 30,
-            seed: 7,
-            ..Default::default()
-        };
-        let a = build_corpus(&bt, &options);
-        let b = build_corpus(&bt, &options);
-        assert_eq!(a.num_sentences(), 30);
-        assert_eq!(a.sentences, b.sentences);
-    }
-
-    #[test]
-    fn tokens_are_column_qualified() {
-        let bt = binned(4);
-        let corpus = build_corpus(&bt, &CorpusOptions::default());
-        for token in corpus.vocab.tokens() {
-            assert!(token.contains('='), "token {token:?} not column-qualified");
-        }
-    }
-
-    #[test]
-    fn empty_table_gives_empty_corpus() {
-        let t = Table::builder()
-            .column_i64("a", Vec::new())
-            .build()
-            .unwrap();
-        let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
-        let bt = binner.apply(&t).unwrap();
-        let corpus = build_corpus(&bt, &CorpusOptions::default());
-        assert_eq!(corpus.num_sentences(), 0);
-        assert!(corpus.vocab.is_empty());
-    }
 }

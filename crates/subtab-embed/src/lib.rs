@@ -12,13 +12,15 @@
 //!
 //! This crate reimplements that pipeline from scratch:
 //!
-//! * [`stream`] — the default preprocess path: the `(center, context)` pair
-//!   stream built directly from the columnar code planes (no materialized
-//!   sentence corpus), with optional frequency pruning (`min_count`) and
-//!   Word2Vec subsampling (`subsample_t`),
-//! * [`corpus`] — the materialized sentence corpus, preserved as the pinned
-//!   reference twin of the streaming builder (the paper caps it at 100 000
-//!   sentences sampled uniformly at random),
+//! * [`stream`] — the preprocess path: the `(center, context)` pair stream
+//!   built directly from the columnar code planes (no materialized sentence
+//!   corpus, the paper's cap of 100 000 uniformly sampled sentences
+//!   reproduced on sentence descriptors), with optional frequency pruning
+//!   (`min_count`) and Word2Vec subsampling (`subsample_t`); the
+//!   `corpus_equivalence` suite pins it to a materialized-corpus oracle,
+//! * [`corpus`] — an explicit sentence [`Corpus`], the input of
+//!   [`sgns::train_on_corpus`] for other sentence shapes (the EmbDI
+//!   baseline's graph walks),
 //! * [`vocab`] — the token vocabulary with a unigram^0.75 negative-sampling
 //!   table,
 //! * [`sgns`] — a sharded skip-gram-with-negative-sampling trainer (the
@@ -44,8 +46,8 @@ pub mod sgns;
 pub mod stream;
 pub mod vocab;
 
-pub use corpus::{build_corpus, Corpus};
+pub use corpus::Corpus;
 pub use model::{CellEmbedding, Quantization, TokenPlane, NO_TOKEN};
-pub use sgns::{train_embedding, train_embedding_materialized, EmbeddingConfig};
+pub use sgns::{train_embedding, EmbeddingConfig};
 pub use stream::{build_pair_stream, PairStream, StreamOptions};
 pub use vocab::{AliasTable, Vocab};

@@ -37,9 +37,9 @@ const PARALLEL_MIN_CELLS: usize = 4096;
 /// through the runtime-dispatched `subtab-kernels` dequantizers, and the
 /// cold token API ([`CellEmbedding::vector`], [`CellEmbedding::cell_vector`],
 /// [`CellEmbedding::cosine`]) decodes the rows it touches. Only the raw
-/// borrows [`CellEmbedding::matrix`] and [`CellEmbedding::vector_by_id`]
-/// have no f32 matrix to lend out of quantized storage and panic; their
-/// `try_` variants return `None` instead.
+/// borrows [`CellEmbedding::try_matrix`] and
+/// [`CellEmbedding::try_vector_by_id`] have no f32 matrix to lend out of
+/// quantized storage; they return `None` there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Quantization {
     /// Keep the full-precision f32 matrix (default; output byte-identical
@@ -169,17 +169,6 @@ impl CellEmbedding {
         }
     }
 
-    /// The f32 matrix, or a panic naming `what` when storage is quantized.
-    fn dense(&self, what: &str) -> &[f32] {
-        self.try_matrix().unwrap_or_else(|| {
-            panic!(
-                "CellEmbedding::{what}: matrix is quantized ({:?}); use the try_ variant, \
-                 vector_owned or the *_into gathers, which decode on the fly",
-                self.quantization()
-            )
-        })
-    }
-
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -200,14 +189,6 @@ impl CellEmbedding {
         &self.tokens
     }
 
-    /// The flat row-major `len() × dim` vector matrix.
-    ///
-    /// # Panics
-    /// Panics on quantized storage (no f32 matrix exists to borrow).
-    pub fn matrix(&self) -> &[f32] {
-        self.dense("matrix")
-    }
-
     /// The flat row-major `len() × dim` vector matrix, or `None` on
     /// quantized storage.
     pub fn try_matrix(&self) -> Option<&[f32]> {
@@ -221,17 +202,6 @@ impl CellEmbedding {
     /// training (cold path: string hash + lookup).
     pub fn token_id(&self, token: &str) -> Option<u32> {
         self.index.get(token).map(|&i| i as u32)
-    }
-
-    /// The vector stored at embedding row `id`.
-    ///
-    /// Panics if `id` is [`NO_TOKEN`] or out of range (gather loops must
-    /// skip sentinel cells before indexing), or on quantized storage — use
-    /// [`CellEmbedding::vector_owned`] there.
-    #[inline]
-    pub fn vector_by_id(&self, id: u32) -> &[f32] {
-        let start = id as usize * self.dim;
-        &self.dense("vector_by_id")[start..start + self.dim]
     }
 
     /// The vector stored at embedding row `id`, or `None` if `id` is not a
@@ -466,52 +436,6 @@ impl CellEmbedding {
         });
         out
     }
-
-    /// The pre-refactor string-keyed row gather (a token is formatted and
-    /// hashed per cell). Preserved as the reference implementation for the
-    /// equivalence suite; production code uses [`CellEmbedding::row_vector`].
-    pub fn row_vector_strkey(&self, binned: &BinnedTable, row: usize, cols: &[usize]) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
-        let mut n = 0usize;
-        for &c in cols {
-            if let Some(v) = self.cell_vector(binned, row, c) {
-                for (a, x) in acc.iter_mut().zip(v.iter()) {
-                    *a += x;
-                }
-                n += 1;
-            }
-        }
-        if n > 0 {
-            let inv = 1.0 / n as f32;
-            acc.iter_mut().for_each(|a| *a *= inv);
-        }
-        acc
-    }
-
-    /// The pre-refactor string-keyed column gather; see
-    /// [`CellEmbedding::row_vector_strkey`].
-    pub fn column_vector_strkey(
-        &self,
-        binned: &BinnedTable,
-        col: usize,
-        rows: &[usize],
-    ) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
-        let mut n = 0usize;
-        for &r in rows {
-            if let Some(v) = self.cell_vector(binned, r, col) {
-                for (a, x) in acc.iter_mut().zip(v.iter()) {
-                    *a += x;
-                }
-                n += 1;
-            }
-        }
-        if n > 0 {
-            let inv = 1.0 / n as f32;
-            acc.iter_mut().for_each(|a| *a *= inv);
-        }
-        acc
-    }
 }
 
 /// The token-id plane of one binned table: a dense row-major
@@ -648,7 +572,7 @@ mod tests {
         assert!(m.vector(&bt.cell_token(0, 0)).is_some());
         assert!(m.vector("nonexistent").is_none());
         assert!(m.cell_vector(&bt, 1, 1).is_some());
-        assert_eq!(m.matrix().len(), 4 * 2);
+        assert_eq!(m.try_matrix().map(<[f32]>::len), Some(4 * 2));
     }
 
     #[test]
@@ -657,7 +581,7 @@ mod tests {
         for (i, token) in m.tokens().iter().enumerate() {
             let id = m.token_id(token).unwrap();
             assert_eq!(id as usize, i);
-            assert_eq!(m.vector_by_id(id), &*m.vector(token).unwrap());
+            assert_eq!(m.try_vector_by_id(id), Some(&*m.vector(token).unwrap()));
         }
         assert!(m.token_id("nonexistent").is_none());
         let _ = bt;
@@ -674,8 +598,8 @@ mod tests {
                 let id = plane.id(row, col);
                 assert_ne!(id, NO_TOKEN);
                 assert_eq!(
-                    m.vector_by_id(id),
-                    &*m.cell_vector(&bt, row, col).unwrap(),
+                    m.try_vector_by_id(id),
+                    Some(&*m.cell_vector(&bt, row, col).unwrap()),
                     "cell ({row}, {col})"
                 );
             }
@@ -691,11 +615,10 @@ mod tests {
         assert_ne!(plane.id(0, 1), NO_TOKEN);
         // The gather skips the sentinel cell exactly like the string path
         // skips the missing token.
+        assert!(m.cell_vector(&bt, 1, 1).is_none());
         let rv = m.row_vector(&plane, 1, &[0, 1]);
-        assert_eq!(rv, m.row_vector_strkey(&bt, 1, &[0, 1]));
         assert_eq!(rv, vec![0.0, 1.0], "only the embedded cell contributes");
         let cv = m.column_vector(&plane, 1, &[0, 1]);
-        assert_eq!(cv, m.column_vector_strkey(&bt, 1, &[0, 1]));
         assert_eq!(cv, vec![3.0, 1.0]);
     }
 
@@ -727,24 +650,6 @@ mod tests {
         assert_eq!(rv, vec![0.0, 0.0]);
         let cv = m.column_vector(&plane, 0, &[]);
         assert_eq!(cv, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn gathers_match_the_string_keyed_reference() {
-        let (m, bt) = toy_model();
-        let plane = m.token_plane(&bt);
-        for row in 0..2 {
-            assert_eq!(
-                m.row_vector(&plane, row, &[0, 1]),
-                m.row_vector_strkey(&bt, row, &[0, 1])
-            );
-        }
-        for col in 0..2 {
-            assert_eq!(
-                m.column_vector(&plane, col, &[0, 1]),
-                m.column_vector_strkey(&bt, col, &[0, 1])
-            );
-        }
     }
 
     #[test]
@@ -796,7 +701,8 @@ mod tests {
             }
             // The owned decoder agrees with the dense rows to the same tol.
             for id in 0..qm.len() as u32 {
-                for (got, want) in qm.vector_owned(id).iter().zip(m.vector_by_id(id)) {
+                let want = m.try_vector_by_id(id).expect("dense row");
+                for (got, want) in qm.vector_owned(id).iter().zip(want) {
                     assert!((got - want).abs() <= tol, "{q:?} row {id}");
                 }
             }
@@ -804,17 +710,18 @@ mod tests {
         // None is the identity: storage stays dense and borrowable.
         let same = m.clone().quantized(Quantization::None);
         assert_eq!(same.quantization(), Quantization::None);
-        assert_eq!(same.matrix(), m.matrix());
+        assert_eq!(same.try_matrix(), m.try_matrix());
+        assert!(same.try_matrix().is_some());
     }
 
     /// The cold token API decodes quantized rows instead of panicking, and
     /// agrees with the dense model within the encoding's error; only the
-    /// raw borrows refuse, through their `try_` variants.
+    /// raw borrows refuse, by returning `None`.
     #[test]
     fn cold_token_api_decodes_quantized_storage() {
         let (m, bt) = toy_model();
-        assert_eq!(m.try_matrix(), Some(m.matrix()));
-        assert_eq!(m.try_vector_by_id(1), Some(m.vector_by_id(1)));
+        let flat = m.try_matrix().expect("dense storage");
+        assert_eq!(m.try_vector_by_id(1), Some(&flat[m.dim()..2 * m.dim()]));
         assert_eq!(m.try_vector_by_id(m.len() as u32), None);
         assert_eq!(m.try_vector_by_id(NO_TOKEN), None);
         let (a, b) = (bt.cell_token(0, 0), bt.cell_token(1, 1));
@@ -843,11 +750,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quantized")]
-    fn borrowing_the_matrix_of_a_quantized_model_panics() {
+    fn borrowing_the_matrix_of_a_quantized_model_gives_none() {
         let (m, _) = toy_model();
         let qm = m.quantized(Quantization::F16);
-        let _ = qm.matrix();
+        assert_eq!(qm.try_matrix(), None);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! # Trainer architecture
 //!
-//! The corpus is flattened once into a contiguous buffer of
-//! `(center, context)` pairs. Three execution modes cover the
-//! speed/reproducibility trade-off:
+//! Training runs over one contiguous buffer of `(center, context)` pairs:
+//! [`train_embedding`] builds it straight from the binned table's code
+//! planes ([`build_pair_stream`]), [`train_on_corpus`] flattens an explicit
+//! sentence corpus, and both hand it to [`train_pairs`]. Three execution
+//! modes cover the speed/reproducibility trade-off:
 //!
 //! | `threads` | `deterministic` | mode |
 //! |---|---|---|
@@ -48,7 +50,7 @@
 //! which is what the golden-fixture test pins; windowed configs differ by
 //! the corrected schedule (and only by it).
 
-use crate::corpus::{build_corpus, Corpus, CorpusOptions};
+use crate::corpus::Corpus;
 use crate::model::{CellEmbedding, Quantization};
 use crate::stream::{build_pair_stream, StreamOptions};
 use crate::vocab::{AliasTable, Vocab};
@@ -131,15 +133,6 @@ impl Default for EmbeddingConfig {
 }
 
 impl EmbeddingConfig {
-    fn corpus_options(&self) -> CorpusOptions {
-        CorpusOptions {
-            max_sentences: self.max_sentences,
-            max_column_sentence_len: self.max_column_sentence_len,
-            include_column_sentences: self.include_column_sentences,
-            seed: self.seed,
-        }
-    }
-
     fn stream_options(&self) -> StreamOptions {
         StreamOptions {
             max_sentences: self.max_sentences,
@@ -158,35 +151,27 @@ impl EmbeddingConfig {
 ///
 /// The pair stream is built directly from the columnar code planes
 /// ([`build_pair_stream`]) — no materialized sentence corpus — honouring the
-/// config's `min_count` / `subsample_t` pruning knobs; with the knobs at
-/// their defaults the stream, and therefore the trained model, is
-/// byte-identical to [`train_embedding_materialized`].
+/// config's `min_count` / `subsample_t` pruning knobs. With the knobs at
+/// their defaults the trained model is byte-identical to
+/// [`train_on_corpus`] over the materialized row/column sentence corpus
+/// (the `corpus_equivalence` suite pins this on the planted datasets).
 pub fn train_embedding(binned: &BinnedTable, config: &EmbeddingConfig) -> CellEmbedding {
     let stream = build_pair_stream(binned, &config.stream_options());
     train_pairs(&stream.vocab, &stream.pairs, config)
 }
 
-/// The pre-streaming preprocess pipeline, preserved as the pinned reference
-/// twin: materialize the sentence corpus, then flatten and train. Ignores
-/// `min_count` / `subsample_t` (the materialized builder has no pruning);
-/// the equivalence suite runs through here.
-pub fn train_embedding_materialized(
-    binned: &BinnedTable,
-    config: &EmbeddingConfig,
-) -> CellEmbedding {
-    let corpus = build_corpus(binned, &config.corpus_options());
-    train_on_corpus(&corpus, config)
-}
-
-/// Trains SGNS on an already-built corpus (exposed for ablation benches).
+/// Trains SGNS on an already-built corpus of explicit sentences (the
+/// graph-walk corpus of the EmbDI baseline, for one). The corpus-shape
+/// fields of `config` (`max_sentences`, column sentences, `min_count`,
+/// `subsample_t`) do not apply: the sentences are taken as given.
 pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbedding {
     let pairs = flatten_pairs(corpus, config.window);
     train_pairs(&corpus.vocab, &pairs, config)
 }
 
 /// Trains SGNS over a flat `(center, context)` pair buffer and its
-/// vocabulary — the shared back half of the streaming and materialized
-/// entry points. The weight matrices are allocated once, sized from the
+/// vocabulary — the shared back half of [`train_embedding`] and
+/// [`train_on_corpus`]. The weight matrices are allocated once, sized from the
 /// (possibly pruned) vocabulary.
 ///
 /// # Panics

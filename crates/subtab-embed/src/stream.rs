@@ -1,12 +1,11 @@
 //! Streaming corpus construction: the `(center, context)` pair stream built
 //! directly from the columnar code planes of a [`BinnedTable`].
 //!
-//! The materialized builder ([`crate::corpus::build_corpus`]) interns one
-//! token id per *cell visit* and stores every sentence as its own `Vec<u32>`
-//! before the trainer flattens them again into the pair buffer — at the
-//! million-row tier that intermediate corpus is the second-largest
-//! preprocess allocation after the pair buffer itself. The streaming builder
-//! skips it:
+//! A materialized builder would intern one token id per *cell visit* and
+//! store every sentence as its own `Vec<u32>` before the trainer flattens
+//! them again into the pair buffer — at the million-row tier that
+//! intermediate corpus would be the second-largest preprocess allocation
+//! after the pair buffer itself. The streaming builder skips it:
 //!
 //! 1. one pass per column over its code plane histograms the bins and
 //!    records each bin's first row, which is enough to reproduce the
@@ -18,13 +17,14 @@
 //!    length, so the surviving sentences are identical;
 //! 3. each surviving descriptor is decoded into one reused scratch buffer
 //!    and its windowed pairs are emitted straight into the pair buffer, in
-//!    the exact enumeration order of the materialized
-//!    `build_corpus` + `flatten_pairs` pipeline.
+//!    the exact enumeration order of materializing the corpus and
+//!    flattening its sentences.
 //!
 //! With pruning and subsampling off the emitted pair stream is
-//! byte-identical to the materialized twin (the equivalence suite pins this
-//! on every planted dataset). The two knobs then cut work where the
-//! materialized path cannot:
+//! byte-identical to that materialized pipeline: the `corpus_equivalence`
+//! test suite keeps the materialized builder as an oracle and pins the
+//! vocabulary, counts, pairs and trained weights on every planted dataset.
+//! The two knobs then cut work where a materialized corpus cannot:
 //!
 //! * **`min_count`** drops tokens whose corpus count (after the ×2 of
 //!   column sentences) is below the threshold. Pruned occurrences vanish
@@ -47,8 +47,8 @@ use subtab_binning::{BinId, BinnedTable};
 /// (or never occur). Matches [`crate::NO_TOKEN`].
 const PRUNED: u32 = u32::MAX;
 
-/// Parameters of the streaming pair builder — the corpus-shape options of
-/// [`crate::corpus::CorpusOptions`] plus the window (applied during
+/// Parameters of the streaming pair builder: the corpus shape (sentence
+/// cap, column-sentence chunking, seed), the window (applied during
 /// emission) and the two pruning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamOptions {
@@ -167,7 +167,7 @@ fn emit_pairs(sentence: &[u32], window: Option<usize>, out: &mut Vec<[u32; 2]>) 
 
 /// Builds the training pair stream directly from the binned table's code
 /// planes. See the module docs for the exact equivalence contract with the
-/// materialized `build_corpus` + `flatten_pairs` pipeline.
+/// materialized corpus pipeline.
 pub fn build_pair_stream(binned: &BinnedTable, options: &StreamOptions) -> PairStream {
     let rows = binned.num_rows();
     let cols = binned.num_columns();
@@ -355,7 +355,6 @@ pub fn build_pair_stream(binned: &BinnedTable, options: &StreamOptions) -> PairS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{build_corpus, CorpusOptions};
     use subtab_binning::{Binner, BinningConfig};
     use subtab_data::Table;
 
@@ -373,75 +372,6 @@ mod tests {
             .unwrap();
         let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
         binner.apply(&t).unwrap()
-    }
-
-    /// The materialized twin's pair buffer for the same shape options.
-    fn materialized_pairs(
-        bt: &BinnedTable,
-        options: &StreamOptions,
-    ) -> (crate::corpus::Corpus, Vec<[u32; 2]>) {
-        let corpus = build_corpus(
-            bt,
-            &CorpusOptions {
-                max_sentences: options.max_sentences,
-                max_column_sentence_len: options.max_column_sentence_len,
-                include_column_sentences: options.include_column_sentences,
-                seed: options.seed,
-            },
-        );
-        let mut pairs = Vec::new();
-        for s in &corpus.sentences {
-            emit_pairs(s, options.window, &mut pairs);
-        }
-        (corpus, pairs)
-    }
-
-    #[test]
-    fn stream_matches_materialized_with_knobs_off() {
-        for rows in [0usize, 1, 7, 137] {
-            for (window, chunk, cap) in [
-                (Some(3), 16, 100_000),
-                (None, 64, 100_000),
-                (Some(8), 8, 40),
-            ] {
-                let bt = binned(rows);
-                let options = StreamOptions {
-                    window,
-                    max_column_sentence_len: chunk,
-                    max_sentences: cap,
-                    ..Default::default()
-                };
-                let stream = build_pair_stream(&bt, &options);
-                let (corpus, want_pairs) = materialized_pairs(&bt, &options);
-                assert_eq!(
-                    stream.vocab.tokens(),
-                    corpus.vocab.tokens(),
-                    "rows={rows} window={window:?} chunk={chunk} cap={cap}"
-                );
-                for id in 0..stream.vocab.len() as u32 {
-                    assert_eq!(stream.vocab.count(id), corpus.vocab.count(id), "id {id}");
-                }
-                assert_eq!(stream.pairs, want_pairs, "rows={rows} window={window:?}");
-                assert_eq!(stream.num_pairs(), want_pairs.len());
-            }
-        }
-    }
-
-    #[test]
-    fn stream_matches_materialized_without_column_sentences() {
-        let bt = binned(60);
-        let options = StreamOptions {
-            include_column_sentences: false,
-            window: Some(2),
-            ..Default::default()
-        };
-        let stream = build_pair_stream(&bt, &options);
-        let (corpus, want_pairs) = materialized_pairs(&bt, &options);
-        assert_eq!(stream.vocab.tokens(), corpus.vocab.tokens());
-        for id in 0..stream.vocab.len() as u32 {
-            assert_eq!(stream.vocab.count(id), corpus.vocab.count(id));
-        }
-        assert_eq!(stream.pairs, want_pairs);
     }
 
     #[test]

@@ -1,0 +1,309 @@
+//! Equivalence suite for the streaming preprocess path: with the pruning
+//! knobs off, the pair stream ([`build_pair_stream`]) must reproduce the
+//! materialized corpus oracle in `corpus_oracle` exactly (vocabulary order,
+//! counts and pair enumeration), on small hand-built tables and on every
+//! planted dataset, and [`train_embedding`] must produce the weights
+//! [`train_on_corpus`] trains from the oracle's corpus, bit for bit. The
+//! last tests pin the oracle's own corpus shape (sentence kinds, chunking,
+//! the seeded cap, token naming).
+
+mod corpus_oracle;
+
+use corpus_oracle::{build_corpus, CorpusOptions};
+use subtab_binning::{BinnedTable, Binner, BinningConfig};
+use subtab_data::Table;
+use subtab_datasets::{DatasetKind, DatasetSize};
+use subtab_embed::sgns::train_on_corpus;
+use subtab_embed::{
+    build_pair_stream, train_embedding, CellEmbedding, Corpus, EmbeddingConfig, StreamOptions,
+};
+
+const ALL_KINDS: [DatasetKind; 6] = [
+    DatasetKind::Flights,
+    DatasetKind::Cyber,
+    DatasetKind::Spotify,
+    DatasetKind::CreditCard,
+    DatasetKind::UsFunds,
+    DatasetKind::BankLoans,
+];
+
+/// The embedding settings of `subtab_core::SubTabConfig::fast()`, the
+/// config the library's own equivalence suites preprocess with.
+fn fast_embedding() -> EmbeddingConfig {
+    EmbeddingConfig {
+        dim: 16,
+        epochs: 2,
+        window: Some(6),
+        ..Default::default()
+    }
+}
+
+/// The oracle's corpus options for an embedding config.
+fn corpus_options(config: &EmbeddingConfig) -> CorpusOptions {
+    CorpusOptions {
+        max_sentences: config.max_sentences,
+        max_column_sentence_len: config.max_column_sentence_len,
+        include_column_sentences: config.include_column_sentences,
+        seed: config.seed,
+    }
+}
+
+fn planted_binned(kind: DatasetKind) -> BinnedTable {
+    let dataset = kind.build(DatasetSize::Tiny, 7);
+    let binner = Binner::fit(&dataset.table, &BinningConfig::default()).unwrap();
+    binner.apply(&dataset.table).unwrap()
+}
+
+fn dense_bits(model: &CellEmbedding) -> Vec<u32> {
+    model
+        .try_matrix()
+        .expect("dense storage")
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// A small three-column table: a 5-valued integer, an alternating string
+/// and a distinct float per row.
+fn small_binned(rows: usize) -> BinnedTable {
+    let t = Table::builder()
+        .column_i64("a", (0..rows).map(|i| Some((i % 5) as i64)).collect())
+        .column_str(
+            "b",
+            (0..rows)
+                .map(|i| Some(if i % 2 == 0 { "x" } else { "y" }))
+                .collect(),
+        )
+        .column_f64("c", (0..rows).map(|i| Some(i as f64 * 0.25)).collect())
+        .build()
+        .unwrap();
+    let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
+    binner.apply(&t).unwrap()
+}
+
+/// A corpus's pair enumeration (sentence order, centers left to right,
+/// contexts left to right, center skipped) — the exact loop the trainer's
+/// `flatten_pairs` runs.
+fn flatten(corpus: &Corpus, window: Option<usize>) -> Vec<[u32; 2]> {
+    let mut pairs = Vec::new();
+    for sentence in &corpus.sentences {
+        let len = sentence.len();
+        for (i, &center) in sentence.iter().enumerate() {
+            let (lo, hi) = match window {
+                Some(w) => (i.saturating_sub(w), (i + w + 1).min(len)),
+                None => (0, len),
+            };
+            for (j, &context) in sentence.iter().enumerate().take(hi).skip(lo) {
+                if j != i {
+                    pairs.push([center, context]);
+                }
+            }
+        }
+    }
+    pairs
+}
+
+/// The oracle's pair buffer for the same shape options.
+fn materialized_pairs(bt: &BinnedTable, options: &StreamOptions) -> (Corpus, Vec<[u32; 2]>) {
+    let corpus = build_corpus(
+        bt,
+        &CorpusOptions {
+            max_sentences: options.max_sentences,
+            max_column_sentence_len: options.max_column_sentence_len,
+            include_column_sentences: options.include_column_sentences,
+            seed: options.seed,
+        },
+    );
+    let pairs = flatten(&corpus, options.window);
+    (corpus, pairs)
+}
+
+#[test]
+fn stream_matches_materialized_with_knobs_off() {
+    for rows in [0usize, 1, 7, 137] {
+        for (window, chunk, cap) in [
+            (Some(3), 16, 100_000),
+            (None, 64, 100_000),
+            (Some(8), 8, 40),
+        ] {
+            let bt = small_binned(rows);
+            let options = StreamOptions {
+                window,
+                max_column_sentence_len: chunk,
+                max_sentences: cap,
+                ..Default::default()
+            };
+            let stream = build_pair_stream(&bt, &options);
+            let (corpus, want_pairs) = materialized_pairs(&bt, &options);
+            assert_eq!(
+                stream.vocab.tokens(),
+                corpus.vocab.tokens(),
+                "rows={rows} window={window:?} chunk={chunk} cap={cap}"
+            );
+            for id in 0..stream.vocab.len() as u32 {
+                assert_eq!(stream.vocab.count(id), corpus.vocab.count(id), "id {id}");
+            }
+            assert_eq!(stream.pairs, want_pairs, "rows={rows} window={window:?}");
+            assert_eq!(stream.num_pairs(), want_pairs.len());
+        }
+    }
+}
+
+#[test]
+fn stream_matches_materialized_without_column_sentences() {
+    let bt = small_binned(60);
+    let options = StreamOptions {
+        include_column_sentences: false,
+        window: Some(2),
+        ..Default::default()
+    };
+    let stream = build_pair_stream(&bt, &options);
+    let (corpus, want_pairs) = materialized_pairs(&bt, &options);
+    assert_eq!(stream.vocab.tokens(), corpus.vocab.tokens());
+    for id in 0..stream.vocab.len() as u32 {
+        assert_eq!(stream.vocab.count(id), corpus.vocab.count(id));
+    }
+    assert_eq!(stream.pairs, want_pairs);
+}
+
+#[test]
+fn streaming_pairs_match_materialized_on_every_planted_dataset() {
+    let embed = fast_embedding();
+    for kind in ALL_KINDS {
+        let bt = planted_binned(kind);
+        let stream = build_pair_stream(
+            &bt,
+            &StreamOptions {
+                max_sentences: embed.max_sentences,
+                max_column_sentence_len: embed.max_column_sentence_len,
+                include_column_sentences: embed.include_column_sentences,
+                seed: embed.seed,
+                window: embed.window,
+                min_count: 0,
+                subsample_t: 0.0,
+            },
+        );
+        let corpus = build_corpus(&bt, &corpus_options(&embed));
+        assert_eq!(
+            stream.vocab.tokens(),
+            corpus.vocab.tokens(),
+            "{kind:?}: vocabulary order diverges"
+        );
+        for id in 0..stream.vocab.len() as u32 {
+            assert_eq!(
+                stream.vocab.count(id),
+                corpus.vocab.count(id),
+                "{kind:?}: count of token {id} diverges"
+            );
+        }
+        let want = flatten(&corpus, embed.window);
+        assert!(
+            !want.is_empty(),
+            "{kind:?}: planted corpus must yield pairs"
+        );
+        assert_eq!(stream.pairs, want, "{kind:?}: pair stream diverges");
+    }
+}
+
+#[test]
+fn streaming_trainer_is_byte_identical_with_knobs_off() {
+    let config = fast_embedding();
+    for kind in [DatasetKind::Flights, DatasetKind::Cyber] {
+        let bt = planted_binned(kind);
+        let streamed = train_embedding(&bt, &config);
+        let materialized = train_on_corpus(&build_corpus(&bt, &corpus_options(&config)), &config);
+        assert_eq!(streamed.tokens(), materialized.tokens(), "{kind:?}");
+        let a: Vec<u32> = dense_bits(&streamed);
+        let b: Vec<u32> = dense_bits(&materialized);
+        assert_eq!(a, b, "{kind:?}: trained matrices diverge");
+    }
+}
+
+/// A two-column table: a 3-valued integer and an alternating string.
+fn corpus_binned(rows: usize) -> BinnedTable {
+    let t = Table::builder()
+        .column_i64("a", (0..rows).map(|i| Some((i % 3) as i64)).collect())
+        .column_str(
+            "b",
+            (0..rows)
+                .map(|i| Some(if i % 2 == 0 { "x" } else { "y" }))
+                .collect(),
+        )
+        .build()
+        .unwrap();
+    let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
+    binner.apply(&t).unwrap()
+}
+
+#[test]
+fn row_and_column_sentences_are_built() {
+    let bt = corpus_binned(10);
+    let corpus = build_corpus(&bt, &CorpusOptions::default());
+    // 10 row sentences + 2 column sentences (10 < chunk size).
+    assert_eq!(corpus.sentences.len(), 12);
+    // Row sentences have one token per column.
+    assert!(corpus.sentences[..10].iter().all(|s| s.len() == 2));
+    // Vocabulary: 3 bins of `a` + 2 bins of `b` actually used.
+    assert_eq!(corpus.vocab.len(), 5);
+    assert!(corpus.sentences.iter().any(|s| !s.is_empty()));
+}
+
+#[test]
+fn column_sentences_can_be_disabled() {
+    let bt = corpus_binned(10);
+    let options = CorpusOptions {
+        include_column_sentences: false,
+        ..Default::default()
+    };
+    let corpus = build_corpus(&bt, &options);
+    assert_eq!(corpus.sentences.len(), 10);
+}
+
+#[test]
+fn long_columns_are_chunked() {
+    let bt = corpus_binned(200);
+    let options = CorpusOptions {
+        max_column_sentence_len: 50,
+        ..Default::default()
+    };
+    let corpus = build_corpus(&bt, &options);
+    // 200 row sentences + 2 columns * 4 chunks of 50.
+    assert_eq!(corpus.sentences.len(), 208);
+    assert!(corpus.sentences.iter().all(|s| s.len() <= 50));
+}
+
+#[test]
+fn corpus_cap_is_respected_and_deterministic() {
+    let bt = corpus_binned(100);
+    let options = CorpusOptions {
+        max_sentences: 30,
+        seed: 7,
+        ..Default::default()
+    };
+    let a = build_corpus(&bt, &options);
+    let b = build_corpus(&bt, &options);
+    assert_eq!(a.sentences.len(), 30);
+    assert_eq!(a.sentences, b.sentences);
+}
+
+#[test]
+fn tokens_are_column_qualified() {
+    let bt = corpus_binned(4);
+    let corpus = build_corpus(&bt, &CorpusOptions::default());
+    for token in corpus.vocab.tokens() {
+        assert!(token.contains('='), "token {token:?} not column-qualified");
+    }
+}
+
+#[test]
+fn empty_table_gives_empty_corpus() {
+    let t = Table::builder()
+        .column_i64("a", Vec::new())
+        .build()
+        .unwrap();
+    let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
+    let bt = binner.apply(&t).unwrap();
+    let corpus = build_corpus(&bt, &CorpusOptions::default());
+    assert_eq!(corpus.sentences.len(), 0);
+    assert!(corpus.vocab.is_empty());
+}

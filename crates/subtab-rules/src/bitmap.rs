@@ -1,14 +1,19 @@
 //! Vertical bitmap mining (Eclat-style) over binned transactions.
 //!
-//! Instead of scanning rows once per candidate itemset (the level-wise
-//! Apriori reference in [`crate::apriori`]), the vertical miner gives every
-//! (column, bin) item a `u64` row bitmap; the support of an itemset is the
-//! popcount of the AND of its items' bitmaps. The frequent-itemset lattice
-//! is walked by column-ordered prefix extension: item ids are column-major
-//! (see [`ItemInterner`]), every transaction holds exactly one item per
-//! column, so a prefix ending in an item of column `c` is only ever
-//! extended with ids `≥ offsets(c + 1)` — candidates never repeat a column
-//! and each itemset is enumerated exactly once, in ascending-id order.
+//! Rows of the binned table play the role of transactions; the items of a
+//! row are its (column, bin) pairs, interned as dense ids, so every
+//! transaction holds exactly one item per column. This is the
+//! "quantitative association rules" setting of Srikant & Agrawal that the
+//! paper builds on.
+//!
+//! Instead of scanning rows once per candidate itemset, the vertical miner
+//! gives every (column, bin) item a `u64` row bitmap; the support of an
+//! itemset is the popcount of the AND of its items' bitmaps. The
+//! frequent-itemset lattice is walked by column-ordered prefix extension:
+//! item ids are column-major (see [`ItemInterner`]), so a prefix ending in
+//! an item of column `c` is only ever extended with ids `≥ offsets(c + 1)`
+//! — candidates never repeat a column and each itemset is enumerated
+//! exactly once, in ascending-id order.
 //!
 //! The walk keeps *conditional* bitmaps: each extension's bitmap is already
 //! ANDed with the prefix, so extending one level deeper ANDs two bitmaps of
@@ -18,9 +23,10 @@
 //! Root subtrees of the lattice are independent, so
 //! [`frequent_itemsets_bitmap`] fans them out across scoped worker threads;
 //! results are collected per root and merged in root order, making the
-//! output identical at every thread count.
+//! output identical at every thread count. The `bitmap_equivalence` test
+//! suite pins the frequent levels and support counts to a level-wise
+//! Apriori oracle (one row scan per candidate) on the six planted datasets.
 
-use crate::apriori::FrequentItemset;
 use crate::interner::{ItemId, ItemInterner};
 use subtab_binning::BinnedTable;
 use subtab_kernels::map_indexed;
@@ -29,6 +35,27 @@ use subtab_kernels::map_indexed;
 // `i`-th row of the mining scope: for whole-table mining that is row `i`
 // itself, for a target-bin partition it is the `i`-th row of the partition.
 use subtab_data::Bitmap;
+
+/// A frequent itemset together with its support count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrequentItemset {
+    /// The item ids, ascending (ids are column-major, so this is also
+    /// (column, bin) order).
+    pub items: Vec<ItemId>,
+    /// Number of rows containing all the items.
+    pub count: usize,
+}
+
+impl FrequentItemset {
+    /// Support as a fraction of the given row count.
+    pub fn support(&self, num_rows: usize) -> f64 {
+        if num_rows == 0 {
+            0.0
+        } else {
+            self.count as f64 / num_rows as f64
+        }
+    }
+}
 
 /// The vertical representation of one mining scope: every item that occurs
 /// in the scope, ascending by id, with its row bitmap and support count.
@@ -90,8 +117,8 @@ impl VerticalIndex {
     }
 
     /// Support count of an arbitrary id set over the scope (AND of all item
-    /// bitmaps) — the vertical twin of [`crate::apriori::support_count`].
-    /// Items absent from the scope have zero support.
+    /// bitmaps). Items absent from the scope have zero support; the empty
+    /// set's support is the scope size.
     pub fn support_count(&self, items: &[ItemId]) -> usize {
         let mut scratch = Bitmap::zeros(self.num_rows);
         self.support_count_into(items.iter().copied(), &mut scratch)
@@ -135,12 +162,10 @@ struct Ext {
 /// the raw shape the parallel walk collects before levels are assembled.
 type FoundItemset = (Vec<ItemId>, usize);
 
-/// Mines all frequent itemsets of the scope with support ≥ `min_support`
-/// and size ≤ `max_size`, returning them grouped by size exactly like
-/// [`crate::apriori::frequent_itemsets`]: index `k` holds the size-`k + 1`
-/// itemsets, each level ascending by item ids. The output (itemsets,
-/// counts, order) is pinned identical to the Apriori reference; only the
-/// walk differs.
+/// Mines all frequent itemsets of the scope (`rows`, `None` = all rows)
+/// with support ≥ `min_support` and size ≤ `max_size`, grouped by size:
+/// index `k` holds the size-`k + 1` itemsets, each level ascending by item
+/// ids.
 ///
 /// `threads` fans the root subtrees out across scoped workers (`0` = all
 /// available cores, `≤ 1` = sequential); the result is identical at every
@@ -197,8 +222,7 @@ pub fn frequent_itemsets_bitmap(
     };
     let per_root: Vec<Vec<FoundItemset>> = map_indexed(threads, frequent.len(), walk_root);
 
-    // Group by size and sort each level by item ids — the exact shape the
-    // Apriori reference produces.
+    // Group by size and sort each level by item ids.
     for (items, count) in per_root.into_iter().flatten() {
         let level = items.len() - 1;
         while levels.len() <= level {
@@ -299,6 +323,137 @@ mod tests {
             .unwrap();
         let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
         binner.apply(&t).unwrap()
+    }
+
+    /// 8 rows replicating the structure of the paper's example table (Fig. 3):
+    /// cancelled flights have NaN departure times, year 2015.
+    fn example_binned() -> BinnedTable {
+        let t = Table::builder()
+            .column_i64(
+                "cancelled",
+                vec![
+                    Some(1),
+                    Some(1),
+                    Some(1),
+                    Some(1),
+                    Some(0),
+                    Some(0),
+                    Some(0),
+                    Some(0),
+                ],
+            )
+            .column_str(
+                "dep_time",
+                vec![
+                    None,
+                    None,
+                    None,
+                    None,
+                    Some("morning"),
+                    Some("morning"),
+                    Some("evening"),
+                    Some("evening"),
+                ],
+            )
+            .column_i64(
+                "year",
+                vec![
+                    Some(2015),
+                    Some(2015),
+                    Some(2015),
+                    Some(2015),
+                    Some(2016),
+                    Some(2015),
+                    Some(2015),
+                    Some(2015),
+                ],
+            )
+            .build()
+            .unwrap();
+        let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
+        binner.apply(&t).unwrap()
+    }
+
+    #[test]
+    fn single_items_counted_correctly() {
+        let bt = example_binned();
+        let interner = ItemInterner::from_binned(&bt);
+        let levels = frequent_itemsets_bitmap(&bt, &interner, 0.5, 1, None, 1);
+        assert_eq!(levels.len(), 1);
+        // cancelled=1 (4 rows), cancelled=0 (4 rows), dep_time=NaN (4 rows),
+        // year=2015 (7 rows) all have support >= 0.5.
+        assert_eq!(levels[0].len(), 4);
+        for fi in &levels[0] {
+            assert!(fi.count >= 4);
+            assert!(fi.support(8) >= 0.5);
+        }
+    }
+
+    #[test]
+    fn pairs_respect_one_item_per_column() {
+        let bt = example_binned();
+        let interner = ItemInterner::from_binned(&bt);
+        let levels = frequent_itemsets_bitmap(&bt, &interner, 0.4, 2, None, 1);
+        assert_eq!(levels.len(), 2);
+        for fi in &levels[1] {
+            assert_eq!(fi.items.len(), 2);
+            assert_ne!(
+                interner.column_of(fi.items[0]),
+                interner.column_of(fi.items[1])
+            );
+        }
+        // cancelled=1 ∧ dep_time=NaN must be among the frequent pairs (4 rows).
+        let c = bt.column_index("cancelled").unwrap();
+        let d = bt.column_index("dep_time").unwrap();
+        let has_pair = levels[1].iter().any(|fi| {
+            fi.items.iter().any(|&i| interner.column_of(i) == c)
+                && fi.items.iter().any(|&i| interner.column_of(i) == d)
+                && fi.count == 4
+        });
+        assert!(has_pair);
+    }
+
+    #[test]
+    fn triples_found_with_lower_support() {
+        let bt = example_binned();
+        let interner = ItemInterner::from_binned(&bt);
+        let levels = frequent_itemsets_bitmap(&bt, &interner, 0.4, 3, None, 1);
+        assert_eq!(levels.len(), 3);
+        // cancelled=1 ∧ dep_time=NaN ∧ year=2015 holds for 4 of 8 rows.
+        assert!(levels[2].iter().any(|fi| fi.count == 4));
+    }
+
+    #[test]
+    fn monotonicity_of_support() {
+        let bt = example_binned();
+        let interner = ItemInterner::from_binned(&bt);
+        let levels = frequent_itemsets_bitmap(&bt, &interner, 0.3, 3, None, 1);
+        // Every level-k itemset's count is at most the count of any subset at
+        // level k-1 (anti-monotonicity of support).
+        for k in 1..levels.len() {
+            for fi in &levels[k] {
+                for drop in 0..fi.items.len() {
+                    let mut subset = fi.items.clone();
+                    subset.remove(drop);
+                    let parent = levels[k - 1]
+                        .iter()
+                        .find(|p| p.items == subset)
+                        .expect("subset of a frequent itemset must be frequent");
+                    assert!(parent.count >= fi.count);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_subset_restriction() {
+        let bt = example_binned();
+        let interner = ItemInterner::from_binned(&bt);
+        let cancelled_rows: Vec<usize> = vec![0, 1, 2, 3];
+        let levels = frequent_itemsets_bitmap(&bt, &interner, 0.9, 1, Some(&cancelled_rows), 1);
+        // Within cancelled rows, cancelled=1, dep_time=NaN and year=2015 are
+        // all frequent at 100%.
+        assert_eq!(levels[0].len(), 3);
     }
 
     #[test]

@@ -4,18 +4,17 @@
 //! paper).
 //!
 //! The paper measures sub-table quality against a set of *prominent*
-//! association rules mined from the binned input table (it uses the
-//! `efficient-apriori` Python package with support 0.1, confidence 0.6 and
-//! minimum rule size 3). This crate reimplements that pipeline on **dense
-//! integer items**:
+//! association rules mined from the binned input table (it uses a Python
+//! Apriori package with support 0.1, confidence 0.6 and minimum rule size
+//! 3). This crate reimplements that pipeline on **dense integer items**:
 //!
 //! * [`ItemInterner`] / [`ItemId`] — every (column, bin) pair becomes a
 //!   dense, column-major `u32` id derived from the binned table's shape;
 //!   display strings live behind an `Arc` for the cold API,
-//! * [`bitmap`] — the production engine: per-item row bitmaps, popcount
-//!   supports, column-ordered prefix extension, scoped-thread fan-out,
-//! * [`apriori`] — the preserved level-wise reference twin whose output the
-//!   bitmap engine is pinned to (the equivalence suite asserts identity),
+//! * [`bitmap`] — the frequent-itemset engine: per-item row bitmaps,
+//!   popcount supports, column-ordered prefix extension, scoped-thread
+//!   fan-out (the `bitmap_equivalence` suite pins it to a level-wise
+//!   Apriori oracle that lives in the crate's tests),
 //! * [`AssociationRule`] / [`RuleSet`] — sorted id slices plus a per-rule
 //!   [`ColumnMask`], with supports, confidences and lifts,
 //! * [`RuleMiner`] — the end-to-end miner with the paper's parameters,
@@ -44,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod apriori;
 pub mod bitmap;
 pub mod interner;
 pub mod miner;

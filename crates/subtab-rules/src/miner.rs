@@ -1,17 +1,14 @@
 //! End-to-end rule mining with the paper's parameters.
 //!
-//! Two mining engines share one rule-generation step, so their output is
-//! identical rule for rule:
-//!
-//! * the **vertical bitmap engine** ([`crate::bitmap`]) — the production
-//!   path: per-item row bitmaps, popcount supports, column-ordered prefix
-//!   extension, optional scoped-thread fan-out;
-//! * the **Apriori reference twin** ([`crate::apriori`]) — the preserved
-//!   seed architecture (level-wise candidates, one row scan per candidate),
-//!   kept as the correctness oracle for the equivalence suite.
+//! Frequent itemsets come from the vertical bitmap engine
+//! ([`crate::bitmap`]): per-item row bitmaps, popcount supports,
+//! column-ordered prefix extension, optional scoped-thread fan-out. Rules
+//! are split from the frequent levels here; target mining partitions the
+//! rows per target bin, pools, deduplicates and recounts global supports.
+//! `tests/golden/rules_ref.txt` pins the mined rules on the six planted
+//! datasets.
 
-use crate::apriori::{self, FrequentItemset};
-use crate::bitmap::{self, VerticalIndex};
+use crate::bitmap::{self, FrequentItemset, VerticalIndex};
 use crate::interner::{ItemId, ItemInterner};
 use crate::rule::{AssociationRule, ColumnMask, RuleSet};
 use serde::{Deserialize, Serialize};
@@ -39,7 +36,7 @@ pub struct MiningConfig {
     /// Truncation is fully deterministic: rules are ordered by support
     /// (descending), then confidence (descending), then ascending
     /// antecedent and consequent item ids. The id tie-break makes the kept
-    /// set — and its order — independent of engine, thread count and run,
+    /// set — and its order — independent of thread count and run,
     /// even when many rules share a support/confidence pair.
     pub max_rules: usize,
     /// Worker threads for the bitmap engine (`0` = all available cores,
@@ -70,15 +67,6 @@ impl MiningConfig {
     }
 }
 
-/// Which frequent-itemset engine a mining run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Level-wise reference twin (always sequential).
-    Apriori,
-    /// Vertical bitmap miner (production path).
-    Bitmap,
-}
-
 /// Association-rule miner over binned tables.
 #[derive(Debug, Clone, Default)]
 pub struct RuleMiner {
@@ -99,19 +87,8 @@ impl RuleMiner {
     /// Mines association rules over all rows of `binned` with the vertical
     /// bitmap engine.
     pub fn mine(&self, binned: &BinnedTable) -> RuleSet {
-        self.mine_with_engine(binned, Engine::Bitmap)
-    }
-
-    /// Mines with the preserved Apriori reference twin. Produces the exact
-    /// same rule set as [`RuleMiner::mine`] (same rules, supports,
-    /// confidences and order); exists as the correctness oracle.
-    pub fn mine_apriori(&self, binned: &BinnedTable) -> RuleSet {
-        self.mine_with_engine(binned, Engine::Apriori)
-    }
-
-    fn mine_with_engine(&self, binned: &BinnedTable, engine: Engine) -> RuleSet {
         let interner = Arc::new(ItemInterner::from_binned(binned));
-        let rules = self.mine_rows(binned, &interner, None, engine, self.config.threads);
+        let rules = self.mine_rows(binned, &interner, None, self.config.threads);
         RuleSet::new(rules, binned.num_rows(), interner)
     }
 
@@ -122,27 +99,8 @@ impl RuleMiner {
     /// separately"). Only rules that actually use a target column are kept.
     /// Partitions fan out across the configured worker threads.
     pub fn mine_with_targets(&self, binned: &BinnedTable, target_columns: &[usize]) -> RuleSet {
-        self.mine_with_targets_engine(binned, target_columns, Engine::Bitmap)
-    }
-
-    /// Target mining through the Apriori reference twin (sequential); the
-    /// oracle counterpart of [`RuleMiner::mine_with_targets`].
-    pub fn mine_with_targets_apriori(
-        &self,
-        binned: &BinnedTable,
-        target_columns: &[usize],
-    ) -> RuleSet {
-        self.mine_with_targets_engine(binned, target_columns, Engine::Apriori)
-    }
-
-    fn mine_with_targets_engine(
-        &self,
-        binned: &BinnedTable,
-        target_columns: &[usize],
-        engine: Engine,
-    ) -> RuleSet {
         if target_columns.is_empty() {
-            return self.mine_with_engine(binned, engine);
+            return self.mine(binned);
         }
         let interner = Arc::new(ItemInterner::from_binned(binned));
         // One pass per target column builds every bin's row list at once
@@ -161,12 +119,12 @@ impl RuleMiner {
             }
         }
 
-        // Mine every partition; the bitmap engine fans partitions out across
-        // scoped workers, each partition mined sequentially. Results land in
+        // Mine every partition; partitions fan out across scoped workers,
+        // each partition mined sequentially. Results land in
         // the partition's slot, so pooling order — and therefore the final
         // rule set — is independent of scheduling.
         let mine_partition = |(tc, bin, rows): &(usize, usize, Vec<usize>)| {
-            let mut rules = self.mine_rows(binned, &interner, Some(rows), engine, 1);
+            let mut rules = self.mine_rows(binned, &interner, Some(rows), 1);
             // Keep only rules mentioning a target column; the split
             // guarantees the target item is constant within the subset, so
             // add it to the consequent when missing.
@@ -180,16 +138,13 @@ impl RuleMiner {
             }
             rules
         };
-        let threads = match engine {
-            Engine::Apriori => 1,
-            Engine::Bitmap => self.config.threads,
-        };
-        let mut all: Vec<AssociationRule> = map_indexed(threads, partitions.len(), |i| {
-            mine_partition(&partitions[i])
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let mut all: Vec<AssociationRule> =
+            map_indexed(self.config.threads, partitions.len(), |i| {
+                mine_partition(&partitions[i])
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         // Deduplicate identical `(antecedent, consequent)` pairs in one hash
         // pass — partitions overlap on rules that don't mention the split
@@ -202,30 +157,16 @@ impl RuleMiner {
             std::collections::HashSet::with_capacity(all.len());
         all.retain(|r| seen.insert((r.antecedent.clone(), r.consequent.clone())));
 
-        // Recompute global support over the full table for comparability.
-        // The bitmap engine ANDs full-table item bitmaps; the twin keeps its
-        // per-rule row scans.
+        // Recompute global support over the full table for comparability,
+        // by ANDing full-table item bitmaps.
         let n = binned.num_rows().max(1) as f64;
-        match engine {
-            Engine::Bitmap => {
-                let vertical = VerticalIndex::build(binned, &interner, None);
-                let mut scratch = subtab_data::Bitmap::zeros(binned.num_rows());
-                for rule in &mut all {
-                    rule.support_count = vertical
-                        .support_count_into(rule.item_ids(), &mut scratch)
-                        .expect("rules are never empty");
-                    rule.support = rule.support_count as f64 / n;
-                }
-            }
-            Engine::Apriori => {
-                let full_rows: Vec<usize> = (0..binned.num_rows()).collect();
-                for rule in &mut all {
-                    let items: Vec<ItemId> = rule.item_ids().collect();
-                    rule.support_count =
-                        apriori::support_count(binned, &interner, &items, &full_rows);
-                    rule.support = rule.support_count as f64 / n;
-                }
-            }
+        let vertical = VerticalIndex::build(binned, &interner, None);
+        let mut scratch = subtab_data::Bitmap::zeros(binned.num_rows());
+        for rule in &mut all {
+            rule.support_count = vertical
+                .support_count_into(rule.item_ids(), &mut scratch)
+                .expect("rules are never empty");
+            rule.support = rule.support_count as f64 / n;
         }
         let rules = self.cap(all);
         RuleSet::new(rules, binned.num_rows(), interner)
@@ -236,27 +177,17 @@ impl RuleMiner {
         binned: &BinnedTable,
         interner: &ItemInterner,
         rows: Option<&[usize]>,
-        engine: Engine,
         threads: usize,
     ) -> Vec<AssociationRule> {
         let cfg = &self.config;
-        let levels = match engine {
-            Engine::Apriori => apriori::frequent_itemsets(
-                binned,
-                interner,
-                cfg.min_support,
-                cfg.max_rule_size,
-                rows,
-            ),
-            Engine::Bitmap => bitmap::frequent_itemsets_bitmap(
-                binned,
-                interner,
-                cfg.min_support,
-                cfg.max_rule_size,
-                rows,
-                threads,
-            ),
-        };
+        let levels = bitmap::frequent_itemsets_bitmap(
+            binned,
+            interner,
+            cfg.min_support,
+            cfg.max_rule_size,
+            rows,
+            threads,
+        );
         let n = rows.map_or(binned.num_rows(), <[usize]>::len);
         let mut rules = Vec::new();
         // One pair of split buffers for the whole run: candidate splits that
@@ -292,9 +223,8 @@ impl RuleMiner {
     }
 
     /// Generates all rules `A → C` from a frequent itemset with non-empty
-    /// antecedent and consequent, meeting the confidence threshold. Shared
-    /// by both engines: subset supports come from the (identical) frequent
-    /// levels, so the resulting statistics are bit-equal.
+    /// antecedent and consequent, meeting the confidence threshold. Subset
+    /// supports come from the frequent levels.
     fn rules_from_itemset(
         &self,
         interner: &ItemInterner,
@@ -446,24 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn apriori_twin_produces_the_same_rules() {
-        let bt = flights_binned();
-        for cfg in [
-            MiningConfig::default(),
-            MiningConfig {
-                min_rule_size: 2,
-                min_support: 0.2,
-                ..Default::default()
-            },
-        ] {
-            let miner = RuleMiner::new(cfg);
-            let bitmap = miner.mine(&bt);
-            let apriori = miner.mine_apriori(&bt);
-            assert_eq!(bitmap.rules, apriori.rules);
-        }
-    }
-
-    #[test]
     fn higher_support_threshold_yields_fewer_rules() {
         let bt = flights_binned();
         let low = RuleMiner::new(MiningConfig {
@@ -518,12 +430,8 @@ mod tests {
             ..Default::default()
         };
         let reference = RuleMiner::new(cfg.clone()).mine(&bt);
-        // Same capped set and order from the twin engine and at any thread
-        // count, even with equal-support/equal-confidence rules in play.
-        assert_eq!(
-            RuleMiner::new(cfg.clone()).mine_apriori(&bt).rules,
-            reference.rules
-        );
+        // Same capped set and order at any thread count, even with
+        // equal-support/equal-confidence rules in play.
         for threads in [2, 4] {
             let threaded = RuleMiner::new(cfg.clone().with_threads(threads)).mine(&bt);
             assert_eq!(threaded.rules, reference.rules, "threads = {threads}");
@@ -571,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn target_mining_matches_the_apriori_twin_at_any_thread_count() {
+    fn target_mining_is_identical_at_any_thread_count() {
         let bt = flights_binned();
         let c = bt.column_index("cancelled").unwrap();
         let y = bt.column_index("year").unwrap();
@@ -579,8 +487,9 @@ mod tests {
             min_rule_size: 2,
             ..Default::default()
         };
-        let oracle = RuleMiner::new(cfg.clone()).mine_with_targets_apriori(&bt, &[c, y]);
-        for threads in [1, 2, 4] {
+        let oracle = RuleMiner::new(cfg.clone()).mine_with_targets(&bt, &[c, y]);
+        assert!(!oracle.is_empty());
+        for threads in [2, 4] {
             let got =
                 RuleMiner::new(cfg.clone().with_threads(threads)).mine_with_targets(&bt, &[c, y]);
             assert_eq!(got.rules, oracle.rules, "threads = {threads}");

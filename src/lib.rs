@@ -19,7 +19,7 @@
 //! |---|---|
 //! | [`data`] | in-memory columnar tables, CSV I/O, selection–projection queries |
 //! | [`binning`] | KDE / quantile / equal-width binning, categorical grouping |
-//! | [`rules`] | Apriori association-rule mining |
+//! | [`rules`] | Association-rule mining (vertical bitmap engine) |
 //! | [`metrics`] | cell coverage, diversity, combined informativeness score |
 //! | [`embed`] | tabular-sentence corpus + skip-gram-negative-sampling embedding |
 //! | [`cluster`] | k-means and centroid-representative selection |
