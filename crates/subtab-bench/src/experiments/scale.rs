@@ -12,8 +12,8 @@
 //! best-of-reps wall time plus the process resident set sampled right
 //! after the stage — the number that actually pages a laptop. Two extra
 //! modes ride along: the embed stage alone with the scale knobs on
-//! (`scale-preprocess-stream`: the streaming builder with pruning,
-//! subsampling and f16 storage) and the CSV spill → reserved-capacity
+//! (`scale-preprocess-stream`: the streaming builder with pruning and
+//! subsampling) and the CSV spill → reserved-capacity
 //! ingest path (`scale-ingest-csv`) that feeds the 1M tier.
 //!
 //! The gate is [`POLICY`]. Wall times are normalised to the shared fixed
@@ -34,7 +34,7 @@ use subtab_core::{SelectionParams, SubTab, SubTabConfig};
 use subtab_data::csv::{read_csv_file, write_csv_file};
 use subtab_data::{Query, Table};
 use subtab_datasets::{generate, scale_spec, ScaleShape, ScaleTier};
-use subtab_embed::{train_embedding, EmbeddingConfig, Quantization};
+use subtab_embed::{train_embedding, EmbeddingConfig};
 use subtab_rules::{MiningConfig, RuleMiner};
 use subtab_server::{ExplorationServer, Request, ServerConfig};
 
@@ -42,9 +42,8 @@ use subtab_server::{ExplorationServer, Request, ServerConfig};
 const STAGES: [&str; 4] = ["preprocess", "select", "mine", "serve"];
 
 /// Modes beyond the `(shape, stage)` grid: the embed stage on the
-/// high-cardinality shape with pruning, subsampling and f16 storage on,
-/// and the CSV spill-to-disk → reserved-capacity ingest path the 1M tier
-/// loads through.
+/// high-cardinality shape with pruning and subsampling on, and the CSV
+/// spill-to-disk → reserved-capacity ingest path the 1M tier loads through.
 const EXTRA_MODES: [&str; 2] = ["scale-preprocess-stream", "scale-ingest-csv"];
 
 /// The scale gate: >25% normalised wall regressions and >2x resident
@@ -197,12 +196,10 @@ fn run_extra_modes(rows: usize, reps: usize) -> Vec<BenchRow> {
     let binned = binner.apply(&dataset.table).expect("binning succeeds");
 
     // Streaming path with the scale knobs on: pairs built straight from
-    // the code planes, rare bins pruned, frequent bins subsampled, and
-    // the trained matrix stored as f16.
+    // the code planes, rare bins pruned and frequent bins subsampled.
     let stream_config = EmbeddingConfig {
         min_count: 2,
         subsample_t: 1e-3,
-        quantize: Quantization::F16,
         ..config.embedding.clone()
     };
     let wall_ms = best_of(reps, || train_embedding(&binned, &stream_config));

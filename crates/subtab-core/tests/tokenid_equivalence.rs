@@ -228,8 +228,8 @@ fn token_plane_covers_every_cell_of_every_planted_dataset() {
                     Some(v) => {
                         assert_ne!(id, NO_TOKEN, "{kind:?} cell ({row}, {col})");
                         assert_eq!(
-                            embedding.try_vector_by_id(id),
-                            Some(&*v),
+                            embedding.vector_by_id(id),
+                            Some(v),
                             "{kind:?} cell ({row}, {col})"
                         );
                     }

@@ -28,9 +28,9 @@
 //!   bit-exact single-threaded reference path and fast kernels that scale
 //!   across cores by averaging per-worker weight replicas after every
 //!   epoch,
-//! * [`model`] — the resulting [`CellEmbedding`]: one flat row-major vector
-//!   matrix over the (column, bin) tokens — storable as f32, f16 or scaled
-//!   i8 ([`Quantization`]) — plus the [`TokenPlane`] of precomputed per-cell
+//! * [`model`] — the resulting [`CellEmbedding`]: one flat row-major f32
+//!   vector matrix over the (column, bin) tokens, plus the [`TokenPlane`] of
+//!   precomputed per-cell
 //!   embedding-row ids that makes query-time row/column gathers string-free
 //!   (the string index is kept only for the cold API).
 //!
@@ -47,7 +47,7 @@ pub mod stream;
 pub mod vocab;
 
 pub use corpus::Corpus;
-pub use model::{CellEmbedding, Quantization, TokenPlane, NO_TOKEN};
+pub use model::{CellEmbedding, TokenPlane, NO_TOKEN};
 pub use sgns::{train_embedding, EmbeddingConfig};
 pub use stream::{build_pair_stream, PairStream, StreamOptions};
 pub use vocab::{AliasTable, Vocab};

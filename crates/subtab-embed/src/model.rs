@@ -7,18 +7,13 @@
 //! [`CellEmbedding::row_vector`] / [`CellEmbedding::column_vector`] are pure
 //! integer-indexed gathers over the flat matrix.
 //!
-//! The matrix itself can be re-encoded post-training into half floats or
-//! scaled signed bytes ([`Quantization`]) — the gathers then decode rows on
-//! the fly through the runtime-dispatched `subtab-kernels` dequantizers,
-//! halving or quartering the resident footprint of the largest preprocess
-//! artefact.
+//! The matrix is always f32. Its rows are (column, bin) tokens, so it stays
+//! small: 36 KiB for a 48-column table at the default 32 dimensions, which
+//! is why the model keeps no compact (f16 or i8) encoding.
 
-use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use subtab_binning::BinnedTable;
-use subtab_kernels::dequant::{f16_to_f32, f32_to_f16};
 
 /// Sentinel id for a cell whose (column, bin) token was never embedded
 /// (possible only for bins absent from the training corpus).
@@ -28,56 +23,14 @@ pub const NO_TOKEN: u32 = u32::MAX;
 /// setup than it saves; the sequential path is used regardless of `threads`.
 const PARALLEL_MIN_CELLS: usize = 4096;
 
-/// Post-training storage format of the embedding matrix.
-///
-/// Quantization trades per-weight precision for a 2× ([`Quantization::F16`])
-/// or ~4× ([`Quantization::I8`]) smaller resident matrix — the remaining
-/// memory ceiling of preprocess at the million-row tier. The hot gathers
-/// ([`CellEmbedding::row_vector_into`] and friends) decode rows on the fly
-/// through the runtime-dispatched `subtab-kernels` dequantizers, and the
-/// cold token API ([`CellEmbedding::vector`], [`CellEmbedding::cell_vector`],
-/// [`CellEmbedding::cosine`]) decodes the rows it touches. Only the raw
-/// borrows [`CellEmbedding::try_matrix`] and
-/// [`CellEmbedding::try_vector_by_id`] have no f32 matrix to lend out of
-/// quantized storage; they return `None` there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Quantization {
-    /// Keep the full-precision f32 matrix (default; output byte-identical
-    /// to the pre-quantization code).
-    #[default]
-    None,
-    /// IEEE binary16 halves: exact decode, at most 2^-11 relative rounding
-    /// per weight on encode.
-    F16,
-    /// Signed bytes with one f32 scale per row (`max_abs / 127`): each
-    /// weight is within ~0.4% of the row's largest magnitude.
-    I8,
-}
-
-/// The trained matrix in one of the [`Quantization`] encodings.
-#[derive(Debug, Clone)]
-enum Storage {
-    /// Full-precision row-major f32 matrix (the training output).
-    F32(Vec<f32>),
-    /// IEEE binary16 halves in the same row-major layout.
-    F16(Vec<u16>),
-    /// Signed bytes plus one decode scale per matrix row.
-    I8 {
-        /// Row-major `tokens × dim` byte codes.
-        codes: Vec<i8>,
-        /// Per-row scale: `weight = code * scale`.
-        scales: Vec<f32>,
-    },
-}
-
 /// A trained embedding: a dense vector for every (column, bin) token that
 /// occurred in the training corpus.
 #[derive(Debug, Clone)]
 pub struct CellEmbedding {
     dim: usize,
     tokens: Vec<Arc<str>>,
-    /// Row-major `tokens.len() × dim` vector matrix, possibly quantized.
-    storage: Storage,
+    /// Row-major `tokens.len() × dim` vector matrix.
+    matrix: Vec<f32>,
     /// Cold string → row-id lookup. The keys share the `Arc<str>` backing of
     /// `tokens`, so each token's character data is stored exactly once.
     index: HashMap<Arc<str>, usize>,
@@ -109,63 +62,8 @@ impl CellEmbedding {
         CellEmbedding {
             dim,
             tokens,
-            storage: Storage::F32(flat),
+            matrix: flat,
             index,
-        }
-    }
-
-    /// Re-encodes the matrix into the requested storage format, consuming
-    /// the model. `Quantization::None` is the identity.
-    ///
-    /// # Panics
-    /// Panics if the model is already quantized (quantization is a one-way,
-    /// post-training step).
-    pub fn quantized(mut self, quantization: Quantization) -> Self {
-        if quantization == Quantization::None {
-            return self;
-        }
-        let flat = match std::mem::replace(&mut self.storage, Storage::F32(Vec::new())) {
-            Storage::F32(flat) => flat,
-            other => {
-                panic!("CellEmbedding::quantized: storage is already quantized ({other:?})")
-            }
-        };
-        self.storage = match quantization {
-            Quantization::None => unreachable!(),
-            Quantization::F16 => Storage::F16(flat.iter().map(|&x| f32_to_f16(x)).collect()),
-            Quantization::I8 => {
-                let mut codes = Vec::with_capacity(flat.len());
-                let mut scales = Vec::with_capacity(self.tokens.len());
-                if self.dim == 0 {
-                    scales.resize(self.tokens.len(), 0.0);
-                } else {
-                    for row in flat.chunks_exact(self.dim) {
-                        let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                        let scale = max_abs / 127.0;
-                        scales.push(scale);
-                        if scale == 0.0 {
-                            codes.extend(std::iter::repeat_n(0i8, self.dim));
-                        } else {
-                            let inv = 127.0 / max_abs;
-                            codes.extend(
-                                row.iter()
-                                    .map(|&x| (x * inv).round().clamp(-127.0, 127.0) as i8),
-                            );
-                        }
-                    }
-                }
-                Storage::I8 { codes, scales }
-            }
-        };
-        self
-    }
-
-    /// The storage format the matrix currently uses.
-    pub fn quantization(&self) -> Quantization {
-        match &self.storage {
-            Storage::F32(_) => Quantization::None,
-            Storage::F16(_) => Quantization::F16,
-            Storage::I8 { .. } => Quantization::I8,
         }
     }
 
@@ -189,13 +87,9 @@ impl CellEmbedding {
         &self.tokens
     }
 
-    /// The flat row-major `len() × dim` vector matrix, or `None` on
-    /// quantized storage.
-    pub fn try_matrix(&self) -> Option<&[f32]> {
-        match &self.storage {
-            Storage::F32(flat) => Some(flat),
-            _ => None,
-        }
+    /// The flat row-major `len() × dim` vector matrix.
+    pub fn matrix(&self) -> &[f32] {
+        &self.matrix
     }
 
     /// The embedding-row id of a token, if the token was seen during
@@ -205,56 +99,22 @@ impl CellEmbedding {
     }
 
     /// The vector stored at embedding row `id`, or `None` if `id` is not a
-    /// row or the storage is quantized.
-    pub fn try_vector_by_id(&self, id: u32) -> Option<&[f32]> {
+    /// row (out of range or [`NO_TOKEN`]).
+    pub fn vector_by_id(&self, id: u32) -> Option<&[f32]> {
         let start = (id as usize).checked_mul(self.dim)?;
-        self.try_matrix()?.get(start..start + self.dim)
-    }
-
-    /// The vector at embedding row `id`, decoded into an owned buffer — the
-    /// cold-path accessor that works for every storage format.
-    ///
-    /// Panics if `id` is [`NO_TOKEN`] or out of range.
-    pub fn vector_owned(&self, id: u32) -> Vec<f32> {
-        self.decoded(id).into_owned()
-    }
-
-    /// Row `id`, borrowed from f32 storage or decoded from quantized
-    /// storage. Panics if `id` is out of range.
-    fn decoded(&self, id: u32) -> Cow<'_, [f32]> {
-        let start = id as usize * self.dim;
-        match &self.storage {
-            Storage::F32(flat) => Cow::Borrowed(&flat[start..start + self.dim]),
-            Storage::F16(halves) => halves[start..start + self.dim]
-                .iter()
-                .map(|&h| f16_to_f32(h))
-                .collect(),
-            Storage::I8 { codes, scales } => {
-                let scale = scales[id as usize];
-                codes[start..start + self.dim]
-                    .iter()
-                    .map(|&c| c as f32 * scale)
-                    .collect()
-            }
-        }
+        self.matrix.get(start..start + self.dim)
     }
 
     /// The vector of a token, if the token was seen during training (cold
-    /// string API): borrowed from f32 storage, decoded from quantized
-    /// storage.
-    pub fn vector(&self, token: &str) -> Option<Cow<'_, [f32]>> {
-        self.token_id(token).map(|id| self.decoded(id))
+    /// string API).
+    pub fn vector(&self, token: &str) -> Option<&[f32]> {
+        self.token_id(token).and_then(|id| self.vector_by_id(id))
     }
 
     /// The vector of the cell at (`row`, `col`) of a binned table (cold
     /// string API — formats and hashes a token per call; the hot path goes
     /// through [`TokenPlane`] ids instead).
-    pub fn cell_vector(
-        &self,
-        binned: &BinnedTable,
-        row: usize,
-        col: usize,
-    ) -> Option<Cow<'_, [f32]>> {
+    pub fn cell_vector(&self, binned: &BinnedTable, row: usize, col: usize) -> Option<&[f32]> {
         self.vector(&binned.cell_token(row, col))
     }
 
@@ -262,7 +122,7 @@ impl CellEmbedding {
     pub fn cosine(&self, a: &str, b: &str) -> Option<f32> {
         let va = self.vector(a)?;
         let vb = self.vector(b)?;
-        Some(cosine(&va, &vb))
+        Some(cosine(va, vb))
     }
 
     /// Precomputes the token-id plane of a binned table: the dense
@@ -296,42 +156,17 @@ impl CellEmbedding {
         }
     }
 
-    /// Adds the matrix row of every non-sentinel id into `acc`, decoding
-    /// quantized storage on the fly through the runtime-dispatched
-    /// `subtab-kernels` dequantizers, and returns how many rows contributed.
-    /// The f32 arm keeps the exact operation order of the pre-quantization
-    /// gather, so dense models stay bit-identical.
+    /// Adds the matrix row of every non-sentinel id into `acc` and returns
+    /// how many rows contributed.
     fn accumulate(&self, acc: &mut [f32], ids: impl Iterator<Item = u32>) -> usize {
         let dim = self.dim;
         let mut n = 0usize;
-        match &self.storage {
-            Storage::F32(flat) => {
-                for id in ids.filter(|&id| id != NO_TOKEN) {
-                    let start = id as usize * dim;
-                    for (a, x) in acc.iter_mut().zip(&flat[start..start + dim]) {
-                        *a += x;
-                    }
-                    n += 1;
-                }
+        for id in ids.filter(|&id| id != NO_TOKEN) {
+            let start = id as usize * dim;
+            for (a, x) in acc.iter_mut().zip(&self.matrix[start..start + dim]) {
+                *a += x;
             }
-            Storage::F16(halves) => {
-                for id in ids.filter(|&id| id != NO_TOKEN) {
-                    let start = id as usize * dim;
-                    subtab_kernels::add_assign_f16(acc, &halves[start..start + dim]);
-                    n += 1;
-                }
-            }
-            Storage::I8 { codes, scales } => {
-                for id in ids.filter(|&id| id != NO_TOKEN) {
-                    let start = id as usize * dim;
-                    subtab_kernels::add_assign_i8(
-                        acc,
-                        &codes[start..start + dim],
-                        scales[id as usize],
-                    );
-                    n += 1;
-                }
-            }
+            n += 1;
         }
         n
     }
@@ -572,7 +407,7 @@ mod tests {
         assert!(m.vector(&bt.cell_token(0, 0)).is_some());
         assert!(m.vector("nonexistent").is_none());
         assert!(m.cell_vector(&bt, 1, 1).is_some());
-        assert_eq!(m.try_matrix().map(<[f32]>::len), Some(4 * 2));
+        assert_eq!(m.matrix().len(), 4 * 2);
     }
 
     #[test]
@@ -581,9 +416,13 @@ mod tests {
         for (i, token) in m.tokens().iter().enumerate() {
             let id = m.token_id(token).unwrap();
             assert_eq!(id as usize, i);
-            assert_eq!(m.try_vector_by_id(id), Some(&*m.vector(token).unwrap()));
+            assert_eq!(m.vector_by_id(id), m.vector(token));
         }
         assert!(m.token_id("nonexistent").is_none());
+        let flat = m.matrix();
+        assert_eq!(m.vector_by_id(1), Some(&flat[m.dim()..2 * m.dim()]));
+        assert_eq!(m.vector_by_id(m.len() as u32), None);
+        assert_eq!(m.vector_by_id(NO_TOKEN), None);
         let _ = bt;
     }
 
@@ -598,8 +437,8 @@ mod tests {
                 let id = plane.id(row, col);
                 assert_ne!(id, NO_TOKEN);
                 assert_eq!(
-                    m.try_vector_by_id(id),
-                    Some(&*m.cell_vector(&bt, row, col).unwrap()),
+                    m.vector_by_id(id),
+                    m.cell_vector(&bt, row, col),
                     "cell ({row}, {col})"
                 );
             }
@@ -677,83 +516,6 @@ mod tests {
             assert_eq!(sequential, m.row_vectors(&plane, &rows, &cols, threads));
             assert_eq!(col_seq, m.column_vectors(&plane, &cols, &rows, threads));
         }
-    }
-
-    #[test]
-    fn quantized_gathers_track_the_dense_reference() {
-        let (m, bt) = toy_model();
-        let plane = m.token_plane(&bt);
-        let dense_rv = m.row_vector(&plane, 1, &[0, 1]);
-        let dense_cv = m.column_vector(&plane, 0, &[0, 1]);
-        for q in [Quantization::F16, Quantization::I8] {
-            let qm = m.clone().quantized(q);
-            assert_eq!(qm.quantization(), q);
-            assert_eq!(qm.len(), m.len());
-            let tol = match q {
-                Quantization::F16 => 1e-3,
-                _ => 1e-2,
-            };
-            for (got, want) in qm.row_vector(&plane, 1, &[0, 1]).iter().zip(&dense_rv) {
-                assert!((got - want).abs() <= tol, "{q:?}: {got} vs {want}");
-            }
-            for (got, want) in qm.column_vector(&plane, 0, &[0, 1]).iter().zip(&dense_cv) {
-                assert!((got - want).abs() <= tol, "{q:?}: {got} vs {want}");
-            }
-            // The owned decoder agrees with the dense rows to the same tol.
-            for id in 0..qm.len() as u32 {
-                let want = m.try_vector_by_id(id).expect("dense row");
-                for (got, want) in qm.vector_owned(id).iter().zip(want) {
-                    assert!((got - want).abs() <= tol, "{q:?} row {id}");
-                }
-            }
-        }
-        // None is the identity: storage stays dense and borrowable.
-        let same = m.clone().quantized(Quantization::None);
-        assert_eq!(same.quantization(), Quantization::None);
-        assert_eq!(same.try_matrix(), m.try_matrix());
-        assert!(same.try_matrix().is_some());
-    }
-
-    /// The cold token API decodes quantized rows instead of panicking, and
-    /// agrees with the dense model within the encoding's error; only the
-    /// raw borrows refuse, by returning `None`.
-    #[test]
-    fn cold_token_api_decodes_quantized_storage() {
-        let (m, bt) = toy_model();
-        let flat = m.try_matrix().expect("dense storage");
-        assert_eq!(m.try_vector_by_id(1), Some(&flat[m.dim()..2 * m.dim()]));
-        assert_eq!(m.try_vector_by_id(m.len() as u32), None);
-        assert_eq!(m.try_vector_by_id(NO_TOKEN), None);
-        let (a, b) = (bt.cell_token(0, 0), bt.cell_token(1, 1));
-        for (q, tol) in [(Quantization::F16, 1e-3), (Quantization::I8, 1e-2)] {
-            let qm = m.clone().quantized(q);
-            assert_eq!(qm.try_matrix(), None);
-            assert_eq!(qm.try_vector_by_id(0), None);
-            for token in m.tokens() {
-                let got = qm.vector(token).expect("token is embedded");
-                for (g, w) in got.iter().zip(m.vector(token).unwrap().iter()) {
-                    assert!((g - w).abs() <= tol, "{q:?} {token}: {g} vs {w}");
-                }
-            }
-            let cell = qm.cell_vector(&bt, 1, 0).expect("cell is embedded");
-            assert_eq!(
-                &*cell,
-                qm.vector_owned(qm.token_id(&bt.cell_token(1, 0)).unwrap())
-            );
-            let (got, want) = (qm.cosine(&a, &b).unwrap(), m.cosine(&a, &b).unwrap());
-            assert!(
-                (got - want).abs() <= 2.0 * tol,
-                "{q:?} cosine {got} vs {want}"
-            );
-            assert!(qm.vector("missing").is_none());
-        }
-    }
-
-    #[test]
-    fn borrowing_the_matrix_of_a_quantized_model_gives_none() {
-        let (m, _) = toy_model();
-        let qm = m.quantized(Quantization::F16);
-        assert_eq!(qm.try_matrix(), None);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! Training runs over one contiguous buffer of `(center, context)` pairs:
 //! [`train_embedding`] builds it straight from the binned table's code
-//! planes ([`build_pair_stream`]), [`train_on_corpus`] flattens an explicit
-//! sentence corpus, and both hand it to [`train_pairs`]. Three execution
-//! modes cover the speed/reproducibility trade-off:
+//! planes ([`build_pair_stream`]), [`train_on_corpus`] runs the stream's
+//! pair enumerator over an explicit sentence corpus, and both hand it to
+//! [`train_pairs`]. Three execution modes cover the speed/reproducibility
+//! trade-off:
 //!
 //! | `threads` | `deterministic` | mode |
 //! |---|---|---|
@@ -43,16 +44,17 @@
 //!
 //! One deliberate deviation from the pre-refactor trainer applies to every
 //! mode, the reference included: the pair count feeding the learning-rate
-//! schedule (`count_pairs`) is now *exact*, where the old trainer overcounted near sentence edges and
-//! decayed the learning rate too slowly. Reference output is therefore
-//! byte-identical to pre-refactor exactly when the old count was already
-//! exact — windowless configs, or windows no shorter than every sentence —
-//! which is what the golden-fixture test pins; windowed configs differ by
-//! the corrected schedule (and only by it).
+//! schedule is now *exact* (the pair buffer's length, whose closed form is
+//! the stream's `pairs_for_len`), where the old trainer overcounted near
+//! sentence edges and decayed the learning rate too slowly. Reference
+//! output is therefore byte-identical to pre-refactor exactly when the old
+//! count was already exact — windowless configs, or windows no shorter
+//! than every sentence — which is what the golden-fixture test pins;
+//! windowed configs differ by the corrected schedule (and only by it).
 
 use crate::corpus::Corpus;
-use crate::model::{CellEmbedding, Quantization};
-use crate::stream::{build_pair_stream, StreamOptions};
+use crate::model::CellEmbedding;
+use crate::stream::{build_pair_stream, emit_pairs, pairs_for_len, StreamOptions};
 use crate::vocab::{AliasTable, Vocab};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,10 +98,6 @@ pub struct EmbeddingConfig {
     /// `0.0` (the default) disables subsampling. Typical: 1e-3 .. 1e-5.
     #[serde(default)]
     pub subsample_t: f64,
-    /// Post-training storage format of the embedding matrix; see
-    /// [`Quantization`]. The default keeps the full-precision f32 matrix.
-    #[serde(default)]
-    pub quantize: Quantization,
     /// Worker threads for the sharded trainer. `0` uses all available
     /// cores; `1` (the default) trains on a single thread.
     pub threads: usize,
@@ -125,7 +123,6 @@ impl Default for EmbeddingConfig {
             seed: 42,
             min_count: 0,
             subsample_t: 0.0,
-            quantize: Quantization::None,
             threads: 1,
             deterministic: true,
         }
@@ -165,7 +162,16 @@ pub fn train_embedding(binned: &BinnedTable, config: &EmbeddingConfig) -> CellEm
 /// fields of `config` (`max_sentences`, column sentences, `min_count`,
 /// `subsample_t`) do not apply: the sentences are taken as given.
 pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbedding {
-    let pairs = flatten_pairs(corpus, config.window);
+    let mut pairs = Vec::with_capacity(
+        corpus
+            .sentences
+            .iter()
+            .map(|s| pairs_for_len(s.len(), config.window))
+            .sum(),
+    );
+    for sentence in &corpus.sentences {
+        emit_pairs(sentence, config.window, &mut pairs);
+    }
     train_pairs(&corpus.vocab, &pairs, config)
 }
 
@@ -202,65 +208,7 @@ pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) 
         }
     }
 
-    CellEmbedding::from_flat(dim, vocab.tokens().to_vec(), w_in).quantized(config.quantize)
-}
-
-// ---------------------------------------------------------------------------
-// Pair flattening and the exact pair count.
-
-/// Flattens the corpus into the contiguous `(center, context)` pair buffer in
-/// the exact enumeration order of the original nested loops (sentence order,
-/// centers left to right, contexts left to right with the center skipped).
-fn flatten_pairs(corpus: &Corpus, window: Option<usize>) -> Vec<[u32; 2]> {
-    let mut pairs = Vec::with_capacity(count_pairs(corpus, window));
-    for sentence in &corpus.sentences {
-        let len = sentence.len();
-        for (i, &center) in sentence.iter().enumerate() {
-            let (lo, hi) = match window {
-                Some(w) => (i.saturating_sub(w), (i + w + 1).min(len)),
-                None => (0, len),
-            };
-            for (j, &context) in sentence.iter().enumerate().take(hi).skip(lo) {
-                if j != i {
-                    pairs.push([center, context]);
-                }
-            }
-        }
-    }
-    debug_assert_eq!(pairs.len(), count_pairs(corpus, window));
-    pairs
-}
-
-/// Exact number of `(center, context)` pairs one epoch visits.
-///
-/// For a windowed pass, position `i` of a sentence of length `len`
-/// contributes `min(i, w) + min(len - 1 - i, w)` pairs; summed in closed
-/// form this is `w · (2·len − w − 1)` once `len > w`, and the full
-/// `len · (len − 1)` otherwise. (The previous formula,
-/// `len · min(2w, len − 1)`, pretended every position had a full window,
-/// overcounting near sentence edges and skewing the linear learning-rate
-/// decay low.)
-fn count_pairs(corpus: &Corpus, window: Option<usize>) -> usize {
-    corpus
-        .sentences
-        .iter()
-        .map(|s| {
-            let len = s.len();
-            if len == 0 {
-                return 0;
-            }
-            match window {
-                Some(w) => {
-                    if len <= w + 1 {
-                        len * (len - 1)
-                    } else {
-                        w * (2 * len - w - 1)
-                    }
-                }
-                None => len * (len - 1),
-            }
-        })
-        .sum()
+    CellEmbedding::from_flat(dim, vocab.tokens().to_vec(), w_in)
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,20 +1175,24 @@ mod tests {
             vec![(0..64).collect()],
         ];
         for sentences in sentence_sets {
-            let corpus = Corpus {
-                sentences: sentences.clone(),
-                vocab: Default::default(),
-            };
             for window in [None, Some(0), Some(1), Some(2), Some(5), Some(8), Some(100)] {
+                let closed: usize = sentences
+                    .iter()
+                    .map(|s| pairs_for_len(s.len(), window))
+                    .sum();
                 assert_eq!(
-                    count_pairs(&corpus, window),
+                    closed,
                     brute(&sentences, window),
                     "window {window:?} on {sentences:?}"
                 );
+                let mut pairs = Vec::new();
+                for s in &sentences {
+                    emit_pairs(s, window, &mut pairs);
+                }
                 assert_eq!(
-                    flatten_pairs(&corpus, window).len(),
+                    pairs.len(),
                     brute(&sentences, window),
-                    "flattened count, window {window:?}"
+                    "emitted count, window {window:?}"
                 );
             }
         }

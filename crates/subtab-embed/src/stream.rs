@@ -129,9 +129,13 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Pairs a sentence of length `len` contributes under `window` — the same
-/// closed form as the trainer's exact pair count.
-fn pairs_for_len(len: usize, window: Option<usize>) -> usize {
+/// Exact number of `(center, context)` pairs a sentence of length `len`
+/// contributes under `window`.
+///
+/// Position `i` contributes `min(i, w) + min(len - 1 - i, w)` pairs; summed
+/// in closed form this is `w · (2·len − w − 1)` once `len > w`, and the full
+/// `len · (len − 1)` otherwise.
+pub(crate) fn pairs_for_len(len: usize, window: Option<usize>) -> usize {
     if len == 0 {
         return 0;
     }
@@ -147,10 +151,11 @@ fn pairs_for_len(len: usize, window: Option<usize>) -> usize {
     }
 }
 
-/// Emits the windowed pairs of one sentence in the exact order of the
-/// materialized `flatten_pairs` (centers left to right, contexts left to
-/// right, center skipped).
-fn emit_pairs(sentence: &[u32], window: Option<usize>, out: &mut Vec<[u32; 2]>) {
+/// Emits the windowed pairs of one sentence in the trainer's enumeration
+/// order (centers left to right, contexts left to right, center skipped).
+/// The streaming builder and [`crate::sgns::train_on_corpus`] both emit
+/// through it.
+pub(crate) fn emit_pairs(sentence: &[u32], window: Option<usize>, out: &mut Vec<[u32; 2]>) {
     let len = sentence.len();
     for (i, &center) in sentence.iter().enumerate() {
         let (lo, hi) = match window {

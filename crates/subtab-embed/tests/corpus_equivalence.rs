@@ -55,12 +55,7 @@ fn planted_binned(kind: DatasetKind) -> BinnedTable {
 }
 
 fn dense_bits(model: &CellEmbedding) -> Vec<u32> {
-    model
-        .try_matrix()
-        .expect("dense storage")
-        .iter()
-        .map(|x| x.to_bits())
-        .collect()
+    model.matrix().iter().map(|x| x.to_bits()).collect()
 }
 
 /// A small three-column table: a 5-valued integer, an alternating string
@@ -82,8 +77,8 @@ fn small_binned(rows: usize) -> BinnedTable {
 }
 
 /// A corpus's pair enumeration (sentence order, centers left to right,
-/// contexts left to right, center skipped) — the exact loop the trainer's
-/// `flatten_pairs` runs.
+/// contexts left to right, center skipped), written out independently of
+/// the stream's enumerator that both trainer entry points share.
 fn flatten(corpus: &Corpus, window: Option<usize>) -> Vec<[u32; 2]> {
     let mut pairs = Vec::new();
     for sentence in &corpus.sentences {

@@ -46,17 +46,12 @@
 //!   every tier, exactly like [`nearest_centroid_scalar`].
 
 pub mod aligned;
-pub mod dequant;
 pub mod dispatch;
 pub mod distance;
 pub mod scan;
 pub mod threads;
 
 pub use aligned::AlignedBuf;
-pub use dequant::{
-    add_assign_f16, add_assign_f16_with_isa, add_assign_i8, add_assign_i8_with_isa, f16_to_f32,
-    f32_to_f16,
-};
 pub use dispatch::{detect, fma_select, force_scalar, has_avx2_fma, has_avx512, Isa};
 pub use distance::{euclidean, nearest_centroid_scalar, squared_euclidean, PointBlocks};
 pub use scan::{

@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Point-in-time counters of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,9 +89,10 @@ impl<V: Clone> ResultCache<V> {
     ///
     /// The boolean is `true` on a cache hit. Exactly one caller computes a
     /// missing key at a time; racers block until the computation finishes
-    /// and then read the inserted value. A failed computation inserts
-    /// nothing — one parked racer retries (and may succeed, e.g. after a
-    /// transient failure), the error propagates to the caller that hit it.
+    /// and then read the inserted value. A failed or panicking computation
+    /// inserts nothing — one parked racer retries (and may succeed, e.g.
+    /// after a transient failure), the error or panic propagates to the
+    /// caller that hit it.
     pub fn get_or_compute<E>(
         &self,
         key: &str,
@@ -125,43 +126,37 @@ impl<V: Clone> ResultCache<V> {
                 break;
             }
         }
+        let inflight = Inflight { cache: self, key };
         // Compute outside the lock — this is the expensive part the
         // single-flight discipline protects.
-        let computed = f();
+        let value = f()?;
         let mut guard = self.inner.lock().expect("cache lock poisoned");
-        guard.inflight.remove(key);
-        let out = match computed {
-            Ok(value) => {
-                if guard.map.len() >= self.capacity && !guard.map.contains_key(key) {
-                    // Evict the least recently used entry. The scan is
-                    // O(entries), which is dwarfed by the miss computation
-                    // that triggered it at any realistic capacity.
-                    if let Some(lru_key) = guard
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                    {
-                        guard.map.remove(&lru_key);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                guard.tick += 1;
-                let tick = guard.tick;
-                guard.map.insert(
-                    key.to_string(),
-                    Entry {
-                        value: value.clone(),
-                        last_used: tick,
-                    },
-                );
-                Ok((value, false))
+        if guard.map.len() >= self.capacity && !guard.map.contains_key(key) {
+            // Evict the least recently used entry. The scan is O(entries),
+            // which is dwarfed by the miss computation that triggered it at
+            // any realistic capacity.
+            if let Some(lru_key) = guard
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            {
+                guard.map.remove(&lru_key);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => Err(e),
-        };
+        }
+        guard.tick += 1;
+        let tick = guard.tick;
+        guard.map.insert(
+            key.to_string(),
+            Entry {
+                value: value.clone(),
+                last_used: tick,
+            },
+        );
         drop(guard);
-        self.changed.notify_all();
-        out
+        drop(inflight);
+        Ok((value, false))
     }
 
     /// Current counters.
@@ -175,12 +170,34 @@ impl<V: Clone> ResultCache<V> {
     }
 }
 
+/// A key's in-flight mark. Dropping it — after the value is inserted, on an
+/// error or during a panic's unwind — clears the mark and wakes the parked
+/// racers, so no outcome of a computation can leave them waiting.
+struct Inflight<'a, V> {
+    cache: &'a ResultCache<V>,
+    key: &'a str,
+}
+
+impl<V> Drop for Inflight<'_, V> {
+    fn drop(&mut self) {
+        let mut guard = self
+            .cache
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inflight.remove(self.key);
+        drop(guard);
+        self.cache.changed.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::convert::Infallible;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn compute(counter: &AtomicUsize, v: u64) -> Result<u64, Infallible> {
         counter.fetch_add(1, Ordering::SeqCst);
@@ -244,6 +261,38 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let (v, hit) = cache.get_or_compute("a", || compute(&calls, 7)).unwrap();
         assert_eq!((v, hit), (7, false));
+    }
+
+    #[test]
+    fn a_panicking_computation_releases_its_key() {
+        let cache: Arc<ResultCache<u64>> = Arc::new(ResultCache::new(4));
+        let (started_tx, started_rx) = mpsc::channel();
+        let panicking = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_compute("a", || -> Result<u64, Infallible> {
+                    started_tx.send(()).unwrap();
+                    // Widen the window so the racer below parks on the key.
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("computation panics")
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let get_a = |v: u64| {
+            let cache = Arc::clone(&cache);
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(cache.get_or_compute("a", || Ok::<_, Infallible>(v)));
+            });
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("the key stayed in flight after a panic")
+        };
+        // A racer parked on the panicking computation retries it.
+        assert_eq!(get_a(7), Ok((7, false)));
+        assert!(panicking.join().is_err(), "the computation panicked");
+        assert_eq!(get_a(8), Ok((7, true)));
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub use pool::{Lane, Pool};
 pub use session::{HistoryRecord, RequestKind, SessionId};
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -85,6 +86,9 @@ pub enum ServerError {
     UnknownSession(SessionId),
     /// The server shut down before the request produced a response.
     Shutdown,
+    /// The request's handler panicked (a bug, not a client error); the
+    /// payload is the panic message. The server keeps serving.
+    Internal(String),
 }
 
 impl fmt::Display for ServerError {
@@ -93,6 +97,7 @@ impl fmt::Display for ServerError {
             ServerError::Core(e) => write!(f, "request failed: {e}"),
             ServerError::UnknownSession(id) => write!(f, "unknown {id}"),
             ServerError::Shutdown => write!(f, "server shut down"),
+            ServerError::Internal(message) => write!(f, "request handler panicked: {message}"),
         }
     }
 }
@@ -583,7 +588,7 @@ impl ExplorationServer {
         let lane = request.lane();
         self.pool.submit(lane, move || {
             let start = Instant::now();
-            let outcome = shared.handle(&request, Some(&leaf_cache));
+            let outcome = contain_panic(|| shared.handle(&request, Some(&leaf_cache)));
             let wall = start.elapsed();
             if let Ok(outcome) = &outcome {
                 let record = HistoryRecord {
@@ -624,6 +629,21 @@ impl ExplorationServer {
                 .len(),
         }
     }
+}
+
+/// Runs a request handler, turning a panic into [`ServerError::Internal`] so
+/// the request resolves to a typed error instead of a dropped reply.
+fn contain_panic(
+    handler: impl FnOnce() -> Result<Outcome, ServerError>,
+) -> Result<Outcome, ServerError> {
+    panic::catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(ServerError::Internal(message))
+    })
 }
 
 impl fmt::Debug for ExplorationServer {
@@ -940,6 +960,63 @@ mod tests {
             err,
             ServerError::Core(CoreError::UnknownColumn("no_such_column".to_string()))
         );
+    }
+
+    /// A handler that panics inside a cached rules computation resolves to
+    /// a typed error, and the same request then computes on the heavy lane
+    /// (its slot and its cache key were both released).
+    #[test]
+    fn a_panicking_handler_resolves_to_a_typed_error() {
+        let server = server();
+        let session = server.open_session();
+        let mining = MiningConfig {
+            min_rule_size: 2,
+            ..Default::default()
+        };
+        let flagged = server
+            .subtab()
+            .preprocessed()
+            .binned()
+            .column_index("flagged")
+            .unwrap();
+        let key = Shared::rules_key(&mining, &[flagged]);
+        let shared = Arc::clone(&server.shared);
+        let (tx, rx) = mpsc::channel();
+        server.pool.submit(Lane::Heavy, move || {
+            let outcome = contain_panic(|| {
+                let (rules, cache_hit) = shared
+                    .rules
+                    .get_or_compute(&key, || -> Result<Arc<RuleSet>, ServerError> {
+                        panic!("mining bug")
+                    })?;
+                Ok(Outcome {
+                    response: Response::Rules(rules),
+                    cache_hit,
+                })
+            });
+            let _ = tx.send(outcome);
+        });
+        let timeout = std::time::Duration::from_secs(30);
+        let err = rx
+            .recv_timeout(timeout)
+            .expect("panicking request resolves");
+        assert_eq!(
+            err.unwrap_err(),
+            ServerError::Internal("mining bug".to_string())
+        );
+        let retry = server.submit(
+            session,
+            Request::MineRules {
+                mining,
+                target_columns: vec!["flagged".to_string()],
+            },
+        );
+        let outcome = retry
+            .recv_timeout(timeout)
+            .expect("the heavy lane and the rules key were released")
+            .expect("mining succeeds");
+        assert!(!outcome.cache_hit);
+        assert!(!outcome.response.rules().unwrap().is_empty());
     }
 
     #[test]

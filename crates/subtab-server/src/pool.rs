@@ -7,8 +7,12 @@
 //! `mine_rules_for_targets` calls can never occupy every worker and starve
 //! interactive selects — with `workers > heavy_slots` there is always at
 //! least one worker that heavy jobs cannot claim.
+//!
+//! A job that panics is contained at the worker boundary: the worker
+//! releases the job's heavy slot and keeps serving both lanes.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -121,7 +125,7 @@ fn worker_loop(shared: &Shared) {
         // Interactive work first; heavy work only while a slot is free.
         if let Some(job) = state.interactive.pop_front() {
             drop(state);
-            job();
+            run(job);
             state = shared.state.lock().expect("pool lock poisoned");
             continue;
         }
@@ -129,7 +133,7 @@ fn worker_loop(shared: &Shared) {
             if let Some(job) = state.heavy.pop_front() {
                 state.heavy_running += 1;
                 drop(state);
-                job();
+                run(job);
                 state = shared.state.lock().expect("pool lock poisoned");
                 state.heavy_running -= 1;
                 // A freed slot may unblock workers parked on a full lane.
@@ -142,6 +146,13 @@ fn worker_loop(shared: &Shared) {
         }
         state = shared.work.wait(state).expect("pool lock poisoned");
     }
+}
+
+/// Runs one job, containing a panic so the worker survives it. The job's
+/// captures (a reply channel, say) are dropped during the unwind, so a
+/// caller waiting on one sees it disconnect.
+fn run(job: Job) {
+    let _ = panic::catch_unwind(AssertUnwindSafe(job));
 }
 
 #[cfg(test)]
@@ -237,6 +248,29 @@ mod tests {
             }
         } // Drop joins the workers after the drain.
         assert_eq!(done.load(Ordering::SeqCst), 25);
+    }
+
+    #[test]
+    fn a_panicking_job_releases_its_heavy_slot() {
+        let pool = Pool::new(2, 1);
+        pool.submit(Lane::Heavy, || panic!("heavy job panics"));
+        let (tx, rx) = mpsc::channel();
+        let heavy_tx = tx.clone();
+        pool.submit(Lane::Heavy, move || heavy_tx.send("heavy").unwrap());
+        let heavy = rx.recv_timeout(Duration::from_secs(10));
+        pool.submit(Lane::Interactive, || panic!("interactive job panics"));
+        pool.submit(Lane::Interactive, move || tx.send("interactive").unwrap());
+        let interactive = rx.recv_timeout(Duration::from_secs(10));
+        if heavy.is_err() || interactive.is_err() {
+            // Dropping a wedged pool waits for its blocked lane forever.
+            std::mem::forget(pool);
+        }
+        assert_eq!(heavy, Ok("heavy"), "a panicking heavy job kept its slot");
+        assert_eq!(
+            interactive,
+            Ok("interactive"),
+            "panicking jobs left no worker for interactive work"
+        );
     }
 
     #[test]
