@@ -25,16 +25,40 @@ use crate::Result;
 use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Reverse lookup from dictionary value to code, keyed by the string's hash
 /// so interning a new entry allocates the `String` exactly once (in the
 /// dictionary). 64-bit hash collisions spill into a tiny linear `overflow`
-/// chain; both probes confirm against the dictionary before answering.
+/// chain; both probes confirm against the dictionary before answering. The
+/// key already is a SipHash, so the map uses it as its own hash
+/// ([`PassThrough`]) instead of hashing it a second time.
 #[derive(Debug, Clone, Default)]
 struct DictLookup {
-    map: HashMap<u64, u32>,
+    map: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
     overflow: Vec<(u64, u32)>,
+}
+
+/// Hasher for keys that already are a well-mixed 64-bit hash: a `u64` key
+/// is its own hash. Other writes fold their bytes in, so the hasher stays
+/// total, but [`DictLookup`] only ever writes one `u64`.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
 }
 
 impl DictLookup {

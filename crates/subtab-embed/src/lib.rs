@@ -13,11 +13,12 @@
 //! This crate reimplements that pipeline from scratch:
 //!
 //! * [`stream`] — the preprocess path: the `(center, context)` pair stream
-//!   built directly from the columnar code planes (no materialized sentence
-//!   corpus, the paper's cap of 100 000 uniformly sampled sentences
-//!   reproduced on sentence descriptors), with optional frequency pruning
-//!   (`min_count`) and Word2Vec subsampling (`subsample_t`); the
-//!   `corpus_equivalence` suite pins it to a materialized-corpus oracle,
+//!   regenerated on demand from the columnar code planes (no materialized
+//!   sentence corpus or pair list, the paper's cap of 100 000 uniformly
+//!   sampled sentences reproduced on sentence descriptors), with optional
+//!   frequency pruning (`min_count`) and Word2Vec subsampling
+//!   (`subsample_t`); the `corpus_equivalence` suite pins it to a
+//!   materialized-corpus oracle,
 //! * [`corpus`] — an explicit sentence [`Corpus`], the input of
 //!   [`sgns::train_on_corpus`] for other sentence shapes (the EmbDI
 //!   baseline's graph walks),

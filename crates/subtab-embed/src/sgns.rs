@@ -3,12 +3,14 @@
 //!
 //! # Trainer architecture
 //!
-//! Training runs over one contiguous buffer of `(center, context)` pairs:
-//! [`train_embedding`] builds it straight from the binned table's code
-//! planes ([`build_pair_stream`]), [`train_on_corpus`] runs the stream's
-//! pair enumerator over an explicit sentence corpus, and both hand it to
-//! [`train_pairs`]. Three execution modes cover the speed/reproducibility
-//! trade-off:
+//! Training runs over a sequence of `(center, context)` pairs that is
+//! never stored whole: every mode reads it in chunks of at most 64 Ki pairs
+//! (512 KiB) per shard, regenerated every epoch. [`train_embedding`]
+//! regenerates them from the binned table's code planes
+//! ([`build_pair_stream`]), [`train_on_corpus`] from an explicit sentence
+//! corpus through the same prefix-sum reader, and [`train_pairs`] copies
+//! them out of a caller's slice. Three execution modes cover the
+//! speed/reproducibility trade-off:
 //!
 //! | `threads` | `deterministic` | mode |
 //! |---|---|---|
@@ -16,21 +18,23 @@
 //! | 1 | `false` | **fast sequential** — sigmoid table + alias sampling, reproducible |
 //! | >1 | either | **sharded replica averaging** — the fast kernels in parallel, run-to-run reproducible |
 //!
-//! The parallel mode splits the buffer into `threads` contiguous shards.
-//! Every epoch, each worker trains a private replica of the weights on its
-//! shard with its own deterministic draw stream, and the replicas are then
+//! The parallel mode splits the pair positions into `threads` contiguous
+//! shards. Every epoch, each worker regenerates its shard chunk by chunk and
+//! trains a private replica of the weights on it with its own deterministic
+//! draw stream, and the replicas are then
 //! averaged in shard order. Fast sequential is the one-shard case of the
 //! same trainer. No two workers ever share writable memory.
 //!
 //! The reference path exists so golden embeddings and every downstream test
 //! that depends on exact vector values stay valid; the fast paths trade that
 //! bit-compatibility for a precomputed 512-entry sigmoid table and
-//! alias-method negative sampling. Memory for the pair buffer is
-//! `8 bytes × pairs`, where pairs per sentence are about
-//! `len × min(2·window, len − 1)` — worst case roughly 0.8 GB at the
-//! paper's 100 000-sentence cap with the default window of 8 and 64-token
-//! column-sentence chunks; typical tables sit orders of magnitude below
-//! that (the quick-scale Flights stand-in flattens to ~11 MB).
+//! alias-method negative sampling. Pair scratch is one 512 KiB chunk per
+//! shard (two half-size chunks for the AVX-512 kernel, which interleaves a
+//! shard's halves), whatever the pair count: a flat buffer would take
+//! `8 bytes × pairs`, 86 MiB on a 48-column table of 8 000 rows and roughly
+//! 0.8 GB at the paper's 100 000-sentence cap. The stream itself costs
+//! O(sentences): descriptors plus a prefix sum of their pair counts. Every
+//! pair keeps its position in its shard, so the chunk size changes no bit.
 //!
 //! The fast kernels draw each negative from the alias table with a
 //! branch-free select (`cmov`, see [`AliasTable::sample_from_u64`]). On the
@@ -44,8 +48,8 @@
 //!
 //! One deliberate deviation from the pre-refactor trainer applies to every
 //! mode, the reference included: the pair count feeding the learning-rate
-//! schedule is now *exact* (the pair buffer's length, whose closed form is
-//! the stream's `pairs_for_len`), where the old trainer overcounted near
+//! schedule is now *exact* (the stream's pair count, whose closed form is
+//! `pairs_for_len` per sentence), where the old trainer overcounted near
 //! sentence edges and decayed the learning rate too slowly. Reference
 //! output is therefore byte-identical to pre-refactor exactly when the old
 //! count was already exact — windowless configs, or windows no shorter
@@ -54,11 +58,12 @@
 
 use crate::corpus::Corpus;
 use crate::model::CellEmbedding;
-use crate::stream::{build_pair_stream, emit_pairs, pairs_for_len, StreamOptions};
+use crate::stream::{build_pair_stream, pairs_for_len, PairSource, SentencePairs, StreamOptions};
 use crate::vocab::{AliasTable, Vocab};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use subtab_binning::BinnedTable;
 use subtab_kernels::{fma_select, map_indexed, resolve_threads, AlignedBuf};
 
@@ -154,35 +159,65 @@ impl EmbeddingConfig {
 /// (the `corpus_equivalence` suite pins this on the planted datasets).
 pub fn train_embedding(binned: &BinnedTable, config: &EmbeddingConfig) -> CellEmbedding {
     let stream = build_pair_stream(binned, &config.stream_options());
-    train_pairs(&stream.vocab, &stream.pairs, config)
+    train_source(&stream.vocab, &stream, config, CHUNK_PAIRS)
 }
 
 /// Trains SGNS on an already-built corpus of explicit sentences (the
 /// graph-walk corpus of the EmbDI baseline, for one). The corpus-shape
 /// fields of `config` (`max_sentences`, column sentences, `min_count`,
-/// `subsample_t`) do not apply: the sentences are taken as given.
+/// `subsample_t`) do not apply: the sentences are taken as given. The
+/// trainer reads the sentences' pairs in chunks, like [`train_embedding`].
+///
+/// # Panics
+/// Panics if the vocabulary is not empty and a sentence that yields pairs
+/// names a token id outside it.
 pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbedding {
-    let mut pairs = Vec::with_capacity(
+    let vocab = &corpus.vocab;
+    assert_ids_in_vocab(
+        vocab,
         corpus
             .sentences
             .iter()
-            .map(|s| pairs_for_len(s.len(), config.window))
-            .sum(),
+            .filter(|s| pairs_for_len(s.len(), config.window) > 0)
+            .flatten()
+            .copied(),
     );
-    for sentence in &corpus.sentences {
-        emit_pairs(sentence, config.window, &mut pairs);
-    }
-    train_pairs(&corpus.vocab, &pairs, config)
+    let source = SentencePairs::new(&corpus.sentences, config.window);
+    train_source(vocab, &source, config, CHUNK_PAIRS)
 }
 
-/// Trains SGNS over a flat `(center, context)` pair buffer and its
-/// vocabulary — the shared back half of [`train_embedding`] and
-/// [`train_on_corpus`]. The weight matrices are allocated once, sized from the
-/// (possibly pruned) vocabulary.
+/// Trains SGNS over a caller's `(center, context)` pair slice and its
+/// vocabulary: the trainer behind [`train_embedding`] and
+/// [`train_on_corpus`], fed from one in-memory slice.
 ///
 /// # Panics
 /// Panics if `vocab` is not empty and a pair names a token id outside it.
 pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) -> CellEmbedding {
+    assert_ids_in_vocab(vocab, pairs.iter().flatten().copied());
+    train_source(vocab, &pairs, config, CHUNK_PAIRS)
+}
+
+/// The fast kernels index weight rows unchecked: the alias table draws
+/// only vocabulary ids, and a caller's ids are checked here before any
+/// kernel runs. An empty vocabulary trains nothing, so it accepts any ids.
+fn assert_ids_in_vocab(vocab: &Vocab, mut ids: impl Iterator<Item = u32>) {
+    assert!(
+        vocab.is_empty() || ids.all(|id| (id as usize) < vocab.len()),
+        "pair token id outside the vocabulary"
+    );
+}
+
+/// The shared back half of every entry point: allocates the weight
+/// matrices once, sized from the (possibly pruned) vocabulary, and trains
+/// them over `pairs`, which every mode reads in chunks of at most `chunk`
+/// pairs ([`CHUNK_PAIRS`] outside tests; the bits do not depend on it).
+/// Every id in `pairs` must be a vocabulary id.
+fn train_source(
+    vocab: &Vocab,
+    pairs: &dyn PairSource,
+    config: &EmbeddingConfig,
+    chunk: usize,
+) -> CellEmbedding {
     let vocab_size = vocab.len();
     let dim = config.dim.max(1);
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -198,73 +233,101 @@ pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) 
         .collect();
     let mut w_out: Vec<f32> = vec![0.0; vocab_size * dim];
 
-    if !pairs.is_empty() {
+    let num_pairs = pairs.num_pairs();
+    if num_pairs > 0 {
         match (
-            resolve_threads(config.threads, pairs.len()),
+            resolve_threads(config.threads, num_pairs),
             config.deterministic,
         ) {
-            (1, true) => train_reference(vocab, config, pairs, &mut w_in, &mut w_out, &mut rng),
-            (n, _) => train_sharded_averaged(vocab, config, pairs, n, &mut w_in, &mut w_out),
+            (1, true) => {
+                train_reference(vocab, config, pairs, chunk, &mut w_in, &mut w_out, &mut rng)
+            }
+            (n, _) => train_sharded_averaged(vocab, config, pairs, chunk, n, &mut w_in, &mut w_out),
         }
     }
 
     CellEmbedding::from_flat(dim, vocab.tokens().to_vec(), w_in)
 }
 
+/// Pairs regenerated per read: 64 Ki pairs, 512 KiB of `[u32; 2]`. Large
+/// enough that a chunk's one or two cut sentences cost nothing next to it,
+/// small enough to stay cache-resident while the kernel trains on it.
+const CHUNK_PAIRS: usize = 1 << 16;
+
+/// Reads pairs `range` of `pairs` into one reused buffer, at most `chunk`
+/// at a time, and hands each chunk to `train` in order.
+fn for_each_chunk(
+    pairs: &dyn PairSource,
+    range: Range<usize>,
+    chunk: usize,
+    mut train: impl FnMut(&[[u32; 2]]),
+) {
+    let mut buf = Vec::with_capacity(chunk.min(range.len()));
+    for start in range.clone().step_by(chunk) {
+        buf.clear();
+        pairs.fill(start..(start + chunk).min(range.end), &mut buf);
+        train(&buf);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Reference path: bit-exact with the original single-threaded trainer.
 
 /// The original trainer, reproduced computation-for-computation over the
-/// flat pair buffer: exact `exp` sigmoid, cumulative-table negative
-/// sampling, one RNG stream continuing from initialisation. Golden
-/// embeddings are validated against this path.
+/// pair sequence, read chunk by chunk in order: exact `exp` sigmoid,
+/// cumulative-table negative sampling, one RNG stream continuing from
+/// initialisation. Golden embeddings are validated against this path.
 fn train_reference(
     vocab: &Vocab,
     config: &EmbeddingConfig,
-    pairs: &[[u32; 2]],
+    pairs: &dyn PairSource,
+    chunk: usize,
     w_in: &mut [f32],
     w_out: &mut [f32],
     rng: &mut StdRng,
 ) {
     let dim = config.dim.max(1);
     let epochs = config.epochs.max(1);
-    let total_pairs = pairs.len() * epochs;
+    let num_pairs = pairs.num_pairs();
+    let total_pairs = num_pairs * epochs;
     let mut processed = 0usize;
     let lr0 = config.learning_rate;
     let mut grad_in = vec![0.0f32; dim];
     let mut center_vec = vec![0.0f32; dim];
 
     for _epoch in 0..epochs {
-        for &[center, context] in pairs {
-            let lr = lr0 * (1.0 - processed as f32 / (total_pairs as f32 + 1.0)).max(0.1);
-            processed += 1;
+        for_each_chunk(pairs, 0..num_pairs, chunk, |pairs| {
+            for &[center, context] in pairs {
+                let lr = lr0 * (1.0 - processed as f32 / (total_pairs as f32 + 1.0)).max(0.1);
+                processed += 1;
 
-            // One positive + `negative_samples` negative updates.
-            grad_in.iter_mut().for_each(|g| *g = 0.0);
-            center_vec.copy_from_slice(row(w_in, center, dim));
-            for neg in 0..=config.negative_samples {
-                let (target, label) = if neg == 0 {
-                    (context, 1.0f32)
-                } else {
-                    (vocab.sample_negative(rng), 0.0f32)
-                };
-                if label == 0.0 && target == context {
-                    continue;
+                // One positive + `negative_samples` negative updates.
+                grad_in.iter_mut().for_each(|g| *g = 0.0);
+                center_vec.copy_from_slice(row(w_in, center, dim));
+                for neg in 0..=config.negative_samples {
+                    let (target, label) = if neg == 0 {
+                        (context, 1.0f32)
+                    } else {
+                        (vocab.sample_negative(rng), 0.0f32)
+                    };
+                    if label == 0.0 && target == context {
+                        continue;
+                    }
+                    let out = row_mut(w_out, target, dim);
+                    let dot: f32 = center_vec.iter().zip(out.iter()).map(|(a, b)| a * b).sum();
+                    let pred = sigmoid(dot);
+                    let g = (label - pred) * lr;
+                    for d in 0..dim {
+                        grad_in[d] += g * out[d];
+                        out[d] += g * center_vec[d];
+                    }
                 }
-                let out = row_mut(w_out, target, dim);
-                let dot: f32 = center_vec.iter().zip(out.iter()).map(|(a, b)| a * b).sum();
-                let pred = sigmoid(dot);
-                let g = (label - pred) * lr;
+                let center_slice = row_mut(w_in, center, dim);
                 for d in 0..dim {
-                    grad_in[d] += g * out[d];
-                    out[d] += g * center_vec[d];
+                    center_slice[d] += grad_in[d];
                 }
             }
-            let center_slice = row_mut(w_in, center, dim);
-            for d in 0..dim {
-                center_slice[d] += grad_in[d];
-            }
-        }
+        });
     }
 }
 
@@ -312,11 +375,14 @@ impl SigmoidTable {
     }
 }
 
-/// Splits the pair buffer into at most `threads` contiguous, near-equal
-/// shards.
-fn shard_pairs(pairs: &[[u32; 2]], threads: usize) -> Vec<&[[u32; 2]]> {
-    let chunk = pairs.len().div_ceil(threads).max(1);
-    pairs.chunks(chunk).collect()
+/// Splits pair positions `0..num_pairs` into at most `threads` contiguous,
+/// near-equal shards.
+fn shard_ranges(num_pairs: usize, threads: usize) -> Vec<Range<usize>> {
+    let len = num_pairs.div_ceil(threads).max(1);
+    (0..num_pairs)
+        .step_by(len)
+        .map(|start| start..(start + len).min(num_pairs))
+        .collect()
 }
 
 /// The read-only inputs every shard kernel shares.
@@ -366,15 +432,46 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Signature shared by every fast shard kernel: trains one shard for one
-/// epoch on the worker's own input and output matrices.
+/// A fast shard kernel: trains one chunk of a shard on the worker's own
+/// input and output matrices. The two walks differ in the order a shard's
+/// pairs are trained, so [`train_shard`] feeds them different chunks.
 ///
 /// # Safety
 /// Both matrices must hold `vocab × params.dim` values, and every token id
-/// in the shard must be a row of them (the alias table draws only such
+/// in the chunk must be a row of them (the alias table draws only such
 /// ids). The kernel must be one [`shard_kernel_for`] picked for
 /// `params.dim`, so the CPU runs its target features.
-type ShardKernel = unsafe fn(&[[u32; 2]], &mut [f32], &mut [f32], &KernelParams, &mut ShardState);
+#[derive(Clone, Copy)]
+enum ShardKernel {
+    /// Trains the shard's pairs in order, a chunk at a time, advancing the
+    /// state pair by pair.
+    InOrder(InOrderKernel),
+    /// Trains pair `i` of the shard's low half and pair `i` of its high
+    /// half alternately, from lockstep chunks of both halves; the state is
+    /// the shard's at the start of the epoch.
+    #[cfg(target_arch = "x86_64")]
+    Interleaved(InterleavedKernel),
+}
+
+/// See [`ShardKernel::InOrder`].
+type InOrderKernel = unsafe fn(&[[u32; 2]], &mut [f32], &mut [f32], &KernelParams, &mut ShardState);
+
+/// See [`ShardKernel::Interleaved`].
+#[cfg(target_arch = "x86_64")]
+type InterleavedKernel = unsafe fn(Halves, &mut [f32], &mut [f32], &KernelParams, &ShardState);
+
+/// One lockstep chunk of a shard's two halves, for
+/// [`ShardKernel::Interleaved`]: `low[k]` is the pair at shard position
+/// `at + k` and `high[k]` the one at `half + at + k`. The last chunk of an
+/// odd shard carries the shard's final pair as one extra `high` entry.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Halves<'a> {
+    low: &'a [[u32; 2]],
+    high: &'a [[u32; 2]],
+    at: usize,
+    half: usize,
+}
 
 /// Picks the shard kernel once per training run. The common
 /// dimensionalities get a const-generic kernel, so the dot-product and
@@ -382,33 +479,96 @@ type ShardKernel = unsafe fn(&[[u32; 2]], &mut [f32], &mut [f32], &KernelParams,
 /// runtime-length kernel. Dispatch honours `SUBTAB_FORCE_SCALAR_KERNELS`,
 /// which CI uses to exercise the portable path on any machine.
 fn shard_kernel_for(dim: usize) -> ShardKernel {
+    use ShardKernel::InOrder;
     #[cfg(target_arch = "x86_64")]
     {
         if subtab_kernels::has_avx512() {
+            use ShardKernel::Interleaved;
             match dim {
-                16 => return shard_kernel_avx512::<1>,
-                32 => return shard_kernel_avx512::<2>,
-                48 => return shard_kernel_avx512::<3>,
-                64 => return shard_kernel_avx512::<4>,
+                16 => return Interleaved(shard_kernel_avx512::<1>),
+                32 => return Interleaved(shard_kernel_avx512::<2>),
+                48 => return Interleaved(shard_kernel_avx512::<3>),
+                64 => return Interleaved(shard_kernel_avx512::<4>),
                 _ => {}
             }
         }
         if subtab_kernels::has_avx2_fma() {
             match dim {
-                8 => return shard_kernel_fma::<8>,
-                16 => return shard_kernel_fma::<16>,
-                32 => return shard_kernel_fma::<32>,
-                64 => return shard_kernel_fma::<64>,
+                8 => return InOrder(shard_kernel_fma::<8>),
+                16 => return InOrder(shard_kernel_fma::<16>),
+                32 => return InOrder(shard_kernel_fma::<32>),
+                64 => return InOrder(shard_kernel_fma::<64>),
                 _ => {}
             }
         }
     }
-    match dim {
+    InOrder(match dim {
         8 => shard_kernel::<8>,
         16 => shard_kernel::<16>,
         32 => shard_kernel::<32>,
         64 => shard_kernel::<64>,
         _ => shard_kernel_dyn,
+    })
+}
+
+/// Trains shard `shard` of `pairs` for one epoch, regenerating its pairs
+/// chunk by chunk: in order for [`ShardKernel::InOrder`], as lockstep
+/// chunks of the two halves for [`ShardKernel::Interleaved`]. Either way
+/// each pair keeps its shard position, so the bits equal one call over the
+/// whole shard. Scratch is at most `chunk` + 1 pairs.
+///
+/// # Safety
+/// As [`ShardKernel`], for every pair of the shard.
+#[allow(clippy::too_many_arguments)]
+unsafe fn train_shard(
+    pairs: &dyn PairSource,
+    shard: Range<usize>,
+    chunk: usize,
+    kernel: ShardKernel,
+    w_in: &mut [f32],
+    w_out: &mut [f32],
+    p: &KernelParams,
+    state: &mut ShardState,
+) {
+    match kernel {
+        ShardKernel::InOrder(kernel) => {
+            for_each_chunk(pairs, shard, chunk, |pairs| {
+                kernel(pairs, w_in, w_out, p, state)
+            });
+        }
+        #[cfg(target_arch = "x86_64")]
+        ShardKernel::Interleaved(kernel) => {
+            let half = shard.len() / 2;
+            let step = chunk.div_ceil(2);
+            let mut low = Vec::with_capacity(step.min(half));
+            let mut high = Vec::with_capacity(step.min(half) + 1);
+            let mut at = 0;
+            loop {
+                let to = (at + step).min(half);
+                let high_end = if to == half {
+                    shard.end
+                } else {
+                    shard.start + half + to
+                };
+                low.clear();
+                high.clear();
+                pairs.fill(shard.start + at..shard.start + to, &mut low);
+                pairs.fill(shard.start + half + at..high_end, &mut high);
+                let halves = Halves {
+                    low: &low,
+                    high: &high,
+                    at,
+                    half,
+                };
+                kernel(halves, w_in, w_out, p, state);
+                if to == half {
+                    break;
+                }
+                at = to;
+            }
+            state.processed += shard.len();
+            state.ctr = state.ctr.wrapping_add(shard.len() as u64);
+        }
     }
 }
 
@@ -553,9 +713,12 @@ unsafe fn shard_kernel_fma<const DIM: usize>(
 /// walked as two interleaved halves — consecutive loop iterations then carry
 /// no data dependency on each other (far-apart pairs touch unrelated rows),
 /// which roughly doubles the instruction-level parallelism of the
-/// latency-bound draw→dot→sigmoid→update chain. Each pair keeps the
-/// learning-rate index and draw counter it would have had sequentially, so
-/// the result is deterministic and scheduling-independent.
+/// latency-bound draw→dot→sigmoid→update chain. [`train_shard`] feeds it
+/// lockstep chunks of both halves ([`Halves`]). Each pair keeps the
+/// learning-rate index and draw counter of its shard position, counted
+/// from `state` (the shard's state at the start of the epoch), so the
+/// result is deterministic, scheduling-independent and independent of the
+/// chunking.
 ///
 /// `CHUNKS` is a compile-time constant and [`avx512_pair_step`] is inlined
 /// into this function: the row registers then live in zmm registers across
@@ -566,9 +729,11 @@ unsafe fn shard_kernel_fma<const DIM: usize>(
 /// ahead by [`avx512_draw_lanes`]: the draw chain (two 64-bit lane
 /// multiplies, then a gather) depends only on the counter, so it runs
 /// while the previous pair's dots and updates are in flight instead of
-/// delaying the pair's first dot. With the lane step, `train_pairs` on the
-/// 8 000 × 48 wide table (`threads = 2`, `deterministic = true`) takes
-/// 1.29 s against 1.37 s with per-target draws, reductions and lookups
+/// delaying the pair's first dot. The draw depends only on the pair's
+/// position, so the first step of a chunk draws exactly what the previous
+/// chunk's last step would have drawn ahead. With the lane step, training
+/// on the 8 000 × 48 wide table (`threads = 2`, `deterministic = true`)
+/// took 1.29 s against 1.37 s with per-target draws, reductions and lookups
 /// (medians of 10 alternated runs, 2-vCPU AVX-512 host; same bits).
 ///
 /// # Safety
@@ -577,11 +742,11 @@ unsafe fn shard_kernel_fma<const DIM: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
-    pairs: &[[u32; 2]],
+    halves: Halves,
     w_in: &mut [f32],
     w_out: &mut [f32],
     p: &KernelParams,
-    state: &mut ShardState,
+    state: &ShardState,
 ) {
     use core::arch::x86_64::_mm256_setzero_si256;
     debug_assert!((1..=4).contains(&CHUNKS) && p.dim == 16 * CHUNKS);
@@ -590,42 +755,47 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
         p.negative_samples == 0 || !p.alias.is_empty(),
         "alias table is empty"
     );
+    let Halves {
+        low,
+        high,
+        at,
+        half,
+    } = halves;
+    debug_assert!(high.len() == low.len() || high.len() == low.len() + 1);
     let (w_in, w_out) = (w_in.as_mut_ptr(), w_out.as_mut_ptr());
     let inv_total = 1.0 / (state.lr_total as f32 + 1.0);
-    let base_processed = state.processed;
-    let base_ctr = state.ctr;
-    state.processed += pairs.len();
-    state.ctr = base_ctr.wrapping_add(pairs.len() as u64);
 
     let lane_draws = (1..=7).contains(&p.negative_samples);
     let draw = |idx: usize| {
         if lane_draws {
-            let ctr = base_ctr.wrapping_add(idx as u64);
+            let ctr = state.ctr.wrapping_add(idx as u64);
             avx512_draw_lanes(p.alias, ctr.wrapping_mul(0x632B_E5AB))
         } else {
             _mm256_setzero_si256()
         }
     };
-    // Step `n` trains pair `order(n)`: pairs `i` and `half + i` alternate,
-    // and an odd shard ends with its last pair.
-    let half = pairs.len() / 2;
-    let order = |n: usize| {
-        if n == 2 * half {
-            n
+    // Step `n` trains `low[n / 2]` for even `n` and `high[n / 2]` for odd
+    // `n`; an odd shard's last step is its final pair, `high[low.len()]`.
+    // Returns the pair's shard position and the pair.
+    let step = |n: usize| {
+        let k = n / 2;
+        if n.is_multiple_of(2) && k < low.len() {
+            (at + k, low[k])
         } else {
-            n % 2 * half + n / 2
+            (half + at + k, high[k])
         }
     };
-    let mut next = draw(order(0));
-    for n in 0..pairs.len() {
-        let idx = order(n);
+    let steps = low.len() + high.len();
+    let mut next = draw(step(0).0);
+    for n in 0..steps {
+        let (idx, pair) = step(n);
         let drawn = next;
-        if n + 1 < pairs.len() {
-            next = draw(order(n + 1));
+        if n + 1 < steps {
+            next = draw(step(n + 1).0);
         }
-        let lr = p.lr0 * (1.0 - (base_processed + idx) as f32 * inv_total).max(0.1);
-        let ctr = base_ctr.wrapping_add(idx as u64);
-        avx512_pair_step::<CHUNKS>(pairs[idx], lr, ctr, drawn, w_in, w_out, p);
+        let lr = p.lr0 * (1.0 - (state.processed + idx) as f32 * inv_total).max(0.1);
+        let ctr = state.ctr.wrapping_add(idx as u64);
+        avx512_pair_step::<CHUNKS>(pair, lr, ctr, drawn, w_in, w_out, p);
     }
 }
 
@@ -933,9 +1103,10 @@ fn shard_kernel_dyn(
     }
 }
 
-/// The fast kernels at any thread count. The pair buffer is split into
-/// `threads` contiguous shards; every epoch, each worker trains a private
-/// replica of the weights on its shard with its own draw stream, and the
+/// The fast kernels at any thread count. The pair positions are split into
+/// `threads` contiguous shards; every epoch, each worker regenerates its
+/// shard's pairs chunk by chunk ([`train_shard`]) and trains a private
+/// replica of the weights on them with its own draw stream, and the
 /// replicas are then averaged into the master in shard order. A worker's
 /// arithmetic depends only on its shard, replica and stream, never on
 /// scheduling, so repeated runs are bit-identical at any thread count. One
@@ -944,7 +1115,8 @@ fn shard_kernel_dyn(
 fn train_sharded_averaged(
     vocab: &Vocab,
     config: &EmbeddingConfig,
-    pairs: &[[u32; 2]],
+    pairs: &dyn PairSource,
+    chunk: usize,
     threads: usize,
     w_in: &mut [f32],
     w_out: &mut [f32],
@@ -959,18 +1131,8 @@ fn train_sharded_averaged(
         lr0: config.learning_rate,
         dim,
     };
-    // The kernels index weight rows unchecked; the alias table draws only
-    // vocabulary ids, and the caller's pairs are checked here.
-    assert!(
-        pairs
-            .iter()
-            .flatten()
-            .max()
-            .is_none_or(|&id| (id as usize) < vocab.len()),
-        "pair token id outside the vocabulary"
-    );
     let kernel = shard_kernel_for(dim);
-    let shards = shard_pairs(pairs, threads);
+    let shards = shard_ranges(pairs.num_pairs(), threads);
     let mut states: Vec<ShardState> = shards
         .iter()
         .enumerate()
@@ -983,11 +1145,14 @@ fn train_sharded_averaged(
             let mut r_out = AlignedBuf::from_slice(w_out);
             let mut state = states[i];
             // SAFETY: `shard_kernel_for` picked the kernel for `dim` and this
-            // CPU; both replicas are `vocab × dim`, and every pair id was
-            // checked against the vocabulary above.
+            // CPU; both replicas are `vocab × dim`, and every pair id is a
+            // vocabulary id (the entry points check a caller's ids).
             unsafe {
-                kernel(
-                    shards[i],
+                train_shard(
+                    pairs,
+                    shards[i].clone(),
+                    chunk,
+                    kernel,
                     r_in.as_mut_slice(),
                     r_out.as_mut_slice(),
                     &params,
@@ -1039,6 +1204,7 @@ fn row_mut(m: &mut [f32], idx: u32, dim: usize) -> &mut [f32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::emit_pairs;
     use subtab_binning::{Binner, BinningConfig};
     use subtab_data::Table;
 
@@ -1147,7 +1313,7 @@ mod tests {
     /// enumeration for every window size, including the edge cases the old
     /// `len * min(2w, len - 1)` formula overcounted.
     #[test]
-    fn count_pairs_is_exact() {
+    fn pairs_for_len_is_exact() {
         let brute = |sentences: &[Vec<u32>], window: Option<usize>| -> usize {
             sentences
                 .iter()
@@ -1193,6 +1359,44 @@ mod tests {
                     pairs.len(),
                     brute(&sentences, window),
                     "emitted count, window {window:?}"
+                );
+            }
+        }
+    }
+
+    /// Every mode reads its pairs in chunks (lockstep chunks of the two
+    /// halves for the interleaved AVX-512 kernel). The chunk size must not
+    /// change a bit: the reference path, both in-order kernels, the
+    /// runtime-dimension kernel and the interleaved kernel, at one to
+    /// three shards, against one chunk spanning the whole stream.
+    #[test]
+    fn chunk_size_does_not_change_the_bits() {
+        let bt = patterned_binned(120);
+        for (threads, deterministic, dim) in [
+            (1, true, 16),
+            (1, false, 8),
+            (1, false, 32),
+            (2, true, 16),
+            (2, false, 24),
+            (3, true, 32),
+        ] {
+            let cfg = EmbeddingConfig {
+                threads,
+                deterministic,
+                dim,
+                epochs: 2,
+                ..small_config()
+            };
+            let stream = build_pair_stream(&bt, &cfg.stream_options());
+            let bits = |chunk: usize| -> Vec<u32> {
+                let emb = train_source(&stream.vocab, &stream, &cfg, chunk);
+                emb.matrix().iter().map(|x| x.to_bits()).collect()
+            };
+            let whole = bits(stream.num_pairs());
+            for chunk in [1, 2, 7, 64, 1_000] {
+                assert!(
+                    bits(chunk) == whole,
+                    "threads {threads}, deterministic {deterministic}, dim {dim}: chunk {chunk}"
                 );
             }
         }

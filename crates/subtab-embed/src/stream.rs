@@ -3,9 +3,8 @@
 //!
 //! A materialized builder would intern one token id per *cell visit* and
 //! store every sentence as its own `Vec<u32>` before the trainer flattens
-//! them again into the pair buffer — at the million-row tier that
-//! intermediate corpus would be the second-largest preprocess allocation
-//! after the pair buffer itself. The streaming builder skips it:
+//! them again into a pair buffer of `8 bytes × pairs` (86 MiB for a 48-column
+//! table of 8 000 rows). The streaming builder stores neither:
 //!
 //! 1. one pass per column over its code plane histograms the bins and
 //!    records each bin's first row, which is enough to reproduce the
@@ -15,10 +14,13 @@
 //!    that are shuffled and capped with the same seeded RNG as the
 //!    materialized sentence list — the permutation depends only on the
 //!    length, so the surviving sentences are identical;
-//! 3. each surviving descriptor is decoded into one reused scratch buffer
-//!    and its windowed pairs are emitted straight into the pair buffer, in
-//!    the exact enumeration order of materializing the corpus and
-//!    flattening its sentences.
+//! 3. a prefix sum of per-descriptor pair counts maps every pair position
+//!    to its sentence, and [`PairStream::fill`] regenerates any range of
+//!    pairs on demand: it decodes the descriptors the range touches into a
+//!    scratch buffer and emits their windowed pairs, in the exact
+//!    enumeration order of materializing the corpus and flattening its
+//!    sentences. The SGNS trainer reads the stream in fixed chunks every
+//!    epoch, so memory is O(sentences), never O(pairs).
 //!
 //! With pruning and subsampling off the emitted pair stream is
 //! byte-identical to that materialized pipeline: the `corpus_equivalence`
@@ -41,6 +43,7 @@ use crate::vocab::Vocab;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::ops::Range;
 use subtab_binning::{BinId, BinnedTable};
 
 /// Sentinel in the per-column bin → token-id maps for bins that were pruned
@@ -88,27 +91,218 @@ impl Default for StreamOptions {
 }
 
 /// The output of [`build_pair_stream`]: the (possibly pruned) vocabulary
-/// with its sampling tables built, plus the flat `(center, context)` pair
-/// buffer ready for the SGNS trainer.
+/// with its sampling tables built, plus everything needed to regenerate
+/// any range of the `(center, context)` pair stream on demand.
+///
+/// The pairs themselves are never stored. The stream keeps the capped
+/// sentence descriptors, the per-column bin → token-id maps, the
+/// subsampling thresholds, a borrow of the table's code planes and a
+/// prefix sum of per-sentence pair counts; [`PairStream::fill`] decodes the
+/// sentences a range touches and emits their pairs. Its memory is
+/// O(sentences), not O(pairs).
 #[derive(Debug, Clone, Default)]
-pub struct PairStream {
+pub struct PairStream<'a> {
     /// The vocabulary over the kept tokens, counts preserved from the full
     /// histogram and negative-sampling tables already built.
     pub vocab: Vocab,
-    /// The training pairs, in materialized enumeration order.
-    pub pairs: Vec<[u32; 2]>,
+    /// The binned table's code planes, one per column.
+    planes: Vec<&'a [BinId]>,
+    /// Per column, bin → token id ([`PRUNED`] for pruned bins).
+    bin_to_id: Vec<Vec<u32>>,
+    /// Per-id subsampling keep thresholds against the top 53 bits of the
+    /// occurrence hash; `None` when subsampling is off.
+    thresholds: Option<Vec<u64>>,
+    /// The capped sentence descriptors, in stream order.
+    descs: Vec<Desc>,
+    /// Where each descriptor's pairs start.
+    index: PairIndex,
+    /// Seed of the subsampling hash.
+    seed: u64,
 }
 
-impl PairStream {
+impl PairStream<'_> {
     /// Number of training pairs.
     pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
+        self.index.total()
+    }
+
+    /// Appends pairs `range` of the stream to `out`, in stream order
+    /// (the materialized enumeration order). Only the sentences the range
+    /// touches are decoded, so reading the stream in fixed chunks costs one
+    /// pass over it plus one partial sentence per chunk edge.
+    ///
+    /// # Panics
+    /// Panics if `range` is decreasing or ends past [`Self::num_pairs`].
+    pub fn fill(&self, range: Range<usize>, out: &mut Vec<[u32; 2]>) {
+        self.index.fill(range, out, |d, sentence| {
+            self.decode(self.descs[d], sentence)
+        });
+    }
+
+    /// Decodes one descriptor into `sentence`, dropping pruned and
+    /// subsampled occurrences.
+    fn decode(&self, desc: Desc, sentence: &mut Vec<u32>) {
+        sentence.clear();
+        let cols = self.planes.len();
+        // The subsampling coin for the cell at (row, col): sentence kind 0
+        // for the row pass, 1 for the column pass, so the two visits of one
+        // cell flip independent coins.
+        let keep = |kind: u64, r: usize, c: usize, id: u32| match &self.thresholds {
+            None => true,
+            Some(th) => {
+                let key = (r as u64 * cols.max(1) as u64 + c as u64) * 2 + kind;
+                splitmix64(self.seed ^ splitmix64(key)) >> 11 < th[id as usize]
+            }
+        };
+        match desc {
+            Desc::Row(r) => {
+                for (c, plane) in self.planes.iter().enumerate() {
+                    let id = self.bin_to_id[c][plane[r] as usize];
+                    if id != PRUNED && keep(0, r, c, id) {
+                        sentence.push(id);
+                    }
+                }
+            }
+            Desc::Chunk { col, start, len } => {
+                let plane = self.planes[col];
+                let map = &self.bin_to_id[col];
+                for r in start..start + len {
+                    let id = map[plane[r] as usize];
+                    if id != PRUNED && keep(1, r, col, id) {
+                        sentence.push(id);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A pair sequence the trainer reads in contiguous chunks, so it never
+/// holds the whole sequence: the code-plane [`PairStream`], an explicit
+/// sentence list ([`SentencePairs`]) or a caller's pair slice.
+pub(crate) trait PairSource: Sync {
+    /// Number of pairs in the sequence.
+    fn num_pairs(&self) -> usize;
+    /// Appends pairs `range` to `out`, in sequence order.
+    fn fill(&self, range: Range<usize>, out: &mut Vec<[u32; 2]>);
+}
+
+impl PairSource for PairStream<'_> {
+    fn num_pairs(&self) -> usize {
+        PairStream::num_pairs(self)
+    }
+
+    fn fill(&self, range: Range<usize>, out: &mut Vec<[u32; 2]>) {
+        PairStream::fill(self, range, out)
+    }
+}
+
+impl PairSource for &[[u32; 2]] {
+    fn num_pairs(&self) -> usize {
+        self.len()
+    }
+
+    fn fill(&self, range: Range<usize>, out: &mut Vec<[u32; 2]>) {
+        out.extend_from_slice(&self[range]);
+    }
+}
+
+/// The windowed pairs of an explicit sentence list, read through the same
+/// prefix-sum index as [`PairStream`].
+pub(crate) struct SentencePairs<'a> {
+    sentences: &'a [Vec<u32>],
+    index: PairIndex,
+}
+
+impl<'a> SentencePairs<'a> {
+    pub(crate) fn new(sentences: &'a [Vec<u32>], window: Option<usize>) -> Self {
+        let index = PairIndex::new(sentences.iter().map(Vec::len), window);
+        SentencePairs { sentences, index }
+    }
+}
+
+impl PairSource for SentencePairs<'_> {
+    fn num_pairs(&self) -> usize {
+        self.index.total()
+    }
+
+    fn fill(&self, range: Range<usize>, out: &mut Vec<[u32; 2]>) {
+        self.index.fill(range, out, |d, sentence| {
+            sentence.clear();
+            sentence.extend_from_slice(&self.sentences[d]);
+        });
+    }
+}
+
+/// Prefix sum of per-sentence pair counts: sentence `d`'s pairs are stream
+/// positions `starts[d]..starts[d + 1]`.
+#[derive(Debug, Clone, Default)]
+struct PairIndex {
+    starts: Vec<usize>,
+    window: Option<usize>,
+}
+
+impl PairIndex {
+    /// The index of sentences with the given lengths (after any pruning).
+    fn new(lens: impl Iterator<Item = usize>, window: Option<usize>) -> Self {
+        let mut starts = vec![0];
+        let mut total = 0;
+        starts.extend(lens.map(|len| {
+            total += pairs_for_len(len, window);
+            total
+        }));
+        PairIndex { starts, window }
+    }
+
+    fn total(&self) -> usize {
+        self.starts.last().copied().unwrap_or(0)
+    }
+
+    /// Appends pairs `range` to `out`. `decode(d, sentence)` writes
+    /// sentence `d` into the scratch buffer. A sentence the range covers
+    /// whole is emitted straight into `out`; the one or two it cuts are
+    /// emitted into a scratch buffer and sliced.
+    fn fill(
+        &self,
+        range: Range<usize>,
+        out: &mut Vec<[u32; 2]>,
+        mut decode: impl FnMut(usize, &mut Vec<u32>),
+    ) {
+        let Range { start, end } = range;
+        assert!(
+            start <= end && end <= self.total(),
+            "pair range {start}..{end} outside 0..{}",
+            self.total()
+        );
+        if start == end {
+            return;
+        }
+        out.reserve(end - start);
+        let mut sentence = Vec::new();
+        let mut edge = Vec::new();
+        // The sentence holding pair `start`: the last one starting at or
+        // before it (empty sentences share their successor's start).
+        let mut d = self.starts.partition_point(|&p| p <= start) - 1;
+        while self.starts[d] < end {
+            let (first, last) = (self.starts[d], self.starts[d + 1]);
+            if first < last {
+                decode(d, &mut sentence);
+                if start <= first && last <= end {
+                    emit_pairs(&sentence, self.window, out);
+                } else {
+                    edge.clear();
+                    emit_pairs(&sentence, self.window, &mut edge);
+                    out.extend_from_slice(&edge[start.max(first) - first..end.min(last) - first]);
+                }
+            }
+            d += 1;
+        }
     }
 }
 
 /// One capped sentence, described instead of stored: decoding happens into
 /// a reused scratch buffer at emission time.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Desc {
     /// The tuple-sentence of row `r` (one token per column).
     Row(usize),
@@ -153,8 +347,7 @@ pub(crate) fn pairs_for_len(len: usize, window: Option<usize>) -> usize {
 
 /// Emits the windowed pairs of one sentence in the trainer's enumeration
 /// order (centers left to right, contexts left to right, center skipped).
-/// The streaming builder and [`crate::sgns::train_on_corpus`] both emit
-/// through it.
+/// Every pair source emits through it.
 pub(crate) fn emit_pairs(sentence: &[u32], window: Option<usize>, out: &mut Vec<[u32; 2]>) {
     let len = sentence.len();
     for (i, &center) in sentence.iter().enumerate() {
@@ -173,7 +366,7 @@ pub(crate) fn emit_pairs(sentence: &[u32], window: Option<usize>, out: &mut Vec<
 /// Builds the training pair stream directly from the binned table's code
 /// planes. See the module docs for the exact equivalence contract with the
 /// materialized corpus pipeline.
-pub fn build_pair_stream(binned: &BinnedTable, options: &StreamOptions) -> PairStream {
+pub fn build_pair_stream<'a>(binned: &'a BinnedTable, options: &StreamOptions) -> PairStream<'a> {
     let rows = binned.num_rows();
     let cols = binned.num_columns();
     let planes: Vec<&[BinId]> = (0..cols).map(|c| binned.codes(c)).collect();
@@ -290,71 +483,33 @@ pub fn build_pair_stream(binned: &BinnedTable, options: &StreamOptions) -> PairS
         descs.truncate(options.max_sentences);
     }
 
-    // Emission: decode each descriptor into the scratch sentence (dropping
-    // pruned / subsampled occurrences) and window it. Without filtering the
-    // reservation is the exact final size.
-    let mut pairs: Vec<[u32; 2]> = Vec::new();
-    if thresholds.is_none() && !pruned_any {
-        pairs.reserve(
-            descs
-                .iter()
-                .map(|d| {
-                    let len = match *d {
-                        Desc::Row(_) => cols,
-                        Desc::Chunk { len, .. } => len,
-                    };
-                    pairs_for_len(len, options.window)
-                })
-                .sum(),
-        );
-    }
-    let mut sentence: Vec<u32> = Vec::with_capacity(chunk.max(cols));
-    let seed = options.seed;
-    // The subsampling coin for the cell at (row, col): sentence kind 0 for
-    // the row pass, 1 for the column pass, so the two visits of one cell
-    // flip independent coins.
-    let occurrence_hash = |kind: u64, r: usize, c: usize| -> u64 {
-        let key = (r as u64 * cols.max(1) as u64 + c as u64) * 2 + kind;
-        splitmix64(seed ^ splitmix64(key))
+    let filtered = thresholds.is_some() || pruned_any;
+    let mut stream = PairStream {
+        vocab,
+        planes,
+        bin_to_id,
+        thresholds,
+        descs,
+        index: PairIndex::default(),
+        seed: options.seed,
     };
-    for d in &descs {
-        sentence.clear();
-        match *d {
-            Desc::Row(r) => {
-                for (c, plane) in planes.iter().enumerate() {
-                    let id = bin_to_id[c][plane[r] as usize];
-                    if id == PRUNED {
-                        continue;
-                    }
-                    if let Some(th) = &thresholds {
-                        if occurrence_hash(0, r, c) >> 11 >= th[id as usize] {
-                            continue;
-                        }
-                    }
-                    sentence.push(id);
-                }
+    // Pair counts per sentence: in closed form from the nominal length,
+    // or, when pruning or subsampling drops occurrences, from one counting
+    // decode pass (the subsampling coin is keyed by cell, so every later
+    // decode replays it exactly).
+    let mut sentence = Vec::with_capacity(chunk.max(cols));
+    stream.index = PairIndex::new(
+        stream.descs.iter().map(|&d| match d {
+            _ if filtered => {
+                stream.decode(d, &mut sentence);
+                sentence.len()
             }
-            Desc::Chunk { col, start, len } => {
-                let plane = planes[col];
-                let map = &bin_to_id[col];
-                for r in start..start + len {
-                    let id = map[plane[r] as usize];
-                    if id == PRUNED {
-                        continue;
-                    }
-                    if let Some(th) = &thresholds {
-                        if occurrence_hash(1, r, col) >> 11 >= th[id as usize] {
-                            continue;
-                        }
-                    }
-                    sentence.push(id);
-                }
-            }
-        }
-        emit_pairs(&sentence, options.window, &mut pairs);
-    }
-
-    PairStream { vocab, pairs }
+            Desc::Row(_) => cols,
+            Desc::Chunk { len, .. } => len,
+        }),
+        options.window,
+    );
+    stream
 }
 
 #[cfg(test)]
@@ -377,6 +532,13 @@ mod tests {
             .unwrap();
         let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
         binner.apply(&t).unwrap()
+    }
+
+    /// The whole stream, read in one range.
+    fn all_pairs(stream: &PairStream) -> Vec<[u32; 2]> {
+        let mut pairs = Vec::new();
+        stream.fill(0..stream.num_pairs(), &mut pairs);
+        pairs
     }
 
     #[test]
@@ -408,7 +570,7 @@ mod tests {
                 assert!(s.vocab.count(id) >= min_count);
             }
             // Pairs only ever reference kept ids.
-            for &[a, b] in &s.pairs {
+            for [a, b] in all_pairs(&s) {
                 assert!((a as usize) < s.vocab.len() && (b as usize) < s.vocab.len());
             }
         }
@@ -421,7 +583,7 @@ mod tests {
             },
         );
         assert!(all_pruned.vocab.is_empty());
-        assert!(all_pruned.pairs.is_empty());
+        assert_eq!(all_pruned.num_pairs(), 0);
     }
 
     #[test]
@@ -435,7 +597,8 @@ mod tests {
         let thin_a = build_pair_stream(&bt, &thin_options);
         let thin_b = build_pair_stream(&bt, &thin_options);
         assert_eq!(
-            thin_a.pairs, thin_b.pairs,
+            all_pairs(&thin_a),
+            all_pairs(&thin_b),
             "subsampling must be deterministic"
         );
         assert_eq!(thin_a.vocab.tokens(), dense.vocab.tokens());
@@ -446,7 +609,7 @@ mod tests {
             dense.num_pairs()
         );
         assert!(
-            !thin_a.pairs.is_empty(),
+            thin_a.num_pairs() > 0,
             "moderate t must not empty the stream"
         );
         // A different seed flips different coins.
@@ -458,7 +621,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_ne!(reseeded.pairs, thin_a.pairs);
+        assert_ne!(all_pairs(&reseeded), all_pairs(&thin_a));
     }
 
     #[test]
@@ -471,6 +634,6 @@ mod tests {
         let bt = binner.apply(&t).unwrap();
         let stream = build_pair_stream(&bt, &StreamOptions::default());
         assert!(stream.vocab.is_empty());
-        assert!(stream.pairs.is_empty());
+        assert_eq!(stream.num_pairs(), 0);
     }
 }

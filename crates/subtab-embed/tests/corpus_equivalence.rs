@@ -4,18 +4,25 @@
 //! counts and pair enumeration), on small hand-built tables and on every
 //! planted dataset, and [`train_embedding`] must produce the weights
 //! [`train_on_corpus`] trains from the oracle's corpus, bit for bit. The
-//! last tests pin the oracle's own corpus shape (sentence kinds, chunking,
-//! the seeded cap, token naming).
+//! stream stores no pairs, so every range the trainer reads through
+//! [`PairStream::fill`] (fixed chunks, each shard's halves) must equal the
+//! same slice of the oracle's buffer, with the pruning knobs on as well as
+//! off. The last tests pin the oracle's own corpus shape (sentence kinds,
+//! chunking, the seeded cap, token naming).
 
 mod corpus_oracle;
 
 use corpus_oracle::{build_corpus, CorpusOptions};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use subtab_binning::{BinnedTable, Binner, BinningConfig};
 use subtab_data::Table;
 use subtab_datasets::{DatasetKind, DatasetSize};
 use subtab_embed::sgns::train_on_corpus;
 use subtab_embed::{
-    build_pair_stream, train_embedding, CellEmbedding, Corpus, EmbeddingConfig, StreamOptions,
+    build_pair_stream, train_embedding, CellEmbedding, Corpus, EmbeddingConfig, PairStream,
+    StreamOptions,
 };
 
 const ALL_KINDS: [DatasetKind; 6] = [
@@ -36,6 +43,35 @@ fn fast_embedding() -> EmbeddingConfig {
         window: Some(6),
         ..Default::default()
     }
+}
+
+/// The stream options `train_embedding` derives from an embedding config.
+fn stream_options(config: &EmbeddingConfig) -> StreamOptions {
+    StreamOptions {
+        max_sentences: config.max_sentences,
+        max_column_sentence_len: config.max_column_sentence_len,
+        include_column_sentences: config.include_column_sentences,
+        seed: config.seed,
+        window: config.window,
+        min_count: config.min_count,
+        subsample_t: config.subsample_t,
+    }
+}
+
+/// Pairs `range` of the stream, read through `fill` in chunks of `chunk`.
+fn read_chunked(stream: &PairStream, range: Range<usize>, chunk: usize) -> Vec<[u32; 2]> {
+    let mut pairs = Vec::with_capacity(range.len());
+    for start in range.clone().step_by(chunk) {
+        stream.fill(start..(start + chunk).min(range.end), &mut pairs);
+    }
+    pairs
+}
+
+/// The whole stream, read in one range.
+fn read_all(stream: &PairStream) -> Vec<[u32; 2]> {
+    let mut pairs = Vec::new();
+    stream.fill(0..stream.num_pairs(), &mut pairs);
+    pairs
 }
 
 /// The oracle's corpus options for an embedding config.
@@ -138,7 +174,11 @@ fn stream_matches_materialized_with_knobs_off() {
             for id in 0..stream.vocab.len() as u32 {
                 assert_eq!(stream.vocab.count(id), corpus.vocab.count(id), "id {id}");
             }
-            assert_eq!(stream.pairs, want_pairs, "rows={rows} window={window:?}");
+            assert_eq!(
+                read_all(&stream),
+                want_pairs,
+                "rows={rows} window={window:?}"
+            );
             assert_eq!(stream.num_pairs(), want_pairs.len());
         }
     }
@@ -158,7 +198,7 @@ fn stream_matches_materialized_without_column_sentences() {
     for id in 0..stream.vocab.len() as u32 {
         assert_eq!(stream.vocab.count(id), corpus.vocab.count(id));
     }
-    assert_eq!(stream.pairs, want_pairs);
+    assert_eq!(read_all(&stream), want_pairs);
 }
 
 #[test]
@@ -166,18 +206,7 @@ fn streaming_pairs_match_materialized_on_every_planted_dataset() {
     let embed = fast_embedding();
     for kind in ALL_KINDS {
         let bt = planted_binned(kind);
-        let stream = build_pair_stream(
-            &bt,
-            &StreamOptions {
-                max_sentences: embed.max_sentences,
-                max_column_sentence_len: embed.max_column_sentence_len,
-                include_column_sentences: embed.include_column_sentences,
-                seed: embed.seed,
-                window: embed.window,
-                min_count: 0,
-                subsample_t: 0.0,
-            },
-        );
+        let stream = build_pair_stream(&bt, &stream_options(&embed));
         let corpus = build_corpus(&bt, &corpus_options(&embed));
         assert_eq!(
             stream.vocab.tokens(),
@@ -196,7 +225,89 @@ fn streaming_pairs_match_materialized_on_every_planted_dataset() {
             !want.is_empty(),
             "{kind:?}: planted corpus must yield pairs"
         );
-        assert_eq!(stream.pairs, want, "{kind:?}: pair stream diverges");
+        assert_eq!(read_all(&stream), want, "{kind:?}: pair stream diverges");
+    }
+}
+
+/// Every range read through `fill` equals the same slice of the oracle's
+/// buffer: seeded random ranges (empty ones included), the whole stream in
+/// chunks of 1, 7, 4 096 and 65 536 pairs, and each shard's low and high
+/// half at 1 to 4 threads, split as the trainer splits them and read in
+/// its lockstep chunk size.
+#[test]
+fn fill_ranges_match_the_oracle_on_every_planted_dataset() {
+    let embed = fast_embedding();
+    let mut rng = StdRng::seed_from_u64(5);
+    for kind in ALL_KINDS {
+        let bt = planted_binned(kind);
+        let options = stream_options(&embed);
+        let stream = build_pair_stream(&bt, &options);
+        let (_, want) = materialized_pairs(&bt, &options);
+        let n = want.len();
+        assert_eq!(stream.num_pairs(), n, "{kind:?}");
+        for _ in 0..200 {
+            let start = rng.gen_range(0..=n);
+            let end = rng.gen_range(start..=n);
+            let mut got = Vec::new();
+            stream.fill(start..end, &mut got);
+            assert_eq!(got, want[start..end], "{kind:?}: range {start}..{end}");
+        }
+        for chunk in [1, 7, 4_096, 65_536] {
+            assert_eq!(
+                read_chunked(&stream, 0..n, chunk),
+                want,
+                "{kind:?}: chunk {chunk}"
+            );
+        }
+        for threads in 1..=4 {
+            let len = n.div_ceil(threads);
+            for start in (0..n).step_by(len) {
+                let end = (start + len).min(n);
+                let mid = start + (end - start) / 2;
+                for half in [start..mid, mid..end] {
+                    assert_eq!(
+                        read_chunked(&stream, half.clone(), 32_768),
+                        want[half.clone()],
+                        "{kind:?}: threads {threads}, half {half:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// With `min_count` pruning and subsampling on, the lengths come from a
+/// counting decode pass: a chunked read must replay the one-shot read
+/// exactly, and both must hold `num_pairs()` pairs of kept ids.
+#[test]
+fn chunked_reads_replay_pruning_and_subsampling() {
+    let plain = stream_options(&fast_embedding());
+    let options = StreamOptions {
+        min_count: 2,
+        subsample_t: 1e-3,
+        ..plain
+    };
+    for kind in ALL_KINDS {
+        let bt = planted_binned(kind);
+        let stream = build_pair_stream(&bt, &options);
+        let n = stream.num_pairs();
+        assert!(
+            n < build_pair_stream(&bt, &plain).num_pairs(),
+            "{kind:?}: the knobs must drop pairs"
+        );
+        let whole = read_all(&stream);
+        assert_eq!(whole.len(), n, "{kind:?}");
+        assert!(whole
+            .iter()
+            .flatten()
+            .all(|&id| (id as usize) < stream.vocab.len()));
+        for chunk in [1, 7, 4_096, 65_536] {
+            assert_eq!(
+                read_chunked(&stream, 0..n, chunk),
+                whole,
+                "{kind:?}: chunk {chunk}"
+            );
+        }
     }
 }
 
