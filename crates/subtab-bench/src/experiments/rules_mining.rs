@@ -1,22 +1,24 @@
 //! Load-time rule-engine scaling: times association-rule mining through the
-//! vertical bitmap engine, whole-table and target-partitioned, and per-row
-//! rule highlighting through the column-mask index, emitting
-//! machine-readable JSON (`BENCH_rules.json`) for the CI bench-regression
-//! gate.
+//! vertical bitmap engine, whole-table and target-partitioned, per-row rule
+//! highlighting through the column-mask index, and the coverage index the
+//! quality metrics build over a rule set, emitting machine-readable JSON
+//! (`BENCH_rules.json`) for the CI bench-regression gate.
 //!
 //! Rule mining runs once per loaded table (and once per target-column
 //! choice) in the paper's architecture, feeding both the quality metrics
 //! and the UI's per-row highlights; highlighting runs on every displayed
-//! sub-table. Both are load-path costs the query gate does not cover,
-//! which is why they get their own gate.
+//! sub-table, and every quality evaluation starts by building the coverage
+//! index. All are load-path costs the query gate does not cover, which is
+//! why they get their own gate.
 
 use crate::experiments::common::ExperimentScale;
 use crate::experiments::report::{
-    best_of_each, format_rows, BenchReport, BenchRow, GatePolicy, Meta,
+    best_of_each_with, format_rows, BenchReport, BenchRow, GatePolicy, Meta,
 };
 use subtab_binning::Binner;
 use subtab_core::highlight_rules;
 use subtab_datasets::{benchmark_target_column, DatasetKind};
+use subtab_metrics::Evaluator;
 use subtab_rules::{MiningConfig, RuleMiner};
 
 /// The rules gate: normalised wall times of every mining and highlight
@@ -32,6 +34,8 @@ enum Workload {
     Target,
     /// Per-row highlighting via the column-mask index.
     Highlight,
+    /// `Evaluator::new` (the coverage-index build) over the plain rules.
+    Coverage,
 }
 
 /// The benchmark modes: `(label, threads, workload)`. The `rules-*` modes
@@ -39,12 +43,15 @@ enum Workload {
 /// per-target-bin run with its pooled post-processing (global support
 /// recompute, dedup, deterministic sort); the highlight mode times one
 /// full-selection highlight pass over the probe rows with the target-mined
-/// rules.
+/// rules; the coverage mode times one `Evaluator::new` over the
+/// whole-table rules (the binned table it takes by value is cloned before
+/// the clock starts).
 const MODES: &[(&str, usize, Workload)] = &[
     ("rules-bitmap-1t", 1, Workload::Mine),
     ("rules-bitmap-4t", 4, Workload::Mine),
     ("rules-target-bitmap-1t", 1, Workload::Target),
     ("highlight-indexed-1t", 1, Workload::Highlight),
+    ("coverage-index-1t", 1, Workload::Coverage),
 ];
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
@@ -74,7 +81,8 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         .iter()
         .map(|&(_, threads, _)| RuleMiner::new(mining.clone().with_threads(threads)))
         .collect();
-    let walls = best_of_each(reps, MODES.len(), |i| match MODES[i].2 {
+    let setup = |i: usize| matches!(MODES[i].2, Workload::Coverage).then(|| binned.clone());
+    let walls = best_of_each_with(reps, MODES.len(), setup, |i, table| match MODES[i].2 {
         Workload::Mine => assert_eq!(miners[i].mine(&binned).len(), plain_rules.len()),
         Workload::Target => assert_eq!(
             miners[i].mine_with_targets(&binned, &[target_idx]).len(),
@@ -86,6 +94,11 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
                 h.iter().any(Option::is_some),
                 "planted data must produce at least one highlight"
             );
+        }
+        Workload::Coverage => {
+            let table = table.expect("the coverage mode gets a table");
+            let evaluator = Evaluator::new(table, &plain_rules, 0.5);
+            assert_eq!(evaluator.coverage_index().num_rules(), plain_rules.len());
         }
     });
     let rows = MODES

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use subtab_binning::BinnedTable;
-use subtab_rules::{ColumnMask, ItemId, RuleSet};
+use subtab_rules::{ItemId, RuleSet};
 
 /// A rule highlighted for one sub-table row.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,22 +34,19 @@ pub struct RuleHighlight {
 #[derive(Debug)]
 pub struct HighlightIndex<'r> {
     rules: &'r RuleSet,
-    /// One bucket per distinct column mask, with the indices of its rules
-    /// ascending.
-    buckets: Vec<(ColumnMask, Vec<usize>)>,
+    /// One bucket per distinct column mask (borrowed from the rule set's
+    /// arena), with the indices of its rules ascending.
+    buckets: Vec<(&'r [u64], Vec<usize>)>,
 }
 
 impl<'r> HighlightIndex<'r> {
     /// Buckets the rules of `rules` by their column masks.
     pub fn build(rules: &'r RuleSet) -> Self {
-        let mut by_mask: HashMap<&ColumnMask, Vec<usize>> = HashMap::new();
+        let mut by_mask: HashMap<&'r [u64], Vec<usize>> = HashMap::new();
         for (i, rule) in rules.iter().enumerate() {
-            by_mask.entry(&rule.column_mask).or_default().push(i);
+            by_mask.entry(rule.mask_words()).or_default().push(i);
         }
-        let mut buckets: Vec<(ColumnMask, Vec<usize>)> = by_mask
-            .into_iter()
-            .map(|(mask, idxs)| (mask.clone(), idxs))
-            .collect();
+        let mut buckets: Vec<(&'r [u64], Vec<usize>)> = by_mask.into_iter().collect();
         // Deterministic bucket order (probe output is order-independent,
         // but determinism keeps Debug output and iteration stable).
         buckets.sort_by(|a, b| a.1[0].cmp(&b.1[0]));
@@ -68,11 +65,13 @@ impl<'r> HighlightIndex<'r> {
         selected_columns: &[String],
     ) -> Vec<Option<RuleHighlight>> {
         let interner = self.rules.interner();
-        let selected = ColumnMask::from_columns(
-            selected_columns
-                .iter()
-                .filter_map(|c| binned_full.column_index(c)),
-        );
+        let mut selected = vec![0u64; binned_full.num_columns().div_ceil(64)];
+        for c in selected_columns
+            .iter()
+            .filter_map(|c| binned_full.column_index(c))
+        {
+            selected[c / 64] |= 1 << (c % 64);
+        }
         // Candidate rules: every rule in a bucket whose mask is a subset of
         // the selection, ordered best-first — the probe stops at the first
         // candidate that holds for the row. Best-first is (size desc,
@@ -81,15 +80,14 @@ impl<'r> HighlightIndex<'r> {
         let mut candidates: Vec<usize> = self
             .buckets
             .iter()
-            .filter(|(mask, _)| mask.is_subset_of(&selected))
+            .filter(|(mask, _)| mask.iter().zip(&selected).all(|(m, s)| m & !s == 0))
             .flat_map(|(_, idxs)| idxs.iter().copied())
             .collect();
         candidates.sort_by(|&a, &b| {
-            let (ra, rb) = (&self.rules.rules[a], &self.rules.rules[b]);
+            let (ra, rb) = (self.rules.rule(a), self.rules.rule(b));
             // Rank by distinct-column count (what the UI colours).
-            rb.column_mask
-                .len()
-                .cmp(&ra.column_mask.len())
+            rb.num_columns()
+                .cmp(&ra.num_columns())
                 .then_with(|| rb.support.total_cmp(&ra.support))
                 .then_with(|| a.cmp(&b))
         });
@@ -115,22 +113,23 @@ impl<'r> HighlightIndex<'r> {
                     // A rule holds iff each of its ids equals the row's id
                     // at that id's column — one item per column makes the
                     // jump direct, no per-candidate decoding needed.
-                    self.rules.rules[i]
+                    self.rules
+                        .rule(i)
                         .item_ids()
-                        .all(|id| row_ids[interner.column_of(id)] == id)
+                        .iter()
+                        .all(|&id| row_ids[interner.column_of(id)] == id)
                 })?;
                 let i = *hit;
                 Some(
                     rendered
                         .entry(i)
                         .or_insert_with(|| {
-                            let rule = &self.rules.rules[i];
+                            let rule = self.rules.rule(i);
                             RuleHighlight {
                                 rule_index: i,
                                 columns: rule
-                                    .columns()
-                                    .iter()
-                                    .map(|&c| binned_full.column_names()[c].clone())
+                                    .column_iter()
+                                    .map(|c| binned_full.column_names()[c].clone())
                                     .collect(),
                                 description: rule.render(interner),
                             }

@@ -52,14 +52,17 @@ pub fn highlight_rules_linear(
                 if !cols.iter().all(|c| selected_idx.contains(c)) {
                     continue;
                 }
-                if !rule.holds_for_row(interner, binned_full, row) {
+                if !rule
+                    .items(interner)
+                    .all(|item| item.matches(binned_full, row))
+                {
                     continue;
                 }
                 let better = match best {
                     None => true,
                     Some((b, size)) => {
                         cols.len() > size
-                            || (cols.len() == size && rule.support > rules.rules[b].support)
+                            || (cols.len() == size && rule.support > rules.rule(b).support)
                     }
                 };
                 if better {
@@ -67,7 +70,7 @@ pub fn highlight_rules_linear(
                 }
             }
             best.map(|(i, _)| {
-                let rule = &rules.rules[i];
+                let rule = rules.rule(i);
                 RuleHighlight {
                     rule_index: i,
                     columns: rule

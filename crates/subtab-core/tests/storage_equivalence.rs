@@ -169,13 +169,13 @@ fn rule_sets_agree_across_engines_and_thread_counts() {
         for threads in THREAD_COUNTS {
             let miner = RuleMiner::new(config.clone().with_threads(threads));
             assert_eq!(
-                miner.mine(&binned).rules,
-                whole_ref.rules,
+                miner.mine(&binned),
+                whole_ref,
                 "{kind:?} whole-table mining at {threads}t"
             );
             assert_eq!(
-                miner.mine_with_targets(&binned, &[target]).rules,
-                target_ref.rules,
+                miner.mine_with_targets(&binned, &[target]),
+                target_ref,
                 "{kind:?} target mining at {threads}t"
             );
         }

@@ -165,22 +165,6 @@ impl Bitmap {
         bm.mask_tail(bits);
         bm
     }
-
-    /// Materialises `self AND other` together with its popcount.
-    pub fn and_with_count(&self, other: &Bitmap) -> (Bitmap, usize) {
-        let mut count = 0usize;
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| {
-                let w = a & b;
-                count += w.count_ones() as usize;
-                w
-            })
-            .collect();
-        (Bitmap { words }, count)
-    }
 }
 
 #[cfg(test)]
@@ -202,8 +186,8 @@ mod tests {
         assert_eq!(b.count(), 3);
         assert!(a.get(64) && !a.get(65));
         assert_eq!(a.and_count(&b), 2, "intersection is {{3, 64}}");
-        let (ab, count) = a.and_with_count(&b);
-        assert_eq!(count, 2);
+        let mut ab = a.clone();
+        ab.and_assign(&b);
         assert_eq!(ab.count(), 2);
         assert!(ab.get(3) && ab.get(64) && !ab.get(0) && !ab.get(119));
     }

@@ -1,7 +1,7 @@
 //! The combined informativeness score (Equation 3) and the [`Evaluator`].
 
 use crate::coverage::CoverageIndex;
-use crate::diversity::diversity;
+use crate::diversity::subtable_diversity;
 use subtab_binning::BinnedTable;
 use subtab_rules::RuleSet;
 
@@ -57,11 +57,12 @@ impl Evaluator {
     }
 
     /// Scores the sub-table given by `rows` (row indices into the full table)
-    /// and `cols` (column indices into the full table).
+    /// and `cols` (column indices into the full table). Indices out of range
+    /// are ignored by both metrics; diversity is read from the full table's
+    /// codes, so no sub-table is copied.
     pub fn score(&self, rows: &[usize], cols: &[usize]) -> SubTableScore {
         let cell_coverage = self.index.cell_coverage(rows, cols);
-        let sub = self.binned.take_rows(rows).take_columns(cols);
-        let diversity = diversity(&sub);
+        let diversity = subtable_diversity(&self.binned, rows, cols);
         SubTableScore {
             cell_coverage,
             diversity,
@@ -159,6 +160,39 @@ mod tests {
         assert!(
             (ev.cell_coverage(&rows, &cols) - ev.score(&rows, &cols).cell_coverage).abs() < 1e-12
         );
+    }
+
+    #[test]
+    fn out_of_range_indices_are_ignored_by_both_metrics() {
+        let (ev, n, m) = evaluator(0.5);
+        let inside = ev.score(&[0, 1, 3], &[0, 1, 2]);
+        let outside = ev.score(&[0, 1, n + 5, 3], &[0, m + 2, 1, 2]);
+        assert_eq!(outside, inside);
+        assert_eq!(
+            ev.score(&[n, n + 1], &[0, 1]),
+            ev.score(&[], &[0, 1]),
+            "rows that are all out of range score as the empty sub-table"
+        );
+    }
+
+    #[test]
+    fn score_diversity_equals_the_materialised_subtable() {
+        let (ev, n, m) = evaluator(0.5);
+        let all_cols: Vec<usize> = (0..m).collect();
+        let all_rows: Vec<usize> = (0..n).collect();
+        for (rows, cols) in [
+            (vec![0, 3, 5], all_cols.clone()),
+            (vec![5, 1, 1, 4], vec![2, 0]),
+            (all_rows, vec![1]),
+            (vec![2, 3], vec![]),
+        ] {
+            let sub = ev.binned().take_rows(&rows).take_columns(&cols);
+            assert_eq!(
+                ev.score(&rows, &cols).diversity.to_bits(),
+                crate::diversity(&sub).to_bits(),
+                "rows {rows:?} cols {cols:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
-//! Cell coverage (Definition 3.6).
+//! Cell coverage (Definition 3.6). [`CoverageIndex`] builds each rule's
+//! matching rows `T_R` the way vertical miners count supports (Zaki, IEEE
+//! TKDE 2000), as the AND of its items' row bitmaps from one
+//! [`VerticalIndex`] of the table; `tests/coverage_oracle` keeps the
+//! per-row-decoding build it replaced.
 
 use subtab_binning::BinnedTable;
 use subtab_data::Bitmap;
+use subtab_rules::bitmap::VerticalIndex;
 use subtab_rules::RuleSet;
 
 /// Pre-computed data for evaluating the cell coverage of sub-tables of one
@@ -13,52 +18,97 @@ use subtab_rules::RuleSet;
 /// to (a) decide which rules are covered and (b) union the pre-computed cell
 /// sets of the covered rules.
 ///
-/// `T_R` is a row bitmap (one bit per row of the full table). Mined rules
-/// hold on at least a `min_support` share of the rows, so the bitmap is
-/// several times smaller than a row-index list at the default support
-/// threshold, and the witness-row test of [`covered_rules`] is a word-wise
-/// AND.
+/// `T_R` is a row bitmap (one bit per row of the full table), and all of
+/// them share one word array, as all column lists and column masks share
+/// others. Mined rules hold on at least a `min_support` share of the rows,
+/// so the bitmap is several times smaller than a row-index list at the
+/// default support threshold, and both tests of [`covered_rules`] are
+/// word-wise ANDs. Building the index allocates a fixed number of times per
+/// table, whatever the number of rules.
 ///
 /// [`covered_rules`]: CoverageIndex::covered_rules
 #[derive(Debug, Clone)]
 pub struct CoverageIndex {
     num_rows: usize,
     num_cols: usize,
-    /// Per rule: (columns of the rule, rows of the full table where it holds).
-    rules: Vec<(Vec<usize>, Bitmap)>,
+    /// Words per row bitmap, `⌈num_rows / 64⌉`, and per column mask.
+    row_words: usize,
+    col_words: usize,
+    /// Every rule's `T_R`, `row_words` words each, rule after rule.
+    rows: Vec<u64>,
+    /// Every rule's `U_R` as a column mask, `col_words` words each.
+    masks: Vec<u64>,
+    /// Every rule's columns `U_R`, ascending, rule after rule.
+    columns: Vec<usize>,
+    /// Rule `i`'s columns are `columns[column_starts[i]..column_starts[i + 1]]`.
+    column_starts: Vec<usize>,
     upcov: usize,
 }
 
 impl CoverageIndex {
-    /// Builds the index by evaluating every rule against the full binned
-    /// table.
+    /// Builds the index: each rule's `T_R` is the AND of its items' row
+    /// bitmaps over the full binned table.
     pub fn build(binned: &BinnedTable, rules: &RuleSet) -> Self {
         let num_rows = binned.num_rows();
-        let num_cols = binned.num_columns();
-        let interner = rules.interner();
-        let mut infos = Vec::with_capacity(rules.len());
-        for rule in rules.iter() {
-            let mut rows = Bitmap::zeros(num_rows);
-            for r in rule.matching_rows(interner, binned) {
-                rows.set(r);
+        let (num_cols, row_words) = (binned.num_columns(), num_rows.div_ceil(64));
+        let col_words = num_cols.div_ceil(64);
+        let mut rows = vec![0u64; rules.len() * row_words];
+        let mut masks = vec![0u64; rules.len() * col_words];
+        let mut columns = Vec::with_capacity(rules.num_items());
+        let mut column_starts = Vec::with_capacity(rules.len() + 1);
+        column_starts.push(0);
+        if !rules.is_empty() {
+            let vertical = VerticalIndex::build(binned, rules.interner(), None);
+            let mut scratch = Bitmap::zeros(num_rows);
+            for (i, rule) in rules.iter().enumerate() {
+                // An item absent from the table leaves `T_R` empty.
+                let ids = rule.item_ids().iter().copied();
+                if vertical.support_count_into(ids, &mut scratch) > Some(0) {
+                    rows[i * row_words..(i + 1) * row_words].copy_from_slice(scratch.as_words());
+                }
+                for c in rule.column_iter() {
+                    masks[i * col_words + c / 64] |= 1 << (c % 64);
+                    columns.push(c);
+                }
+                column_starts.push(columns.len());
             }
-            infos.push((rule.columns(), rows));
         }
         let mut index = CoverageIndex {
             num_rows,
             num_cols,
-            rules: infos,
+            row_words,
+            col_words,
+            rows,
+            masks,
+            columns,
+            column_starts,
             upcov: 0,
         };
-        // upcov = number of cells covered when every rule is covered.
-        let all_rules: Vec<usize> = (0..index.rules.len()).collect();
-        index.upcov = index.union_cells(&all_rules);
+        index.upcov = index.count_upcov();
         index
+    }
+
+    /// The number of cells covered when every rule is covered, i.e.
+    /// `union_cells` over all rules, counted column by column: cell
+    /// `(r, c)` is covered iff `r` is in `T_R` of some rule `R` using `c`,
+    /// so the count is the popcount of each column's OR of those `T_R`.
+    fn count_upcov(&self) -> usize {
+        let w = self.row_words;
+        let mut per_column = vec![0u64; self.num_cols * w];
+        for i in 0..self.num_rules() {
+            let rows = self.rule_rows(i);
+            for &c in self.rule_columns(i) {
+                for (acc, word) in per_column[c * w..(c + 1) * w].iter_mut().zip(rows) {
+                    *acc |= word;
+                }
+            }
+        }
+        per_column.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of rules in the index.
     pub fn num_rules(&self) -> usize {
-        self.rules.len()
+        self.column_starts.len() - 1
     }
 
     /// The normalisation factor: the number of cells of the full table that
@@ -67,16 +117,26 @@ impl CoverageIndex {
         self.upcov
     }
 
+    /// `U_R` of rule `i`, ascending.
+    fn rule_columns(&self, i: usize) -> &[usize] {
+        &self.columns[self.column_starts[i]..self.column_starts[i + 1]]
+    }
+
+    /// The words of `T_R` of rule `i`.
+    fn rule_rows(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.row_words..(i + 1) * self.row_words]
+    }
+
     /// Indices of the rules covered by the sub-table defined by `rows` and
     /// `cols` (row/column indices into the full table).
     ///
     /// A rule is covered when all of its columns are among `cols` and at least
     /// one of `rows` is in its matching-row set (Definition 3.6, d1).
     pub fn covered_rules(&self, rows: &[usize], cols: &[usize]) -> Vec<usize> {
-        let mut col_mask = vec![false; self.num_cols];
+        let mut col_mask = vec![0u64; self.col_words];
         for &c in cols {
             if c < self.num_cols {
-                col_mask[c] = true;
+                col_mask[c / 64] |= 1 << (c % 64);
             }
         }
         let mut row_mask = Bitmap::zeros(self.num_rows);
@@ -86,16 +146,17 @@ impl CoverageIndex {
             }
         }
         let row_words = row_mask.as_words();
-        self.rules
-            .iter()
+        if row_words.is_empty() || col_mask.is_empty() {
+            // A table without rows or columns covers nothing.
+            return Vec::new();
+        }
+        self.masks
+            .chunks_exact(self.col_words)
+            .zip(self.rows.chunks_exact(self.row_words))
             .enumerate()
-            .filter(|(_, (rcols, rrows))| {
-                rcols.iter().all(|&c| col_mask[c])
-                    && rrows
-                        .as_words()
-                        .iter()
-                        .zip(row_words)
-                        .any(|(a, b)| a & b != 0)
+            .filter(|(_, (mask, rrows))| {
+                mask.iter().zip(&col_mask).all(|(m, s)| m & !s == 0)
+                    && rrows.iter().zip(row_words).any(|(a, b)| a & b != 0)
             })
             .map(|(i, _)| i)
             .collect()
@@ -111,8 +172,8 @@ impl CoverageIndex {
         let mut bitset = vec![0u64; bits.div_ceil(64)];
         let mut count = 0usize;
         for &ri in rule_indices {
-            let (cols, rows) = &self.rules[ri];
-            for (wi, &row_word) in rows.as_words().iter().enumerate() {
+            let cols = self.rule_columns(ri);
+            for (wi, &row_word) in self.rule_rows(ri).iter().enumerate() {
                 let mut w = row_word;
                 while w != 0 {
                     let r = wi * 64 + w.trailing_zeros() as usize;

@@ -1,6 +1,6 @@
 //! Diversity (Definition 3.7).
 
-use subtab_binning::BinnedTable;
+use subtab_binning::{BinId, BinnedTable};
 
 /// Jaccard-like similarity of two rows of a binned (sub-)table: the fraction
 /// of columns whose values fall in the same bin.
@@ -34,6 +34,38 @@ pub fn diversity(binned_sub: &BinnedTable) -> f64 {
     for a in 0..k {
         for b in (a + 1)..k {
             total += jaccard_similarity(binned_sub, a, b);
+            pairs += 1;
+        }
+    }
+    1.0 - total / pairs as f64
+}
+
+/// Diversity of the sub-table of `binned` given by `rows` and `cols`
+/// (indices into `binned`), read straight from the table's codes without
+/// materialising the sub-table. Rows and columns out of range are ignored,
+/// as cell coverage ignores them; on in-range indices the result equals
+/// `diversity(&binned.take_rows(rows).take_columns(cols))` bit for bit
+/// (same pairs, same order, same arithmetic).
+pub fn subtable_diversity(binned: &BinnedTable, rows: &[usize], cols: &[usize]) -> f64 {
+    let n = binned.num_rows();
+    let rows: Vec<usize> = rows.iter().copied().filter(|&r| r < n).collect();
+    let columns: Vec<&[BinId]> = cols
+        .iter()
+        .filter(|&&c| c < binned.num_columns())
+        .map(|&c| binned.codes(c))
+        .collect();
+    let (k, m) = (rows.len(), columns.len());
+    // With no columns every pair's similarity is 0, so diversity is 1.
+    if k < 2 || m == 0 {
+        return 1.0;
+    }
+    let mut total = 0.0;
+    let mut pairs = 0usize;
+    for a in 0..k {
+        for b in (a + 1)..k {
+            let (ra, rb) = (rows[a], rows[b]);
+            let same = columns.iter().filter(|c| c[ra] == c[rb]).count();
+            total += same as f64 / m as f64;
             pairs += 1;
         }
     }
@@ -96,6 +128,29 @@ mod tests {
         let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
         let bt = binner.apply(&t).unwrap();
         assert!((jaccard_similarity(&bt, 0, 1) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn subtable_diversity_matches_the_materialised_subtable() {
+        let bt = binned(&[("x", 1), ("x", 2), ("y", 1), ("z", 3), ("x", 1)]);
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[0, 1, 2, 3, 4], &[0, 1]),
+            (&[4, 0, 2], &[1]),
+            (&[0, 0, 3], &[1, 0, 1]),
+            (&[1, 3], &[]),
+            (&[2], &[0, 1]),
+            (&[], &[0]),
+        ];
+        for (rows, cols) in cases {
+            let want = diversity(&bt.take_rows(rows).take_columns(cols));
+            let got = subtable_diversity(&bt, rows, cols);
+            assert_eq!(got.to_bits(), want.to_bits(), "rows {rows:?} cols {cols:?}");
+        }
+        // Out-of-range indices drop out.
+        assert_eq!(
+            subtable_diversity(&bt, &[0, 9, 1, 2], &[0, 7, 1]).to_bits(),
+            subtable_diversity(&bt, &[0, 1, 2], &[0, 1]).to_bits()
+        );
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! The [`Evaluator`] bundles a binned table, a rule set and `α` so that
 //! selection algorithms (the SubTab algorithm itself, and the greedy / MAB /
 //! random baselines) can score candidate sub-tables cheaply and consistently.
+//! Its [`CoverageIndex`] builds every rule's matching rows from item bitmaps
+//! into flat arrays, and scoring reads diversity from the full table's codes;
+//! both metrics ignore out-of-range row and column indices.
 //!
 //! The unit tests of this crate reproduce the worked example of Figure 3/4 of
 //! the paper (the 8-row flights excerpt with its two sub-tables).
@@ -27,4 +30,4 @@ pub mod diversity;
 
 pub use combined::{Evaluator, SubTableScore};
 pub use coverage::CoverageIndex;
-pub use diversity::{diversity, jaccard_similarity};
+pub use diversity::{diversity, jaccard_similarity, subtable_diversity};

@@ -13,11 +13,12 @@
 //! * sub-table T̂(3) (Figure 4: rows 1, 5, 7 over CANCELLED, DEP_TIME,
 //!   SCHED_DEP, DISTANCE) describes 24 cells, diversity 0.92, combined 0.79.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use subtab_binning::{BinnedTable, Binner, BinningConfig};
 use subtab_data::Table;
 use subtab_metrics::{diversity, CoverageIndex, Evaluator};
-use subtab_rules::{AssociationRule, Item, ItemInterner, RuleSet};
+use subtab_rules::{Item, ItemId, ItemInterner, RuleSet};
 
 /// The example table T̂ of Figure 3. Values are already bin names.
 fn example_table() -> Table {
@@ -104,7 +105,8 @@ fn example_rules(bt: &BinnedTable) -> RuleSet {
     let interner = Arc::new(ItemInterner::from_binned(bt));
     let target = bt.column_index("CANCELLED").unwrap();
     let other_cols: Vec<usize> = (0..bt.num_columns()).filter(|&c| c != target).collect();
-    let mut rules: Vec<AssociationRule> = Vec::new();
+    let mut rules = RuleSet::new(bt.num_rows(), Arc::clone(&interner));
+    let mut seen: HashSet<Vec<ItemId>> = HashSet::new();
     // Enumerate LHS column subsets of size >= 2 via bitmask over other_cols.
     for mask in 1u32..(1 << other_cols.len()) {
         let cols: Vec<usize> = other_cols
@@ -118,28 +120,26 @@ fn example_rules(bt: &BinnedTable) -> RuleSet {
         }
         // For each row, instantiate the rule with that row's bin values.
         for r in 0..bt.num_rows() {
-            let antecedent: Vec<Item> = cols
+            let items: Vec<Item> = cols
                 .iter()
+                .chain([&target])
                 .map(|&c| Item::new(c, bt.bin_id(r, c)))
                 .collect();
-            let consequent = vec![Item::new(target, bt.bin_id(r, target))];
-            let rule =
-                AssociationRule::from_items(&interner, &antecedent, &consequent, 0.0, 0, 1.0, 1.0);
-            let count = rule.matching_rows(&interner, bt).len();
-            if count >= 2 {
-                let mut rule = rule;
-                rule.support_count = count;
-                rule.support = count as f64 / bt.num_rows() as f64;
-                if !rules
-                    .iter()
-                    .any(|x| x.antecedent == rule.antecedent && x.consequent == rule.consequent)
-                {
-                    rules.push(rule);
-                }
+            let count = (0..bt.num_rows())
+                .filter(|&row| items.iter().all(|i| i.matches(bt, row)))
+                .count();
+            let ids: Vec<ItemId> = items
+                .iter()
+                .map(|i| interner.id_of(i.column, i.bin))
+                .collect();
+            if count >= 2 && seen.insert(ids.clone()) {
+                let (antecedent, consequent) = ids.split_at(cols.len());
+                let support = count as f64 / bt.num_rows() as f64;
+                rules.push(antecedent, consequent, count, support, 1.0, 1.0);
             }
         }
     }
-    RuleSet::new(rules, bt.num_rows(), interner)
+    rules
 }
 
 fn col_indices(bt: &BinnedTable, names: &[&str]) -> Vec<usize> {

@@ -20,16 +20,22 @@
 //! `⌈n / 64⌉` words instead of re-intersecting the whole prefix, and
 //! infrequent extensions are pruned before recursing.
 //!
+//! The conditional bitmaps of one prefix's extensions share one word
+//! buffer, and the walk keeps one such buffer per lattice depth, reused for
+//! every prefix at that depth, so an infrequent candidate allocates nothing
+//! and a frequent itemset allocates only its own id list.
+//!
 //! Root subtrees of the lattice are independent, so
 //! [`frequent_itemsets_bitmap`] fans them out across scoped worker threads;
 //! results are collected per root and merged in root order, making the
-//! output identical at every thread count. The `bitmap_equivalence` test
+//! output identical at every thread count. A single worker walks every
+//! root with one set of buffers. The `bitmap_equivalence` test
 //! suite pins the frequent levels and support counts to a level-wise
 //! Apriori oracle (one row scan per candidate) on the six planted datasets.
 
 use crate::interner::{ItemId, ItemInterner};
 use subtab_binning::BinnedTable;
-use subtab_kernels::map_indexed;
+use subtab_kernels::{map_indexed, resolve_threads};
 
 // Row bitmaps are the shared workspace `Bitmap`. Bit `i` corresponds to the
 // `i`-th row of the mining scope: for whole-table mining that is row `i`
@@ -44,17 +50,6 @@ pub struct FrequentItemset {
     pub items: Vec<ItemId>,
     /// Number of rows containing all the items.
     pub count: usize,
-}
-
-impl FrequentItemset {
-    /// Support as a fraction of the given row count.
-    pub fn support(&self, num_rows: usize) -> f64 {
-        if num_rows == 0 {
-            0.0
-        } else {
-            self.count as f64 / num_rows as f64
-        }
-    }
 }
 
 /// The vertical representation of one mining scope: every item that occurs
@@ -150,17 +145,84 @@ impl VerticalIndex {
     }
 }
 
-/// One frequent extension of the current prefix: its id, its bitmap
-/// *conditional on the prefix*, and that bitmap's popcount.
-struct Ext {
-    id: ItemId,
-    bitmap: Bitmap,
-    count: usize,
+/// The frequent extensions of one prefix: their ids, popcounts and
+/// bitmaps *conditional on the prefix*, packed `width` words each in one
+/// buffer. The walk keeps one `Exts` per lattice depth and refills it for
+/// every prefix at that depth.
+struct Exts {
+    width: usize,
+    ids: Vec<ItemId>,
+    counts: Vec<usize>,
+    words: Vec<u64>,
 }
 
-/// One discovered frequent itemset (ids ascending) with its support count —
-/// the raw shape the parallel walk collects before levels are assembled.
-type FoundItemset = (Vec<ItemId>, usize);
+impl Exts {
+    fn bitmap(&self, i: usize) -> &[u64] {
+        &self.words[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Refills with the candidates whose bitmap ANDed with `prefix` keeps
+    /// at least `min_count` rows; an infrequent candidate leaves nothing.
+    fn fill<'b>(
+        &mut self,
+        prefix: &[u64],
+        candidates: impl Iterator<Item = (ItemId, &'b [u64])>,
+        min_count: usize,
+    ) {
+        self.ids.clear();
+        self.counts.clear();
+        self.words.clear();
+        for (id, bitmap) in candidates {
+            let start = self.words.len();
+            let mut count = 0usize;
+            self.words.extend(prefix.iter().zip(bitmap).map(|(a, b)| {
+                count += (a & b).count_ones() as usize;
+                a & b
+            }));
+            if count >= min_count {
+                self.ids.push(id);
+                self.counts.push(count);
+            } else {
+                self.words.truncate(start);
+            }
+        }
+    }
+}
+
+/// Depth-first prefix extension: records every frequent extension of
+/// `prefix` (held in `stack[0]`) and recurses while a deeper level of the
+/// stack exists, so the stack's length bounds the itemset size.
+fn extend(
+    prefix: &mut Vec<ItemId>,
+    stack: &mut [Exts],
+    interner: &ItemInterner,
+    min_count: usize,
+    out: &mut Vec<FrequentItemset>,
+) {
+    let Some((exts, deeper)) = stack.split_first_mut() else {
+        return;
+    };
+    for i in 0..exts.ids.len() {
+        prefix.push(exts.ids[i]);
+        out.push(FrequentItemset {
+            items: prefix.clone(),
+            count: exts.counts[i],
+        });
+        if let Some(children) = deeper.first_mut() {
+            let floor = interner.next_column_start(exts.ids[i]);
+            let later = (i + 1..exts.ids.len()).filter(|&j| exts.ids[j] >= floor);
+            children.fill(
+                exts.bitmap(i),
+                later.map(|j| (exts.ids[j], exts.bitmap(j))),
+                min_count,
+            );
+            if !children.ids.is_empty() {
+                extend(prefix, deeper, interner, min_count, out);
+            }
+        }
+        prefix.pop();
+    }
+}
 
 /// Mines all frequent itemsets of the scope (`rows`, `None` = all rows)
 /// with support ≥ `min_support` and size ≤ `max_size`, grouped by size:
@@ -202,33 +264,59 @@ pub fn frequent_itemsets_bitmap(
         return levels;
     }
 
-    // Larger itemsets: walk each root's subtree, fanned out across scoped
-    // workers with index-ordered results, so the merged output is
-    // independent of scheduling.
-    let walk_root = |root: usize| {
-        let i = frequent[root];
-        let mut found = Vec::new();
-        let exts = extensions_of(
-            vertical.ids[i],
-            &vertical.bitmaps[i],
-            &frequent[root + 1..],
-            &vertical,
-            interner,
-            min_count,
-        );
-        let mut prefix = vec![vertical.ids[i]];
-        extend(&mut prefix, exts, interner, min_count, max_size, &mut found);
+    // Larger itemsets: walk each root's subtree. One worker walks every
+    // root in order with one set of buffers; several fan the roots out
+    // with index-ordered results, so the merged output is independent of
+    // scheduling. Itemsets hold one item per column, so the lattice is at
+    // most as deep as the table is wide.
+    let depth = max_size.min(interner.num_columns()).saturating_sub(1);
+    let walk_roots = |roots: std::ops::Range<usize>| {
+        let mut stack: Vec<Exts> = (0..depth)
+            .map(|_| Exts {
+                width: n.div_ceil(64),
+                ids: Vec::new(),
+                counts: Vec::new(),
+                words: Vec::new(),
+            })
+            .collect();
+        let (mut prefix, mut found) = (Vec::new(), Vec::new());
+        for root in roots {
+            let Some(exts) = stack.first_mut() else {
+                break;
+            };
+            // Ids are column-major, so "later column" is an id floor.
+            let i = frequent[root];
+            let floor = interner.next_column_start(vertical.ids[i]);
+            let later = frequent[root + 1..]
+                .iter()
+                .filter(|&&j| vertical.ids[j] >= floor);
+            exts.fill(
+                vertical.bitmaps[i].as_words(),
+                later.map(|&j| (vertical.ids[j], vertical.bitmaps[j].as_words())),
+                min_count,
+            );
+            prefix.clear();
+            prefix.push(vertical.ids[i]);
+            extend(&mut prefix, &mut stack, interner, min_count, &mut found);
+        }
         found
     };
-    let per_root: Vec<Vec<FoundItemset>> = map_indexed(threads, frequent.len(), walk_root);
+    let found: Vec<FrequentItemset> = if resolve_threads(threads, frequent.len()) == 1 {
+        walk_roots(0..frequent.len())
+    } else {
+        map_indexed(threads, frequent.len(), |root| walk_roots(root..root + 1))
+            .into_iter()
+            .flatten()
+            .collect()
+    };
 
     // Group by size and sort each level by item ids.
-    for (items, count) in per_root.into_iter().flatten() {
-        let level = items.len() - 1;
+    for itemset in found {
+        let level = itemset.items.len() - 1;
         while levels.len() <= level {
             levels.push(Vec::new());
         }
-        levels[level].push(FrequentItemset { items, count });
+        levels[level].push(itemset);
     }
     while levels.last().is_some_and(Vec::is_empty) {
         levels.pop();
@@ -237,69 +325,6 @@ pub fn frequent_itemsets_bitmap(
         level.sort_by(|a, b| a.items.cmp(&b.items));
     }
     levels
-}
-
-/// The frequent extensions of a prefix ending in `last`: among the frequent
-/// singles after `last` (positions `tail` into the vertical index), those
-/// of a *later column* whose bitmap intersected with the prefix stays
-/// frequent.
-fn extensions_of(
-    last: ItemId,
-    prefix_bitmap: &Bitmap,
-    tail: &[usize],
-    vertical: &VerticalIndex,
-    interner: &ItemInterner,
-    min_count: usize,
-) -> Vec<Ext> {
-    // Ids are column-major, so "later column" is a single partition point.
-    let floor = interner.next_column_start(last);
-    let start = tail.partition_point(|&i| vertical.ids[i] < floor);
-    tail[start..]
-        .iter()
-        .filter_map(|&i| {
-            let (bitmap, count) = prefix_bitmap.and_with_count(&vertical.bitmaps[i]);
-            (count >= min_count).then_some(Ext {
-                id: vertical.ids[i],
-                bitmap,
-                count,
-            })
-        })
-        .collect()
-}
-
-/// Depth-first prefix extension: records every frequent extension of
-/// `prefix` and recurses while the itemset stays under `max_size`.
-fn extend(
-    prefix: &mut Vec<ItemId>,
-    exts: Vec<Ext>,
-    interner: &ItemInterner,
-    min_count: usize,
-    max_size: usize,
-    out: &mut Vec<FoundItemset>,
-) {
-    for (i, ext) in exts.iter().enumerate() {
-        prefix.push(ext.id);
-        out.push((prefix.clone(), ext.count));
-        if prefix.len() < max_size {
-            let floor = interner.next_column_start(ext.id);
-            let children: Vec<Ext> = exts[i + 1..]
-                .iter()
-                .filter(|e| e.id >= floor)
-                .filter_map(|e| {
-                    let (bitmap, count) = ext.bitmap.and_with_count(&e.bitmap);
-                    (count >= min_count).then_some(Ext {
-                        id: e.id,
-                        bitmap,
-                        count,
-                    })
-                })
-                .collect();
-            if !children.is_empty() {
-                extend(prefix, children, interner, min_count, max_size, out);
-            }
-        }
-        prefix.pop();
-    }
 }
 
 #[cfg(test)]
@@ -384,8 +409,7 @@ mod tests {
         // year=2015 (7 rows) all have support >= 0.5.
         assert_eq!(levels[0].len(), 4);
         for fi in &levels[0] {
-            assert!(fi.count >= 4);
-            assert!(fi.support(8) >= 0.5);
+            assert!(fi.count >= 4, "support 0.5 of 8 rows");
         }
     }
 

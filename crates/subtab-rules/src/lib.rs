@@ -15,8 +15,9 @@
 //!   popcount supports, column-ordered prefix extension, scoped-thread
 //!   fan-out (the `bitmap_equivalence` suite pins it to a level-wise
 //!   Apriori oracle that lives in the crate's tests),
-//! * [`AssociationRule`] / [`RuleSet`] — sorted id slices plus a per-rule
-//!   [`ColumnMask`], with supports, confidences and lifts,
+//! * [`RuleSet`] / [`AssociationRule`] — one arena per rule set (flat id
+//!   slices, flat column-mask words, one fixed-size record of supports,
+//!   confidence and lift per rule) read through borrowed rule views,
 //! * [`RuleMiner`] — the end-to-end miner with the paper's parameters,
 //!   including the target-column handling of Section 6.1 (when target
 //!   columns are selected, the data is partitioned by the binned target
@@ -50,4 +51,4 @@ pub mod rule;
 
 pub use interner::{ItemId, ItemInterner};
 pub use miner::{MiningConfig, RuleMiner};
-pub use rule::{AssociationRule, ColumnMask, Item, RuleSet};
+pub use rule::{AssociationRule, Item, RuleSet};

@@ -3,15 +3,20 @@
 //! Frequent itemsets come from the vertical bitmap engine
 //! ([`crate::bitmap`]): per-item row bitmaps, popcount supports,
 //! column-ordered prefix extension, optional scoped-thread fan-out. Rules
-//! are split from the frequent levels here; target mining partitions the
-//! rows per target bin, pools, deduplicates and recounts global supports.
+//! are split from the frequent levels here and written straight into a
+//! [`RuleSet`] arena; sorting and `max_rules` truncation sort a permutation
+//! and repack the kept rules once. Target mining partitions the rows per
+//! target bin, pools the partition arenas in order, deduplicates on
+//! borrowed id slices and recounts global supports.
 //! `tests/golden/rules_ref.txt` pins the mined rules on the six planted
-//! datasets.
+//! datasets, and `tests/rule_memory.rs` bounds their bytes and allocations
+//! per rule.
 
 use crate::bitmap::{self, FrequentItemset, VerticalIndex};
 use crate::interner::{ItemId, ItemInterner};
-use crate::rule::{AssociationRule, ColumnMask, RuleSet};
+use crate::rule::RuleSet;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::Arc;
 use subtab_binning::BinnedTable;
 use subtab_kernels::map_indexed;
@@ -89,7 +94,7 @@ impl RuleMiner {
     pub fn mine(&self, binned: &BinnedTable) -> RuleSet {
         let interner = Arc::new(ItemInterner::from_binned(binned));
         let rules = self.mine_rows(binned, &interner, None, self.config.threads);
-        RuleSet::new(rules, binned.num_rows(), interner)
+        self.cap(&rules, None)
     }
 
     /// Mines rules separately within each bin of each target column and pools
@@ -120,65 +125,66 @@ impl RuleMiner {
         }
 
         // Mine every partition; partitions fan out across scoped workers,
-        // each partition mined sequentially. Results land in
-        // the partition's slot, so pooling order — and therefore the final
-        // rule set — is independent of scheduling.
-        let mine_partition = |(tc, bin, rows): &(usize, usize, Vec<usize>)| {
-            let mut rules = self.mine_rows(binned, &interner, Some(rows), 1);
-            // Keep only rules mentioning a target column; the split
-            // guarantees the target item is constant within the subset, so
-            // add it to the consequent when missing.
+        // each partition mined sequentially. Results land in the
+        // partition's slot, so pooling order — and therefore the final rule
+        // set — is independent of scheduling. Each partition keeps only
+        // rules mentioning a target column; the split guarantees the target
+        // item is constant within the subset, so the capped repack adds it
+        // to the consequent when missing.
+        let mined: Vec<RuleSet> = map_indexed(self.config.threads, partitions.len(), |i| {
+            let (tc, bin, rows) = &partitions[i];
+            let rules = self.mine_rows(binned, &interner, Some(rows), 1);
             let target_id = interner.id_of(*tc, *bin as subtab_binning::BinId);
-            for rule in &mut rules {
-                if !rule.uses_any_column(target_columns) {
-                    rule.consequent.push(target_id);
-                    rule.consequent.sort_unstable();
-                    rule.column_mask.insert(*tc);
-                }
-            }
-            rules
-        };
-        let mut all: Vec<AssociationRule> =
-            map_indexed(self.config.threads, partitions.len(), |i| {
-                mine_partition(&partitions[i])
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            self.cap(&rules, Some((target_id, target_columns)))
+        });
 
-        // Deduplicate identical `(antecedent, consequent)` pairs in one hash
-        // pass — partitions overlap on rules that don't mention the split
-        // column, and the first partition's copy wins, exactly as the old
-        // sort-then-dedup kept the first occurrence under a stable sort.
-        // Deduplicating *before* the global recompute means each distinct
-        // rule is recounted once, and the deterministic output order below
-        // needs a single sort (the old pooled path sorted twice).
-        let mut seen: std::collections::HashSet<(Vec<ItemId>, Vec<ItemId>)> =
-            std::collections::HashSet::with_capacity(all.len());
-        all.retain(|r| seen.insert((r.antecedent.clone(), r.consequent.clone())));
-
-        // Recompute global support over the full table for comparability,
-        // by ANDing full-table item bitmaps.
+        // Pool in partition order, deduplicating identical `(antecedent,
+        // consequent)` pairs on slices borrowed from the partition arenas:
+        // partitions overlap on rules that don't mention the split column,
+        // and the first partition's copy wins, confidence and lift
+        // included. Each distinct rule's global support is recounted once,
+        // by ANDing full-table item bitmaps, for comparability.
         let n = binned.num_rows().max(1) as f64;
         let vertical = VerticalIndex::build(binned, &interner, None);
         let mut scratch = subtab_data::Bitmap::zeros(binned.num_rows());
-        for rule in &mut all {
-            rule.support_count = vertical
-                .support_count_into(rule.item_ids(), &mut scratch)
+        let total = mined.iter().map(RuleSet::len).sum();
+        let mut pooled = RuleSet::with_capacity(
+            binned.num_rows(),
+            Arc::clone(&interner),
+            total,
+            mined.iter().map(RuleSet::num_items).sum(),
+        );
+        let mut seen: HashSet<(&[ItemId], &[ItemId])> = HashSet::with_capacity(total);
+        for rule in mined.iter().flat_map(RuleSet::iter) {
+            if !seen.insert((rule.antecedent(), rule.consequent())) {
+                continue;
+            }
+            let count = vertical
+                .support_count_into(rule.item_ids().iter().copied(), &mut scratch)
                 .expect("rules are never empty");
-            rule.support = rule.support_count as f64 / n;
+            pooled.push(
+                rule.antecedent(),
+                rule.consequent(),
+                count,
+                count as f64 / n,
+                rule.confidence,
+                rule.lift,
+            );
         }
-        let rules = self.cap(all);
-        RuleSet::new(rules, binned.num_rows(), interner)
+        drop(seen);
+        drop(mined);
+        self.cap(&pooled, None)
     }
 
+    /// The rules of the frequent itemsets of `rows` (`None` = all rows),
+    /// written straight into one arena, in generation order.
     fn mine_rows(
         &self,
         binned: &BinnedTable,
-        interner: &ItemInterner,
+        interner: &Arc<ItemInterner>,
         rows: Option<&[usize]>,
         threads: usize,
-    ) -> Vec<AssociationRule> {
+    ) -> RuleSet {
         let cfg = &self.config;
         let levels = bitmap::frequent_itemsets_bitmap(
             binned,
@@ -189,7 +195,7 @@ impl RuleMiner {
             threads,
         );
         let n = rows.map_or(binned.num_rows(), <[usize]>::len);
-        let mut rules = Vec::new();
+        let mut rules = RuleSet::new(n, Arc::clone(interner));
         // One pair of split buffers for the whole run: candidate splits that
         // fail the confidence threshold allocate nothing.
         let mut scratch = SplitScratch::default();
@@ -198,28 +204,33 @@ impl RuleMiner {
                 if itemset.items.len() < cfg.min_rule_size {
                     continue;
                 }
-                self.rules_from_itemset(interner, n, itemset, &levels, &mut scratch, &mut rules);
+                self.rules_from_itemset(n, itemset, &levels, &mut scratch, &mut rules);
             }
         }
-        self.cap(rules)
+        rules
     }
 
     /// Sorts by (support desc, confidence desc, antecedent ids, consequent
     /// ids) — a total order over distinct rules, so truncation under
     /// `max_rules` keeps a deterministic set in a deterministic order (see
-    /// [`MiningConfig::max_rules`]).
-    fn cap(&self, mut rules: Vec<AssociationRule>) -> Vec<AssociationRule> {
-        rules.sort_by(|a, b| {
+    /// [`MiningConfig::max_rules`]). Sorts a permutation and repacks the
+    /// kept rules once, into exactly sized arrays; `extra` is passed on to
+    /// [`RuleSet::gather`].
+    fn cap(&self, rules: &RuleSet, extra: Option<(ItemId, &[usize])>) -> RuleSet {
+        let index = |i: usize| u32::try_from(i).expect("rule sets hold at most u32::MAX rules");
+        let mut order: Vec<u32> = (0..rules.len()).map(index).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (rules.rule(a as usize), rules.rule(b as usize));
             b.support
                 .total_cmp(&a.support)
                 .then_with(|| b.confidence.total_cmp(&a.confidence))
-                .then_with(|| a.antecedent.cmp(&b.antecedent))
-                .then_with(|| a.consequent.cmp(&b.consequent))
+                .then_with(|| a.antecedent().cmp(b.antecedent()))
+                .then_with(|| a.consequent().cmp(b.consequent()))
         });
-        if self.config.max_rules > 0 && rules.len() > self.config.max_rules {
-            rules.truncate(self.config.max_rules);
+        if self.config.max_rules > 0 && order.len() > self.config.max_rules {
+            order.truncate(self.config.max_rules);
         }
-        rules
+        rules.gather(order.iter().map(|&i| i as usize), extra)
     }
 
     /// Generates all rules `A → C` from a frequent itemset with non-empty
@@ -227,12 +238,11 @@ impl RuleMiner {
     /// supports come from the frequent levels.
     fn rules_from_itemset(
         &self,
-        interner: &ItemInterner,
         n: usize,
         itemset: &FrequentItemset,
         levels: &[Vec<FrequentItemset>],
         scratch: &mut SplitScratch,
-        out: &mut Vec<AssociationRule>,
+        out: &mut RuleSet,
     ) {
         let nf = n as f64;
         let items = &itemset.items;
@@ -243,14 +253,10 @@ impl RuleMiner {
                  so its count is in the levels",
             )
         };
-        // One column mask per itemset: every antecedent/consequent split
-        // shares it.
-        let column_mask = ColumnMask::from_columns(items.iter().map(|&id| interner.column_of(id)));
         // Enumerate non-empty proper subsets as consequents via bitmasks.
         // Rule sizes are small (≤ max_rule_size ≤ ~5), so this is cheap.
-        // Splits land in the reusable scratch buffers; the owned item
-        // vectors are only allocated once a split has passed every
-        // threshold, so rejected candidates are allocation-free.
+        // Splits land in the reusable scratch buffers and are copied into
+        // the arena only once they have passed every threshold.
         for mask in 1u32..((1u32 << k) - 1) {
             scratch.antecedent.clear();
             scratch.consequent.clear();
@@ -276,15 +282,14 @@ impl RuleMiner {
             } else {
                 0.0
             };
-            out.push(AssociationRule {
-                antecedent: scratch.antecedent.clone(),
-                consequent: scratch.consequent.clone(),
-                column_mask: column_mask.clone(),
-                support: itemset.count as f64 / nf,
-                support_count: itemset.count,
+            out.push(
+                &scratch.antecedent,
+                &scratch.consequent,
+                itemset.count,
+                itemset.count as f64 / nf,
                 confidence,
                 lift,
-            });
+            );
         }
     }
 }
@@ -367,8 +372,8 @@ mod tests {
             assert!(r.confidence >= cfg.min_confidence - 1e-12);
             assert!(r.size() >= cfg.min_rule_size);
             assert!(r.size() <= cfg.max_rule_size);
-            assert!(!r.antecedent.is_empty());
-            assert!(!r.consequent.is_empty());
+            assert!(!r.antecedent().is_empty());
+            assert!(!r.consequent().is_empty());
             // No column repeated within a rule.
             let cols = r.columns();
             assert_eq!(cols.len(), r.size());
@@ -434,16 +439,17 @@ mod tests {
         // equal-support/equal-confidence rules in play.
         for threads in [2, 4] {
             let threaded = RuleMiner::new(cfg.clone().with_threads(threads)).mine(&bt);
-            assert_eq!(threaded.rules, reference.rules, "threads = {threads}");
+            assert_eq!(threaded, reference, "threads = {threads}");
         }
         // The documented order: support desc, confidence desc, then ids.
-        for pair in reference.rules.windows(2) {
-            let ord = pair[1]
+        for i in 1..reference.len() {
+            let (a, b) = (reference.rule(i - 1), reference.rule(i));
+            let ord = b
                 .support
-                .total_cmp(&pair[0].support)
-                .then_with(|| pair[1].confidence.total_cmp(&pair[0].confidence))
-                .then_with(|| pair[0].antecedent.cmp(&pair[1].antecedent))
-                .then_with(|| pair[0].consequent.cmp(&pair[1].consequent));
+                .total_cmp(&a.support)
+                .then_with(|| b.confidence.total_cmp(&a.confidence))
+                .then_with(|| a.antecedent().cmp(b.antecedent()))
+                .then_with(|| a.consequent().cmp(b.consequent()));
             assert!(ord != std::cmp::Ordering::Greater);
         }
     }
@@ -457,7 +463,9 @@ mod tests {
         })
         .mine(&bt);
         for r in rules.iter().take(10) {
-            let manual = r.matching_rows(rules.interner(), &bt).len();
+            let manual = (0..bt.num_rows())
+                .filter(|&row| r.items(rules.interner()).all(|i| i.matches(&bt, row)))
+                .count();
             assert_eq!(manual, r.support_count);
             assert!((r.support - manual as f64 / bt.num_rows() as f64).abs() < 1e-12);
         }
@@ -492,7 +500,7 @@ mod tests {
         for threads in [2, 4] {
             let got =
                 RuleMiner::new(cfg.clone().with_threads(threads)).mine_with_targets(&bt, &[c, y]);
-            assert_eq!(got.rules, oracle.rules, "threads = {threads}");
+            assert_eq!(got, oracle, "threads = {threads}");
         }
     }
 

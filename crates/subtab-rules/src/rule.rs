@@ -1,8 +1,9 @@
-//! Items, column masks and association rules over dense item ids.
+//! Items and association rules over dense item ids, stored per rule set in
+//! one arena ([`RuleSet`]) and read through borrowed [`AssociationRule`]
+//! views.
 
 use crate::interner::{ItemId, ItemInterner};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::sync::Arc;
 use subtab_binning::{BinId, BinnedTable};
 
@@ -30,115 +31,25 @@ impl Item {
     pub fn matches(&self, binned: &BinnedTable, row: usize) -> bool {
         binned.bin_id(row, self.column) == self.bin
     }
-
-    /// Human-readable rendering, e.g. `distance=[100.000, 550.000)`.
-    pub fn render(&self, binned: &BinnedTable) -> String {
-        binned.token(self.column, self.bin)
-    }
 }
 
-/// A set of column indices packed as a bitmap (one `u64` word per 64
-/// columns — tables can be wider than 64 columns, so this is not a single
-/// word).
-///
-/// Every rule carries its column mask so that subset tests ("are all of
-/// this rule's columns currently selected?") are a handful of word ANDs
-/// instead of per-column membership scans, and so the highlight index can
-/// bucket rules by identical masks.
-///
-/// The word vector never stores trailing zero words, which keeps `Eq` and
-/// `Hash` canonical: two masks with the same columns always compare equal.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ColumnMask {
-    words: Vec<u64>,
-}
-
-impl ColumnMask {
-    /// The empty mask.
-    pub fn new() -> Self {
-        ColumnMask::default()
-    }
-
-    /// Builds a mask from column indices.
-    pub fn from_columns<I: IntoIterator<Item = usize>>(cols: I) -> Self {
-        let mut mask = ColumnMask::new();
-        for c in cols {
-            mask.insert(c);
-        }
-        mask
-    }
-
-    /// Adds a column to the mask.
-    pub fn insert(&mut self, col: usize) {
-        let word = col / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1u64 << (col % 64);
-    }
-
-    /// Whether the mask contains a column.
-    pub fn contains(&self, col: usize) -> bool {
-        self.words
-            .get(col / 64)
-            .is_some_and(|w| w & (1u64 << (col % 64)) != 0)
-    }
-
-    /// Whether every column of `self` is also in `other`.
-    pub fn is_subset_of(&self, other: &ColumnMask) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
-    }
-
-    /// Whether the mask contains at least one of the given columns.
-    pub fn contains_any(&self, cols: &[usize]) -> bool {
-        cols.iter().any(|&c| self.contains(c))
-    }
-
-    /// Number of columns in the mask.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the mask is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The column indices of the mask, ascending.
-    pub fn columns(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len());
-        for (i, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                out.push(i * 64 + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
-        out
-    }
-}
-
-/// An association rule `antecedent → consequent` (Definition 3.4).
+/// An association rule `antecedent → consequent` (Definition 3.4), borrowed
+/// from the [`RuleSet`] arena that stores it.
 ///
 /// Both sides are non-empty, ascending slices of dense [`ItemId`]s over
 /// *distinct* columns (ids are column-major, so ascending ids means
-/// column-ordered items); `column_mask` is the precomputed set of columns
-/// the rule touches. `support` is the fraction of rows containing all items
-/// of the rule, and `confidence` the fraction of antecedent-matching rows
-/// that also match the consequent. Decoding ids back to (column, bin) pairs
-/// or display strings goes through the [`ItemInterner`] the owning
-/// [`RuleSet`] shares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AssociationRule {
-    /// Left-hand-side item ids (ascending, one per column).
-    pub antecedent: Vec<ItemId>,
-    /// Right-hand-side item ids (ascending, one per column).
-    pub consequent: Vec<ItemId>,
-    /// The set of columns used by the rule (`U_R` in the paper).
-    pub column_mask: ColumnMask,
+/// column-ordered items); the mask words are the set of columns the rule
+/// touches. `support` is the fraction of rows
+/// containing all items of the rule, and `confidence` the fraction of
+/// antecedent-matching rows that also match the consequent. Decoding ids
+/// back to (column, bin) pairs or display strings goes through the
+/// [`ItemInterner`] the owning [`RuleSet`] shares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AssociationRule<'a> {
+    /// Antecedent ids followed by consequent ids.
+    ids: &'a [ItemId],
+    antecedent_len: usize,
+    mask: &'a [u64],
     /// Fraction of rows for which the whole rule holds.
     pub support: f64,
     /// Number of rows for which the whole rule holds.
@@ -149,84 +60,70 @@ pub struct AssociationRule {
     pub lift: f64,
 }
 
-impl AssociationRule {
-    /// Builds a rule from decoded items, interning them and computing the
-    /// column mask (the cold construction path; the miners build rules
-    /// directly in id space).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_items(
-        interner: &ItemInterner,
-        antecedent: &[Item],
-        consequent: &[Item],
-        support: f64,
-        support_count: usize,
-        confidence: f64,
-        lift: f64,
-    ) -> Self {
-        let intern = |items: &[Item]| {
-            let mut ids: Vec<ItemId> = items
-                .iter()
-                .map(|i| interner.id_of(i.column, i.bin))
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
-        let antecedent = intern(antecedent);
-        let consequent = intern(consequent);
-        let column_mask = ColumnMask::from_columns(
-            antecedent
-                .iter()
-                .chain(&consequent)
-                .map(|&id| interner.column_of(id)),
-        );
-        AssociationRule {
-            antecedent,
-            consequent,
-            column_mask,
-            support,
-            support_count,
-            confidence,
-            lift,
-        }
+impl<'a> AssociationRule<'a> {
+    /// Left-hand-side item ids (ascending, one per column).
+    pub fn antecedent(&self) -> &'a [ItemId] {
+        &self.ids[..self.antecedent_len]
+    }
+
+    /// Right-hand-side item ids (ascending, one per column).
+    pub fn consequent(&self) -> &'a [ItemId] {
+        &self.ids[self.antecedent_len..]
     }
 
     /// All item ids of the rule (antecedent then consequent).
-    pub fn item_ids(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.antecedent.iter().chain(&self.consequent).copied()
+    pub fn item_ids(&self) -> &'a [ItemId] {
+        self.ids
     }
 
     /// All items of the rule in decoded form (antecedent then consequent).
-    pub fn items<'a>(&'a self, interner: &'a ItemInterner) -> impl Iterator<Item = Item> + 'a {
-        self.item_ids().map(|id| interner.item(id))
+    pub fn items(&self, interner: &'a ItemInterner) -> impl Iterator<Item = Item> + 'a {
+        self.ids.iter().map(|&id| interner.item(id))
     }
 
     /// Number of items in the rule (the paper's "rule size").
     pub fn size(&self) -> usize {
-        self.antecedent.len() + self.consequent.len()
+        self.ids.len()
+    }
+
+    /// The rule's column-mask words (`U_R` in the paper): column `c` is bit
+    /// `c % 64` of word `c / 64`, and every rule of one set has the same
+    /// number of words.
+    pub fn mask_words(&self) -> &'a [u64] {
+        self.mask
+    }
+
+    /// Number of distinct columns the rule uses.
+    pub fn num_columns(&self) -> usize {
+        self.mask.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The column indices used by the rule (`U_R` in the paper), ascending.
     pub fn columns(&self) -> Vec<usize> {
-        self.column_mask.columns()
+        self.column_iter().collect()
     }
 
-    /// Whether the rule holds for row `row` of `binned` (all items match).
-    pub fn holds_for_row(&self, interner: &ItemInterner, binned: &BinnedTable, row: usize) -> bool {
-        self.item_ids()
-            .all(|id| interner.item(id).matches(binned, row))
-    }
-
-    /// Indices of all rows of `binned` for which the rule holds (`T_R`).
-    pub fn matching_rows(&self, interner: &ItemInterner, binned: &BinnedTable) -> Vec<usize> {
-        let items: Vec<Item> = self.items(interner).collect();
-        (0..binned.num_rows())
-            .filter(|&r| items.iter().all(|i| i.matches(binned, r)))
-            .collect()
+    /// Like [`AssociationRule::columns`], without collecting.
+    pub fn column_iter(&self) -> impl Iterator<Item = usize> + 'a {
+        self.mask.iter().enumerate().flat_map(|(i, &word)| {
+            let mut w = word;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let col = i * 64 + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    col
+                })
+            })
+        })
     }
 
     /// Whether the rule uses at least one of the given columns.
     pub fn uses_any_column(&self, columns: &[usize]) -> bool {
-        self.column_mask.contains_any(columns)
+        columns.iter().any(|&c| {
+            self.mask
+                .get(c / 64)
+                .is_some_and(|w| w & (1 << (c % 64)) != 0)
+        })
     }
 
     /// Human-readable rendering of the rule via the interner's `Arc`-shared
@@ -240,39 +137,47 @@ impl AssociationRule {
         };
         format!(
             "{} → {}  (supp={:.3}, conf={:.3})",
-            side(&self.antecedent),
-            side(&self.consequent),
+            side(self.antecedent()),
+            side(self.consequent()),
             self.support,
             self.confidence
         )
     }
 }
 
-impl fmt::Display for AssociationRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let side = |ids: &[ItemId]| {
-            ids.iter()
-                .map(|id| format!("#{id}"))
-                .collect::<Vec<_>>()
-                .join(" ∧ ")
-        };
-        write!(
-            f,
-            "{} → {} (supp={:.3}, conf={:.3})",
-            side(&self.antecedent),
-            side(&self.consequent),
-            self.support,
-            self.confidence
-        )
-    }
+/// The fixed-size part of one rule in a [`RuleSet`] arena (40 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct RuleRecord {
+    support: f64,
+    confidence: f64,
+    lift: f64,
+    /// Position of the rule's first id in the arena's `items`.
+    offset: u32,
+    support_count: u32,
+    antecedent_len: u16,
+    size: u16,
 }
 
 /// A collection of mined rules together with the statistics of the mining
 /// run and the `Arc`-shared [`ItemInterner`] that decodes their ids.
+///
+/// The rules live in one arena: every rule's antecedent ids followed by its
+/// consequent ids in one array, every rule's column-mask words (a fixed
+/// number per rule) in another, and one fixed-size record per rule with its
+/// item offset, antecedent length, size and statistics. A rule costs about
+/// 60 bytes on a table of at most 64 columns and no allocation of its own;
+/// [`RuleSet::rule`] and [`RuleSet::iter`] hand out borrowed views.
+///
+/// Two sets compare equal when they hold the same rules in the same order
+/// over the same row count; ids only mean something against the interner,
+/// which is not compared.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RuleSet {
-    /// The mined rules.
-    pub rules: Vec<AssociationRule>,
+    items: Vec<ItemId>,
+    masks: Vec<u64>,
+    /// Mask words per rule.
+    mask_words: usize,
+    records: Vec<RuleRecord>,
     /// Number of rows the rules were mined over.
     pub num_rows: usize,
     /// The id ↔ (column, bin) mapping of the binned table the rules were
@@ -280,14 +185,84 @@ pub struct RuleSet {
     interner: Arc<ItemInterner>,
 }
 
+impl PartialEq for RuleSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_rows == other.num_rows
+            && self.mask_words == other.mask_words
+            && self.records == other.records
+            && self.items == other.items
+            && self.masks == other.masks
+    }
+}
+
 impl RuleSet {
-    /// Creates a rule set over an interner.
-    pub fn new(rules: Vec<AssociationRule>, num_rows: usize, interner: Arc<ItemInterner>) -> Self {
+    /// Creates an empty rule set over an interner; add rules with
+    /// [`RuleSet::push`].
+    pub fn new(num_rows: usize, interner: Arc<ItemInterner>) -> Self {
+        RuleSet::with_capacity(num_rows, interner, 0, 0)
+    }
+
+    /// An empty set with room for `rules` rules of `items` ids in total.
+    pub(crate) fn with_capacity(
+        num_rows: usize,
+        interner: Arc<ItemInterner>,
+        rules: usize,
+        items: usize,
+    ) -> Self {
+        let mask_words = interner.num_columns().div_ceil(64);
         RuleSet {
-            rules,
+            items: Vec::with_capacity(items),
+            masks: Vec::with_capacity(rules * mask_words),
+            mask_words,
+            records: Vec::with_capacity(rules),
             num_rows,
             interner,
         }
+    }
+
+    /// Appends the rule `antecedent → consequent`. Each side is stored
+    /// sorted; both must be non-empty ids of the set's interner.
+    ///
+    /// # Panics
+    ///
+    /// If a side is empty, a rule holds more than 65 535 items, or an
+    /// offset or count outgrows 32 bits.
+    pub fn push(
+        &mut self,
+        antecedent: &[ItemId],
+        consequent: &[ItemId],
+        support_count: usize,
+        support: f64,
+        confidence: f64,
+        lift: f64,
+    ) {
+        assert!(
+            !antecedent.is_empty() && !consequent.is_empty(),
+            "both sides of a rule are non-empty"
+        );
+        let offset = self.items.len();
+        self.items.extend_from_slice(antecedent);
+        self.items[offset..].sort_unstable();
+        let split = self.items.len();
+        self.items.extend_from_slice(consequent);
+        self.items[split..].sort_unstable();
+        let base = self.masks.len();
+        self.masks.resize(base + self.mask_words, 0);
+        for &id in &self.items[offset..] {
+            let col = self.interner.column_of(id);
+            self.masks[base + col / 64] |= 1u64 << (col % 64);
+        }
+        let narrow = |v: usize| u32::try_from(v).expect("rule arena offsets and counts fit in u32");
+        let short = |v: usize| u16::try_from(v).expect("a rule holds at most 65 535 items");
+        self.records.push(RuleRecord {
+            support,
+            confidence,
+            lift,
+            offset: narrow(offset),
+            support_count: narrow(support_count),
+            antecedent_len: short(antecedent.len()),
+            size: short(antecedent.len() + consequent.len()),
+        });
     }
 
     /// The interner decoding this set's item ids.
@@ -297,12 +272,80 @@ impl RuleSet {
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.records.len()
     }
 
     /// Whether the set contains no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.records.is_empty()
+    }
+
+    /// Total number of item ids over all rules.
+    pub fn num_items(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Rule `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i >= self.len()`.
+    pub fn rule(&self, i: usize) -> AssociationRule<'_> {
+        let r = &self.records[i];
+        let offset = r.offset as usize;
+        AssociationRule {
+            ids: &self.items[offset..offset + r.size as usize],
+            antecedent_len: r.antecedent_len as usize,
+            mask: &self.masks[i * self.mask_words..(i + 1) * self.mask_words],
+            support: r.support,
+            support_count: r.support_count as usize,
+            confidence: r.confidence,
+            lift: r.lift,
+        }
+    }
+
+    /// Iterates over the rules.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = AssociationRule<'_>> + '_ {
+        (0..self.len()).map(|i| self.rule(i))
+    }
+
+    /// A new set holding the rules at `order`, in that order, packed into
+    /// exactly sized arrays. With `extra = Some(id)`, every rule whose
+    /// columns miss `targets` gets `id` added to its consequent.
+    pub(crate) fn gather(
+        &self,
+        order: impl ExactSizeIterator<Item = usize> + Clone,
+        extra: Option<(ItemId, &[usize])>,
+    ) -> RuleSet {
+        let pushes = |i: usize| extra.is_some_and(|(_, t)| !self.rule(i).uses_any_column(t));
+        let items = order
+            .clone()
+            .map(|i| self.records[i].size as usize + usize::from(pushes(i)))
+            .sum();
+        let mut out = RuleSet::with_capacity(
+            self.num_rows,
+            Arc::clone(&self.interner),
+            order.len(),
+            items,
+        );
+        let mut consequent = Vec::new();
+        for i in order {
+            let rule = self.rule(i);
+            consequent.clear();
+            consequent.extend_from_slice(rule.consequent());
+            if let (true, Some((id, _))) = (pushes(i), extra) {
+                consequent.push(id);
+            }
+            out.push(
+                rule.antecedent(),
+                &consequent,
+                rule.support_count,
+                rule.support,
+                rule.confidence,
+                rule.lift,
+            );
+        }
+        out
     }
 
     /// Retains only rules that use at least one of the given target columns
@@ -311,21 +354,10 @@ impl RuleSet {
         if target_columns.is_empty() {
             return self.clone();
         }
-        RuleSet {
-            rules: self
-                .rules
-                .iter()
-                .filter(|r| r.uses_any_column(target_columns))
-                .cloned()
-                .collect(),
-            num_rows: self.num_rows,
-            interner: Arc::clone(&self.interner),
-        }
-    }
-
-    /// Iterates over the rules.
-    pub fn iter(&self) -> impl Iterator<Item = &AssociationRule> {
-        self.rules.iter()
+        let kept: Vec<usize> = (0..self.len())
+            .filter(|&i| self.rule(i).uses_any_column(target_columns))
+            .collect();
+        self.gather(kept.into_iter(), None)
     }
 }
 
@@ -339,6 +371,7 @@ mod tests {
         let t = Table::builder()
             .column_str("a", vec![Some("x"), Some("x"), Some("y"), Some("y")])
             .column_i64("b", vec![Some(1), Some(1), Some(0), Some(1)])
+            .column_i64("c", vec![Some(5), Some(5), Some(5), Some(6)])
             .build()
             .unwrap();
         let binner = Binner::fit(&t, &BinningConfig::default()).unwrap();
@@ -357,91 +390,128 @@ mod tests {
         assert!(i.matches(&bt, 0));
         assert!(i.matches(&bt, 1));
         assert!(!i.matches(&bt, 2));
-        assert!(i.render(&bt).contains("a="));
     }
 
     #[test]
     fn column_mask_set_operations() {
-        let mut m = ColumnMask::new();
-        assert!(m.is_empty());
-        m.insert(3);
-        m.insert(70); // second word
-        m.insert(3); // idempotent
-        assert_eq!(m.len(), 2);
-        assert!(m.contains(3));
-        assert!(m.contains(70));
-        assert!(!m.contains(4));
-        assert!(!m.contains(500));
+        // A 71-column table, so masks take two words.
+        let mut builder = Table::builder();
+        for c in 0..71 {
+            builder = builder.column_i64(&format!("c{c}"), vec![Some(1), Some(2)]);
+        }
+        let table = builder.build().unwrap();
+        let binner = Binner::fit(&table, &BinningConfig::default()).unwrap();
+        let bt = binner.apply(&table).unwrap();
+        let interner = Arc::new(ItemInterner::from_binned(&bt));
+        let mut rs = RuleSet::new(bt.num_rows(), Arc::clone(&interner));
+        let id = |c: usize| interner.id_of(c, bt.bin_id(0, c));
+        rs.push(&[id(70)], &[id(3)], 1, 0.5, 1.0, 1.0);
+        rs.push(&[id(3)], &[id(5)], 1, 0.5, 1.0, 1.0);
+        let m = rs.rule(0);
+        assert_eq!(m.mask_words(), &[1 << 3, 1 << 6]);
+        assert_eq!(m.num_columns(), 2);
         assert_eq!(m.columns(), vec![3, 70]);
-        assert!(m.contains_any(&[1, 70]));
-        assert!(!m.contains_any(&[1, 2]));
+        assert!(m.uses_any_column(&[1, 70]));
+        assert!(!m.uses_any_column(&[1, 2, 500]));
+        // Every rule of the set carries the same number of words.
+        assert_eq!(rs.rule(1).mask_words(), &[(1 << 3) | (1 << 5), 0]);
+        assert_eq!(rs.rule(1).columns(), vec![3, 5]);
+    }
 
-        let small = ColumnMask::from_columns([3usize]);
-        let wide = ColumnMask::from_columns([3usize, 70]);
-        assert!(small.is_subset_of(&m));
-        assert!(wide.is_subset_of(&m));
-        assert!(!m.is_subset_of(&small), "extra word must break subset-ness");
-        assert_eq!(wide, m, "same columns compare equal");
+    /// Rules `a = x → b = 1` (holding on rows 0 and 1) and
+    /// `a = y → b = 1 ∧ c = 6` of [`binned`].
+    fn rule_set(bt: &BinnedTable) -> RuleSet {
+        let interner = Arc::new(ItemInterner::from_binned(bt));
+        let id = |col: &str, row: usize| {
+            let i = item(bt, col, row);
+            interner.id_of(i.column, i.bin)
+        };
+        let (a, b, y, c) = (id("a", 0), id("b", 0), id("a", 2), id("c", 3));
+        let mut rs = RuleSet::new(bt.num_rows(), Arc::clone(&interner));
+        rs.push(&[a], &[b], 2, 0.5, 1.0, 4.0 / 3.0);
+        // Sides are stored sorted whatever order they arrive in.
+        rs.push(&[y], &[c, b], 1, 0.25, 0.5, 2.0);
+        rs
     }
 
     #[test]
     fn rule_holds_and_matching_rows() {
         let bt = binned();
-        let interner = ItemInterner::from_binned(&bt);
-        let rule = AssociationRule::from_items(
-            &interner,
-            &[item(&bt, "a", 0)],
-            &[item(&bt, "b", 0)], // b = 1
-            0.5,
-            2,
-            1.0,
-            4.0 / 3.0,
-        );
-        assert!(rule.holds_for_row(&interner, &bt, 0));
-        assert!(rule.holds_for_row(&interner, &bt, 1));
-        assert!(!rule.holds_for_row(&interner, &bt, 2));
-        assert!(!rule.holds_for_row(&interner, &bt, 3)); // a="y"
-        assert_eq!(rule.matching_rows(&interner, &bt), vec![0, 1]);
+        let rs = rule_set(&bt);
+        let interner = rs.interner();
+        let rule = rs.rule(0);
+        let holds = |row: usize| rule.items(interner).all(|i| i.matches(&bt, row));
+        assert!(holds(0));
+        assert!(holds(1));
+        assert!(!holds(2));
+        assert!(!holds(3)); // a="y"
+        assert_eq!(rule.support_count, 2);
         assert_eq!(rule.size(), 2);
         assert_eq!(rule.columns(), vec![0, 1]);
+        assert_eq!(rule.num_columns(), 2);
+        assert_eq!(rule.mask_words(), &[0b011]);
         assert!(rule.uses_any_column(&[1]));
         assert!(!rule.uses_any_column(&[5]));
-        assert!(rule.render(&interner).contains('→'));
-        assert!(rule.render(&interner).contains("a="));
-        assert!(rule.to_string().contains("supp"));
-        let decoded: Vec<Item> = rule.items(&interner).collect();
+        assert!(rule.render(interner).contains('→'));
+        assert!(rule.render(interner).contains("a="));
+        assert!(rule.render(interner).contains("supp="));
+        let decoded: Vec<Item> = rule.items(interner).collect();
         assert_eq!(decoded, vec![item(&bt, "a", 0), item(&bt, "b", 0)]);
+
+        let sorted = rs.rule(1);
+        assert_eq!(sorted.antecedent().len(), 1);
+        assert!(sorted.consequent().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(sorted.item_ids().len(), 3);
+        assert_eq!(rs.num_items(), 5);
+        assert_eq!(rs.iter().len(), 2);
     }
 
     #[test]
     fn ruleset_target_filter() {
         let bt = binned();
-        let interner = Arc::new(ItemInterner::from_binned(&bt));
-        let r1 = AssociationRule::from_items(
-            &interner,
-            &[item(&bt, "a", 0)],
-            &[item(&bt, "b", 0)],
-            0.5,
-            2,
-            1.0,
-            1.0,
-        );
-        let r2 = AssociationRule::from_items(
-            &interner,
-            &[item(&bt, "a", 2)],
-            &[item(&bt, "a", 2)],
-            0.5,
-            2,
-            1.0,
-            1.0,
-        );
-        let rs = RuleSet::new(vec![r1, r2], 4, Arc::clone(&interner));
+        let rs = rule_set(&bt);
         assert_eq!(rs.len(), 2);
         assert!(!rs.is_empty());
-        let filtered = rs.filter_by_target_columns(&[1]);
+        let b = bt.column_index("b").unwrap();
+        let filtered = rs.filter_by_target_columns(&[bt.column_index("c").unwrap()]);
         assert_eq!(filtered.len(), 1);
+        assert_eq!(filtered.rule(0), rs.rule(1));
+        assert_eq!(rs.filter_by_target_columns(&[b]), rs);
+        let none = rs.filter_by_target_columns(&[7]);
+        assert!(none.is_empty());
+        assert_eq!(none.num_items(), 0);
         let unchanged = rs.filter_by_target_columns(&[]);
-        assert_eq!(unchanged.len(), 2);
+        assert_eq!(unchanged, rs);
         assert!(Arc::ptr_eq(filtered.interner(), rs.interner()));
+    }
+
+    #[test]
+    fn gather_reorders_repacks_and_pushes_a_target() {
+        let bt = binned();
+        let rs = rule_set(&bt);
+        let reversed = rs.gather([1, 0].into_iter(), None);
+        assert_eq!(reversed.rule(0), rs.rule(1));
+        assert_eq!(reversed.rule(1), rs.rule(0));
+        assert_eq!(reversed.items.capacity(), reversed.items.len());
+
+        // A rule missing the target column gets the target id in its
+        // consequent; a rule using it is copied as is.
+        let c = item(&bt, "c", 0);
+        let c5 = rs.interner().id_of(c.column, c.bin);
+        let pushed = rs.gather([0, 1].into_iter(), Some((c5, &[c.column])));
+        let rule = pushed.rule(0);
+        assert_eq!(rule.antecedent(), rs.rule(0).antecedent());
+        assert_eq!(rule.consequent(), &[rs.rule(0).consequent()[0], c5]);
+        assert_eq!(rule.columns(), vec![0, 1, 2]);
+        assert_eq!(rule.confidence, rs.rule(0).confidence);
+        assert_eq!(pushed.rule(1), rs.rule(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn empty_sides_are_rejected() {
+        let bt = binned();
+        let mut rs = rule_set(&bt);
+        rs.push(&[], &[0], 1, 0.25, 1.0, 1.0);
     }
 }

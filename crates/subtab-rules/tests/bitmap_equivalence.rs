@@ -132,10 +132,10 @@ fn target_mining_is_pinned_to_the_apriori_twin_on_all_datasets() {
         let vertical = VerticalIndex::build(&binned, interner, None);
         let all_rows: Vec<usize> = (0..binned.num_rows()).collect();
         for (i, rule) in rules.iter().enumerate() {
-            let items: Vec<_> = rule.item_ids().collect();
-            let want = apriori_oracle::support_count(&binned, interner, &items, &all_rows);
+            let items = rule.item_ids();
+            let want = apriori_oracle::support_count(&binned, interner, items, &all_rows);
             assert_eq!(
-                vertical.support_count(&items),
+                vertical.support_count(items),
                 want,
                 "{kind:?}: rule {i} support count"
             );
@@ -160,7 +160,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 fn rules_digest(rules: &RuleSet) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325;
     for r in rules.iter() {
-        for side in [&r.antecedent, &r.consequent] {
+        for side in [r.antecedent(), r.consequent()] {
             h = fnv1a(h, &(side.len() as u64).to_le_bytes());
             for id in side {
                 h = fnv1a(h, &id.to_le_bytes());
