@@ -1,20 +1,25 @@
 //! Load-time rule-engine scaling: times association-rule mining through the
 //! vertical bitmap engine, whole-table and target-partitioned, per-row rule
-//! highlighting through the column-mask index, and the coverage index the
-//! quality metrics build over a rule set, emitting machine-readable JSON
-//! (`BENCH_rules.json`) for the CI bench-regression gate.
+//! highlighting through the column-mask index, the coverage index the
+//! quality metrics build over a rule set and the sub-table scores read from
+//! it, emitting machine-readable JSON (`BENCH_rules.json`) for the CI
+//! bench-regression gate.
 //!
 //! Rule mining runs once per loaded table (and once per target-column
 //! choice) in the paper's architecture, feeding both the quality metrics
 //! and the UI's per-row highlights; highlighting runs on every displayed
 //! sub-table, and every quality evaluation starts by building the coverage
-//! index. All are load-path costs the query gate does not cover, which is
-//! why they get their own gate.
+//! index. The baselines (RAN, MAB, Greedy) then score thousands of
+//! candidate sub-tables each. None of these costs is covered by the query
+//! gate, which is why they get their own gate.
 
 use crate::experiments::common::ExperimentScale;
 use crate::experiments::report::{
     best_of_each_with, format_rows, BenchReport, BenchRow, GatePolicy, Meta,
 };
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use subtab_binning::Binner;
 use subtab_core::highlight_rules;
 use subtab_datasets::{benchmark_target_column, DatasetKind};
@@ -36,7 +41,12 @@ enum Workload {
     Highlight,
     /// `Evaluator::new` (the coverage-index build) over the plain rules.
     Coverage,
+    /// `Evaluator::score` over seeded random sub-tables, plain rules.
+    Score,
 }
+
+/// Sub-tables per score-mode run.
+const SCORE_DRAWS: usize = 2_000;
 
 /// The benchmark modes: `(label, threads, workload)`. The `rules-*` modes
 /// time whole-table mining; `rules-target-*` times the Section 6.1
@@ -45,13 +55,16 @@ enum Workload {
 /// full-selection highlight pass over the probe rows with the target-mined
 /// rules; the coverage mode times one `Evaluator::new` over the
 /// whole-table rules (the binned table it takes by value is cloned before
-/// the clock starts).
+/// the clock starts); the score mode sums the combined scores of
+/// [`SCORE_DRAWS`] seeded random `10 × 10` sub-tables through one evaluator
+/// over the whole-table rules, built and drawn before the clock starts.
 const MODES: &[(&str, usize, Workload)] = &[
     ("rules-bitmap-1t", 1, Workload::Mine),
     ("rules-bitmap-4t", 4, Workload::Mine),
     ("rules-target-bitmap-1t", 1, Workload::Target),
     ("highlight-indexed-1t", 1, Workload::Highlight),
     ("coverage-index-1t", 1, Workload::Coverage),
+    ("score-1t", 1, Workload::Score),
 ];
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
@@ -76,6 +89,15 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
     let rules = RuleMiner::new(mining.clone()).mine_with_targets(&binned, &[target_idx]);
     let all_columns: Vec<String> = binned.column_names().to_vec();
     let probe_rows: Vec<usize> = (0..binned.num_rows().min(512)).collect();
+    let evaluator = Evaluator::new(binned.clone(), &plain_rules, 0.5);
+    let draws = random_subtables(binned.num_rows(), binned.num_columns());
+    let score_sum = || -> f64 {
+        draws
+            .iter()
+            .map(|(rows, cols)| evaluator.score(rows, cols).combined)
+            .sum()
+    };
+    let expected_score_sum = score_sum();
 
     let miners: Vec<RuleMiner> = MODES
         .iter()
@@ -100,6 +122,7 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
             let evaluator = Evaluator::new(table, &plain_rules, 0.5);
             assert_eq!(evaluator.coverage_index().num_rules(), plain_rules.len());
         }
+        Workload::Score => assert_eq!(score_sum().to_bits(), expected_score_sum.to_bits()),
     });
     let rows = MODES
         .iter()
@@ -124,6 +147,20 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         ],
         rows,
     )
+}
+
+/// [`SCORE_DRAWS`] random sub-tables of an `n × m` table, seed 7: up to
+/// 10 distinct rows and up to 10 distinct columns each.
+fn random_subtables(n: usize, m: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (all_rows, all_cols): (Vec<usize>, Vec<usize>) = ((0..n).collect(), (0..m).collect());
+    (0..SCORE_DRAWS)
+        .map(|_| {
+            let rows = all_rows.choose_multiple(&mut rng, 10);
+            let cols = all_cols.choose_multiple(&mut rng, 10);
+            (rows.copied().collect(), cols.copied().collect())
+        })
+        .collect()
 }
 
 /// Renders the report as an aligned text table.

@@ -15,8 +15,9 @@
 //! selection algorithms (the SubTab algorithm itself, and the greedy / MAB /
 //! random baselines) can score candidate sub-tables cheaply and consistently.
 //! Its [`CoverageIndex`] builds every rule's matching rows from item bitmaps
-//! into flat arrays, and scoring reads diversity from the full table's codes;
-//! both metrics ignore out-of-range row and column indices.
+//! into flat arrays and counts a sub-table's covered cells as one OR-ed row
+//! bitmap per selected column; scoring reads diversity from the full table's
+//! codes. Both metrics ignore out-of-range row and column indices.
 //!
 //! The unit tests of this crate reproduce the worked example of Figure 3/4 of
 //! the paper (the 8-row flights excerpt with its two sub-tables).

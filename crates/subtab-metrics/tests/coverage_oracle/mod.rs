@@ -6,8 +6,10 @@
 //! matching-row bitmap `T_R`, and each rule keeps its own column list and
 //! bitmap. Only the row test changed, because `AssociationRule` no longer
 //! carries `matching_rows`: the oracle inlines that method's per-row item
-//! decoding. The `coverage_equivalence` suite pins the library's bitmap-AND
-//! build to this one.
+//! decoding. Its covered-rule list and `n·m` cell-bitset union are the
+//! reference for the library's per-column count. The `coverage_equivalence`
+//! suite pins the library's bitmap-AND build and covered-cell count to this
+//! one.
 
 #![allow(dead_code)]
 

@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Point-in-time counters of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,7 +103,7 @@ impl<V: Clone> ResultCache<V> {
             return f().map(|v| (v, false));
         }
         {
-            let mut guard = self.inner.lock().expect("cache lock poisoned");
+            let mut guard = self.lock();
             loop {
                 if let Some(entry) = guard.map.get(key) {
                     let value = entry.value.clone();
@@ -118,7 +118,10 @@ impl<V: Clone> ResultCache<V> {
                     return Ok((value, true));
                 }
                 if guard.inflight.contains(key) {
-                    guard = self.changed.wait(guard).expect("cache lock poisoned");
+                    guard = self
+                        .changed
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner);
                     continue;
                 }
                 guard.inflight.insert(key.to_string());
@@ -130,7 +133,7 @@ impl<V: Clone> ResultCache<V> {
         // Compute outside the lock — this is the expensive part the
         // single-flight discipline protects.
         let value = f()?;
-        let mut guard = self.inner.lock().expect("cache lock poisoned");
+        let mut guard = self.lock();
         if guard.map.len() >= self.capacity && !guard.map.contains_key(key) {
             // Evict the least recently used entry. The scan is O(entries),
             // which is dwarfed by the miss computation that triggered it at
@@ -165,8 +168,17 @@ impl<V: Clone> ResultCache<V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("cache lock poisoned").map.len(),
+            entries: self.lock().map.len(),
         }
+    }
+}
+
+impl<V> ResultCache<V> {
+    /// Locks the entries. Values are computed outside the lock and every
+    /// critical section is a map or set update, so a poisoned lock still
+    /// guards consistent state and is recovered.
+    fn lock(&self) -> MutexGuard<'_, Inner<V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -180,11 +192,7 @@ struct Inflight<'a, V> {
 
 impl<V> Drop for Inflight<'_, V> {
     fn drop(&mut self) {
-        let mut guard = self
-            .cache
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.cache.lock();
         guard.inflight.remove(self.key);
         drop(guard);
         self.cache.changed.notify_all();

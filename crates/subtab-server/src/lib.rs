@@ -60,7 +60,7 @@ pub use session::{HistoryRecord, RequestKind, SessionId};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use subtab_core::{
     CoreError, LeafBitmapCache, SelectionParams, SubTab, SubTabConfig, SubTableResult,
@@ -272,6 +272,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// Locks the session registry. Every critical section is one map
+    /// update or read, so a poisoned lock still guards a consistent
+    /// registry and is recovered: one panicking thread must not take every
+    /// session down with it.
+    fn sessions(&self) -> MutexGuard<'_, SessionRegistry> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Canonical cache key of a select request. `None` and the empty query
     /// select over the same row set, so they share an entry; the seed is
     /// included because it changes the clustering (and thus the result).
@@ -489,19 +497,13 @@ impl ExplorationServer {
 
     /// Opens a new session and returns its id.
     pub fn open_session(&self) -> SessionId {
-        self.shared
-            .sessions
-            .lock()
-            .expect("session lock poisoned")
-            .open()
+        self.shared.sessions().open()
     }
 
     /// Closes a session, returning its full history.
     pub fn close_session(&self, id: SessionId) -> Result<Vec<HistoryRecord>, ServerError> {
         self.shared
-            .sessions
-            .lock()
-            .expect("session lock poisoned")
+            .sessions()
             .close(id)
             .ok_or(ServerError::UnknownSession(id))
     }
@@ -514,9 +516,7 @@ impl ExplorationServer {
     pub fn leaf_cache_stats(&self, id: SessionId) -> Result<CacheStats, ServerError> {
         let cache = self
             .shared
-            .sessions
-            .lock()
-            .expect("session lock poisoned")
+            .sessions()
             .leaf_cache(id)
             .ok_or(ServerError::UnknownSession(id))?;
         Ok(CacheStats {
@@ -530,9 +530,7 @@ impl ExplorationServer {
     /// The history of an open session so far.
     pub fn session_history(&self, id: SessionId) -> Result<Vec<HistoryRecord>, ServerError> {
         self.shared
-            .sessions
-            .lock()
-            .expect("session lock poisoned")
+            .sessions()
             .history(id)
             .ok_or(ServerError::UnknownSession(id))
     }
@@ -556,7 +554,7 @@ impl ExplorationServer {
         // refinement chain, and the Arc keeps the cache usable even if the
         // session closes while the request is in flight.
         let leaf_cache = {
-            let sessions = self.shared.sessions.lock().expect("session lock poisoned");
+            let sessions = self.shared.sessions();
             match sessions.leaf_cache(session) {
                 Some(cache) => cache,
                 None => {
@@ -597,11 +595,7 @@ impl ExplorationServer {
                     cache_hit: outcome.cache_hit,
                     wall,
                 };
-                shared
-                    .sessions
-                    .lock()
-                    .expect("session lock poisoned")
-                    .record(session, record);
+                shared.sessions().record(session, record);
             }
             // A dropped receiver just means the caller stopped waiting.
             let _ = tx.send(outcome);
@@ -621,12 +615,7 @@ impl ExplorationServer {
         ServerStats {
             select_cache: self.shared.selects.stats(),
             rules_cache: self.shared.rules.stats(),
-            open_sessions: self
-                .shared
-                .sessions
-                .lock()
-                .expect("session lock poisoned")
-                .len(),
+            open_sessions: self.shared.sessions().len(),
         }
     }
 }
@@ -1017,6 +1006,33 @@ mod tests {
             .expect("mining succeeds");
         assert!(!outcome.cache_hit);
         assert!(!outcome.response.rules().unwrap().is_empty());
+    }
+
+    /// A thread that panics while holding the session registry's lock
+    /// poisons it; every session call still answers afterwards.
+    #[test]
+    fn a_poisoned_session_lock_is_recovered() {
+        let server = server();
+        let before = server.open_session();
+        let shared = Arc::clone(&server.shared);
+        let panicked = std::thread::spawn(move || {
+            let _guard = shared.sessions.lock();
+            panic!("session bug");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(server.shared.sessions.is_poisoned());
+        let session = server.open_session();
+        assert_ne!(session, before);
+        let request = Request::Select {
+            query: Some(flagged_query()),
+            params: SelectionParams::new(6, 5),
+        };
+        let outcome = server.execute(session, request).expect("select answers");
+        assert!(outcome.response.sub_table().is_some());
+        assert_eq!(server.stats().open_sessions, 2);
+        assert_eq!(server.close_session(session).expect("open").len(), 1);
+        assert!(server.close_session(before).expect("open").is_empty());
     }
 
     #[test]

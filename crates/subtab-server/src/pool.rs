@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -39,6 +39,15 @@ struct Shared {
     /// Signalled on submit, on heavy-slot release and on shutdown.
     work: Condvar,
     heavy_slots: usize,
+}
+
+impl Shared {
+    /// Locks the queues. Jobs run outside the lock and every critical
+    /// section is a queue push or pop or a counter step, so a poisoned lock
+    /// still guards consistent state and is recovered.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The worker pool. Dropping it drains both queues (every submitted job
@@ -96,7 +105,7 @@ impl Pool {
     /// Enqueues `job` on `lane`. Jobs submitted after the pool started
     /// dropping are still executed by the drain.
     pub fn submit(&self, lane: Lane, job: impl FnOnce() + Send + 'static) {
-        let mut state = self.shared.state.lock().expect("pool lock poisoned");
+        let mut state = self.shared.lock();
         match lane {
             Lane::Interactive => state.interactive.push_back(Box::new(job)),
             Lane::Heavy => state.heavy.push_back(Box::new(job)),
@@ -109,7 +118,7 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock().expect("pool lock poisoned");
+            let mut state = self.shared.lock();
             state.shutdown = true;
         }
         self.shared.work.notify_all();
@@ -120,13 +129,13 @@ impl Drop for Pool {
 }
 
 fn worker_loop(shared: &Shared) {
-    let mut state = shared.state.lock().expect("pool lock poisoned");
+    let mut state = shared.lock();
     loop {
         // Interactive work first; heavy work only while a slot is free.
         if let Some(job) = state.interactive.pop_front() {
             drop(state);
             run(job);
-            state = shared.state.lock().expect("pool lock poisoned");
+            state = shared.lock();
             continue;
         }
         if state.heavy_running < shared.heavy_slots {
@@ -134,7 +143,7 @@ fn worker_loop(shared: &Shared) {
                 state.heavy_running += 1;
                 drop(state);
                 run(job);
-                state = shared.state.lock().expect("pool lock poisoned");
+                state = shared.lock();
                 state.heavy_running -= 1;
                 // A freed slot may unblock workers parked on a full lane.
                 shared.work.notify_all();
@@ -144,7 +153,10 @@ fn worker_loop(shared: &Shared) {
         if state.shutdown && state.interactive.is_empty() && state.heavy.is_empty() {
             return;
         }
-        state = shared.work.wait(state).expect("pool lock poisoned");
+        state = shared
+            .work
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
