@@ -49,6 +49,6 @@ pub mod vocab;
 
 pub use corpus::Corpus;
 pub use model::{CellEmbedding, TokenPlane, NO_TOKEN};
-pub use sgns::{train_embedding, EmbeddingConfig};
+pub use sgns::{train_embedding, train_embedding_with_isa, EmbeddingConfig};
 pub use stream::{build_pair_stream, PairStream, StreamOptions};
 pub use vocab::{AliasTable, Vocab};

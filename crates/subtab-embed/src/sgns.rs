@@ -28,11 +28,16 @@
 //! The reference path exists so golden embeddings and every downstream test
 //! that depends on exact vector values stay valid; the fast paths trade that
 //! bit-compatibility for a precomputed 512-entry sigmoid table and
-//! alias-method negative sampling. Pair scratch is one 512 KiB chunk per
-//! shard (two half-size chunks for the AVX-512 kernel, which interleaves a
-//! shard's halves), whatever the pair count: a flat buffer would take
-//! `8 bytes × pairs`, 86 MiB on a 48-column table of 8 000 rows and roughly
-//! 0.8 GB at the paper's 100 000-sentence cap. The stream itself costs
+//! alias-method negative sampling. Like gensim's `fast_sentence_sg_neg`, the
+//! fast paths leave a target alone once its dot product with the centre
+//! reaches ±6, the table's range (`SigmoidTable::gradient`): clamping it
+//! to σ(±6) instead kept pushing already-saturated targets, and the vectors
+//! grew without bound (largest row norms in the 10⁵ range on an 8 000 × 48
+//! table, against 3.7–5.9 for the reference trainer). Pair scratch is one
+//! 512 KiB chunk per shard (two half-size chunks for the AVX-512 kernel,
+//! which interleaves a shard's halves), whatever the pair count: a flat
+//! buffer would take `8 bytes × pairs`, 86 MiB on a 48-column table of
+//! 8 000 rows and roughly 0.8 GB at the paper's 100 000-sentence cap. The stream itself costs
 //! O(sentences): descriptors plus a prefix sum of their pair counts. Every
 //! pair keeps its position in its shard, so the chunk size changes no bit.
 //!
@@ -65,7 +70,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use subtab_binning::BinnedTable;
-use subtab_kernels::{fma_select, map_indexed, resolve_threads, AlignedBuf};
+use subtab_kernels::{fma_select, map_indexed, resolve_threads, AlignedBuf, Isa};
 
 /// Hyper-parameters of the embedding step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,8 +163,20 @@ impl EmbeddingConfig {
 /// [`train_on_corpus`] over the materialized row/column sentence corpus
 /// (the `corpus_equivalence` suite pins this on the planted datasets).
 pub fn train_embedding(binned: &BinnedTable, config: &EmbeddingConfig) -> CellEmbedding {
+    train_embedding_with_isa(subtab_kernels::detect(), binned, config)
+}
+
+/// [`train_embedding`] with the fast kernels pinned to a specific tier
+/// (downgraded to scalar if the CPU cannot run it), ignoring
+/// `SUBTAB_FORCE_SCALAR_KERNELS`: the entry point that pins every tier's
+/// trained bits on one machine. The reference trainer has no tiers.
+pub fn train_embedding_with_isa(
+    isa: Isa,
+    binned: &BinnedTable,
+    config: &EmbeddingConfig,
+) -> CellEmbedding {
     let stream = build_pair_stream(binned, &config.stream_options());
-    train_source(&stream.vocab, &stream, config, CHUNK_PAIRS)
+    train_source(isa, &stream.vocab, &stream, config, CHUNK_PAIRS)
 }
 
 /// Trains SGNS on an already-built corpus of explicit sentences (the
@@ -183,7 +200,13 @@ pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbeddi
             .copied(),
     );
     let source = SentencePairs::new(&corpus.sentences, config.window);
-    train_source(vocab, &source, config, CHUNK_PAIRS)
+    train_source(
+        subtab_kernels::detect(),
+        vocab,
+        &source,
+        config,
+        CHUNK_PAIRS,
+    )
 }
 
 /// Trains SGNS over a caller's `(center, context)` pair slice and its
@@ -194,7 +217,7 @@ pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbeddi
 /// Panics if `vocab` is not empty and a pair names a token id outside it.
 pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) -> CellEmbedding {
     assert_ids_in_vocab(vocab, pairs.iter().flatten().copied());
-    train_source(vocab, &pairs, config, CHUNK_PAIRS)
+    train_source(subtab_kernels::detect(), vocab, &pairs, config, CHUNK_PAIRS)
 }
 
 /// The fast kernels index weight rows unchecked: the alias table draws
@@ -210,9 +233,11 @@ fn assert_ids_in_vocab(vocab: &Vocab, mut ids: impl Iterator<Item = u32>) {
 /// The shared back half of every entry point: allocates the weight
 /// matrices once, sized from the (possibly pruned) vocabulary, and trains
 /// them over `pairs`, which every mode reads in chunks of at most `chunk`
-/// pairs ([`CHUNK_PAIRS`] outside tests; the bits do not depend on it).
-/// Every id in `pairs` must be a vocabulary id.
+/// pairs ([`CHUNK_PAIRS`] outside tests; the bits do not depend on it),
+/// with the fast kernels of tier `isa`. Every id in `pairs` must be a
+/// vocabulary id.
 fn train_source(
+    isa: Isa,
     vocab: &Vocab,
     pairs: &dyn PairSource,
     config: &EmbeddingConfig,
@@ -242,7 +267,12 @@ fn train_source(
             (1, true) => {
                 train_reference(vocab, config, pairs, chunk, &mut w_in, &mut w_out, &mut rng)
             }
-            (n, _) => train_sharded_averaged(vocab, config, pairs, chunk, n, &mut w_in, &mut w_out),
+            (n, _) => {
+                let kernel = shard_kernel_for(isa, dim);
+                train_sharded_averaged(
+                    vocab, config, pairs, chunk, n, kernel, &mut w_in, &mut w_out,
+                )
+            }
         }
     }
 
@@ -334,8 +364,9 @@ fn train_reference(
 // ---------------------------------------------------------------------------
 // Fast kernels: sigmoid table, alias sampling, per-shard RNG streams.
 
-/// Precomputed sigmoid, Word2Vec style: 512 samples of σ over [−6, 6],
-/// saturating outside.
+/// Precomputed sigmoid, Word2Vec style: 512 samples of σ over [−6, 6].
+/// Outside that range no update uses the table ([`SigmoidTable::gradient`]);
+/// lookups there still clamp to the end bins, so every index stays in it.
 struct SigmoidTable {
     table: [f32; Self::SIZE],
 }
@@ -355,11 +386,26 @@ impl SigmoidTable {
     }
 
     /// Branchless lookup: the argument is clamped into the table range, so
-    /// saturated inputs return σ(±MAX_EXP) (≈ 0.0025 / 0.9975) instead of
-    /// exactly 0/1 — the same saturation gensim's table applies.
+    /// saturated inputs return σ(±MAX_EXP) (≈ 0.0025 / 0.9975).
     #[inline(always)]
     fn value(&self, x: f32) -> f32 {
         self.table[Self::index(x)]
+    }
+
+    /// The SGD gradient scale of one target, `(label − σ(dot)) · lr`, or
+    /// `+0.0` when `|dot| ≥ MAX_EXP` (or `dot` is NaN): gensim's
+    /// `fast_sentence_sg_neg` skips such a target, whose sigmoid has
+    /// saturated. The zero comes from a select, not a branch, and the
+    /// update still runs with it; `avx512_gradient_lanes` computes the
+    /// same bits across lanes.
+    #[inline(always)]
+    fn gradient(&self, dot: f32, label: f32, lr: f32) -> f32 {
+        let g = (label - self.value(dot)) * lr;
+        if dot.abs() < Self::MAX_EXP {
+            g
+        } else {
+            0.0
+        }
     }
 
     /// Table bin of `x`: the clamped argument scaled onto `[0, SIZE]`, then
@@ -473,16 +519,18 @@ struct Halves<'a> {
     half: usize,
 }
 
-/// Picks the shard kernel once per training run. The common
-/// dimensionalities get a const-generic kernel, so the dot-product and
-/// update loops fully unroll and vectorise; other dimensions fall back to a
-/// runtime-length kernel. Dispatch honours `SUBTAB_FORCE_SCALAR_KERNELS`,
-/// which CI uses to exercise the portable path on any machine.
-fn shard_kernel_for(dim: usize) -> ShardKernel {
+/// Picks the shard kernel of tier `isa` (scalar if the CPU cannot run it)
+/// once per training run. The common dimensionalities get a const-generic
+/// kernel, so the dot-product and update loops fully unroll and vectorise;
+/// other dimensions fall back to the next tier down, and at last to a
+/// runtime-length kernel. The default entry points pass
+/// `subtab_kernels::detect()`, which honours `SUBTAB_FORCE_SCALAR_KERNELS`.
+fn shard_kernel_for(isa: Isa, dim: usize) -> ShardKernel {
     use ShardKernel::InOrder;
+    let isa = if isa.available() { isa } else { Isa::Scalar };
     #[cfg(target_arch = "x86_64")]
     {
-        if subtab_kernels::has_avx512() {
+        if isa == Isa::Avx512 {
             use ShardKernel::Interleaved;
             match dim {
                 16 => return Interleaved(shard_kernel_avx512::<1>),
@@ -492,7 +540,7 @@ fn shard_kernel_for(dim: usize) -> ShardKernel {
                 _ => {}
             }
         }
-        if subtab_kernels::has_avx2_fma() {
+        if isa != Isa::Scalar && Isa::Avx2Fma.available() {
             match dim {
                 8 => return InOrder(shard_kernel_fma::<8>),
                 16 => return InOrder(shard_kernel_fma::<16>),
@@ -660,7 +708,7 @@ unsafe fn kernel_body<const DIM: usize, const FUSED: bool>(
                 dot = fma_select::<FUSED>(center[d], *out.add(d), dot);
                 d += 1;
             }
-            let g = (label - sig.value(dot)) * lr;
+            let g = sig.gradient(dot, label, lr);
             for d in 0..DIM {
                 grad[d] = fma_select::<FUSED>(g, *out.add(d), grad[d]);
                 *out.add(d) = fma_select::<FUSED>(g, center[d], *out.add(d));
@@ -812,9 +860,9 @@ unsafe fn shard_kernel_avx512<const CHUNKS: usize>(
 /// across lanes: `drawn` holds the negatives from [`avx512_draw_lanes`]
 /// (lane `k` is target `k`; lane 0 is replaced by the context),
 /// [`avx512_reduce_lanes`] reduces every dot product in one shuffle/add
-/// tree, and [`avx512_sigmoid_index_lanes`] bins every sigmoid argument for
-/// one gather from the table. Each lane piece reproduces its scalar
-/// definition bit for bit, so the weights match the per-target step
+/// tree, and [`avx512_gradient_lanes`] turns every dot into its gradient
+/// scale with one gather from the table. Each lane piece reproduces its
+/// scalar definition bit for bit, so the weights match the per-target step
 /// exactly; the update loop and its accumulation order are unchanged.
 /// Larger sample counts keep the per-target step and ignore `drawn`.
 ///
@@ -854,13 +902,10 @@ unsafe fn avx512_pair_step<const CHUNKS: usize>(
         for k in 0..total {
             acc[k] = avx512_dot_lanes(&center, w_out.add(targets[k] as usize * dim));
         }
-        let dots = avx512_reduce_lanes(acc);
-        let sig = _mm256_i32gather_ps::<4>(p.sig.table.as_ptr(), avx512_sigmoid_index_lanes(dots));
-        let label = _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
         let mut g = [0.0f32; 8];
         _mm256_storeu_ps(
             g.as_mut_ptr(),
-            _mm256_mul_ps(_mm256_sub_ps(label, sig), _mm256_set1_ps(lr)),
+            avx512_gradient_lanes(p.sig, avx512_reduce_lanes(acc), lr),
         );
         for k in 0..total {
             let target = targets[k];
@@ -886,7 +931,7 @@ unsafe fn avx512_pair_step<const CHUNKS: usize>(
             }
             let out = w_out.add(target as usize * dim);
             let dot = _mm512_reduce_add_ps(avx512_dot_lanes(&center, out));
-            let g = (label - p.sig.value(dot)) * lr;
+            let g = p.sig.gradient(dot, label, lr);
             avx512_update(&center, &mut grad, out, g);
         }
     }
@@ -975,6 +1020,29 @@ unsafe fn avx512_reduce_lanes(v: [core::arch::x86_64::__m512; 8]) -> core::arch:
     let e = _mm512_add_ps(d, _mm512_permute_ps::<0b10_11_00_01>(d));
     let order = _mm512_setr_epi32(0, 4, 8, 12, 2, 6, 10, 14, 0, 0, 0, 0, 0, 0, 0, 0);
     _mm512_castps512_ps256(_mm512_permutexvar_ps(order, e))
+}
+
+/// [`SigmoidTable::gradient`] of eight dot products at once, lane 0 taking
+/// label 1 (the context) and the others label 0: one gather looks up every
+/// sigmoid, and a compare mask zeroes each lane whose `|dot|` is not below
+/// `MAX_EXP`, as the scalar select does.
+///
+/// # Safety
+/// Only call it from an `avx512f,avx512vl` context.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx512_gradient_lanes(
+    sig: &SigmoidTable,
+    dots: core::arch::x86_64::__m256,
+    lr: f32,
+) -> core::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    let value = _mm256_i32gather_ps::<4>(sig.table.as_ptr(), avx512_sigmoid_index_lanes(dots));
+    let label = _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+    let g = _mm256_mul_ps(_mm256_sub_ps(label, value), _mm256_set1_ps(lr));
+    let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), dots);
+    let keep = _mm256_cmp_ps_mask::<_CMP_LT_OQ>(abs, _mm256_set1_ps(SigmoidTable::MAX_EXP));
+    _mm256_maskz_mov_ps(keep, g)
 }
 
 /// [`SigmoidTable::index`] of eight arguments at once: clamp, scale and
@@ -1090,7 +1158,7 @@ fn shard_kernel_dyn(
             for d in 0..dim {
                 dot += center_vec[d] * out[d];
             }
-            let g = (label - sig.value(dot)) * lr;
+            let g = sig.gradient(dot, label, lr);
             for d in 0..dim {
                 grad[d] += g * out[d];
                 out[d] += g * center_vec[d];
@@ -1112,12 +1180,14 @@ fn shard_kernel_dyn(
 /// scheduling, so repeated runs are bit-identical at any thread count. One
 /// shard is the single-thread fast path: its average is its replica,
 /// exactly.
+#[allow(clippy::too_many_arguments)]
 fn train_sharded_averaged(
     vocab: &Vocab,
     config: &EmbeddingConfig,
     pairs: &dyn PairSource,
     chunk: usize,
     threads: usize,
+    kernel: ShardKernel,
     w_in: &mut [f32],
     w_out: &mut [f32],
 ) {
@@ -1131,7 +1201,6 @@ fn train_sharded_averaged(
         lr0: config.learning_rate,
         dim,
     };
-    let kernel = shard_kernel_for(dim);
     let shards = shard_ranges(pairs.num_pairs(), threads);
     let mut states: Vec<ShardState> = shards
         .iter()
@@ -1144,8 +1213,8 @@ fn train_sharded_averaged(
             let mut r_in = AlignedBuf::from_slice(w_in);
             let mut r_out = AlignedBuf::from_slice(w_out);
             let mut state = states[i];
-            // SAFETY: `shard_kernel_for` picked the kernel for `dim` and this
-            // CPU; both replicas are `vocab × dim`, and every pair id is a
+            // SAFETY: `train_source` had `shard_kernel_for` pick the kernel
+            // for `dim` and this CPU; both replicas are `vocab × dim`, and every pair id is a
             // vocabulary id (the entry points check a caller's ids).
             unsafe {
                 train_shard(
@@ -1389,7 +1458,13 @@ mod tests {
             };
             let stream = build_pair_stream(&bt, &cfg.stream_options());
             let bits = |chunk: usize| -> Vec<u32> {
-                let emb = train_source(&stream.vocab, &stream, &cfg, chunk);
+                let emb = train_source(
+                    subtab_kernels::detect(),
+                    &stream.vocab,
+                    &stream,
+                    &cfg,
+                    chunk,
+                );
                 emb.matrix().iter().map(|x| x.to_bits()).collect()
             };
             let whole = bits(stream.num_pairs());
@@ -1405,7 +1480,8 @@ mod tests {
     #[test]
     fn sigmoid_table_approximates_sigmoid() {
         let sig = SigmoidTable::new();
-        // Saturated inputs clamp to the table ends (≈ σ(±6)), like gensim.
+        // Lookups outside [−6, 6] clamp to the table ends (≈ σ(±6)); no
+        // update uses them (`gradient_is_zero_where_the_sigmoid_saturates`).
         assert!((sig.value(100.0) - 1.0).abs() < 0.01);
         assert!(sig.value(100.0) > sig.value(5.0));
         assert!(sig.value(-100.0) < 0.01);
@@ -1422,6 +1498,30 @@ mod tests {
         }
         // Midpoint symmetry around zero.
         assert!((sig.value(0.0) - 0.5).abs() < 0.02);
+    }
+
+    /// gensim's `fast_sentence_sg_neg` skips a target once `|dot| ≥ 6`; the
+    /// fast kernels zero its gradient scale instead, to `+0.0` exactly, and
+    /// inside the range the scale is the table's `(label − σ) · lr`.
+    #[test]
+    fn gradient_is_zero_where_the_sigmoid_saturates() {
+        let sig = SigmoidTable::new();
+        let lr = 0.025;
+        for label in [0.0f32, 1.0] {
+            for dot in sigmoid_index_grid() {
+                let g = sig.gradient(dot, label, lr);
+                if dot.abs() < 6.0 {
+                    assert_eq!(g.to_bits(), ((label - sig.value(dot)) * lr).to_bits());
+                } else {
+                    assert_eq!(g.to_bits(), 0.0f32.to_bits(), "dot {dot:e}");
+                }
+            }
+        }
+        // The ends that used to keep pushing a saturated target.
+        assert_eq!(sig.gradient(6.0, 1.0, lr), 0.0);
+        assert_eq!(sig.gradient(-6.0, 0.0, lr), 0.0);
+        assert!(sig.gradient(5.9, 1.0, lr) > 0.0);
+        assert!(sig.gradient(-5.9, 0.0, lr) < 0.0);
     }
 
     /// Sigmoid arguments that probe every way a bin can go wrong: a dense
@@ -1559,6 +1659,19 @@ mod tests {
         #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
         pub unsafe fn sigmoid_index_tier(x: f32) -> usize {
             SigmoidTable::index(x)
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn gradient(sig: &SigmoidTable, dots: &[f32; 8], lr: f32) -> [f32; 8] {
+            let mut out = [0.0f32; 8];
+            let g = avx512_gradient_lanes(sig, _mm256_loadu_ps(dots.as_ptr()), lr);
+            _mm256_storeu_ps(out.as_mut_ptr(), g);
+            out
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub unsafe fn gradient_tier(sig: &SigmoidTable, dot: f32, label: f32, lr: f32) -> f32 {
+            sig.gradient(dot, label, lr)
         }
     }
 
@@ -1717,6 +1830,45 @@ mod tests {
                 // SAFETY: as above.
                 let tier = unsafe { lanes::sigmoid_index_tier(xk) };
                 assert_eq!(tier, want, "{}: bin of {xk:e}", lanes::TIER);
+            }
+        }
+    }
+
+    /// The lane gradient scales must equal `SigmoidTable::gradient` (plain
+    /// and in the tier's code generation) bit for bit, label 1 in lane 0
+    /// and 0 elsewhere, on the sigmoid grid: every in-range bin, the ±6
+    /// ends where the scale drops to zero, ±∞ and NaN.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn lane_gradients_match_the_scalar_gradient() {
+        if !lanes::available() {
+            return;
+        }
+        let sig = SigmoidTable::new();
+        let xs = sigmoid_index_grid();
+        for lr in [0.025f32, 0.0025, 1.0] {
+            // Shift the grid by one lane per pass so every argument meets
+            // lane 0 (label 1) and the others (label 0).
+            for shift in 0..8 {
+                for chunk in xs[shift..].chunks(8) {
+                    let mut dots = [0.0f32; 8];
+                    dots[..chunk.len()].copy_from_slice(chunk);
+                    // SAFETY: `lanes::available` checked the CPU.
+                    let got = unsafe { lanes::gradient(&sig, &dots, lr) };
+                    for (k, &dot) in dots.iter().enumerate() {
+                        let label = if k == 0 { 1.0 } else { 0.0 };
+                        let want = sig.gradient(dot, label, lr);
+                        assert_eq!(got[k].to_bits(), want.to_bits(), "lane {k}, dot {dot:e}");
+                        // SAFETY: as above.
+                        let tier = unsafe { lanes::gradient_tier(&sig, dot, label, lr) };
+                        assert_eq!(
+                            tier.to_bits(),
+                            want.to_bits(),
+                            "{}: dot {dot:e}",
+                            lanes::TIER
+                        );
+                    }
+                }
             }
         }
     }

@@ -4,23 +4,23 @@
 //! trained weights per (kernel tier, planted dataset, mode). Each digest
 //! folds one training run per dimensionality in [`DIMS`], so on the AVX-512
 //! tier it covers every width of the const-generic `CHUNKS` kernel (16..64)
-//! plus the AVX2+FMA (8) and runtime-dimension (24) fallbacks. Kernel
-//! rewrites must keep these bits; a deliberate numerics change regenerates
-//! the file with
+//! plus the AVX2+FMA (8) and runtime-dimension (24) fallbacks. Training
+//! runs through `train_embedding_with_isa`, so one process checks every
+//! tier the CPU can run, whatever `SUBTAB_FORCE_SCALAR_KERNELS` says.
+//! Kernel rewrites must keep these bits; a deliberate numerics change
+//! regenerates the file with
 //!
 //! ```text
 //! cargo test -p subtab-embed --test fast_kernel_golden -- --ignored
-//! SUBTAB_FORCE_SCALAR_KERNELS=1 cargo test -p subtab-embed --test fast_kernel_golden -- --ignored
 //! ```
 //!
-//! which rewrites the entries of the tier the process dispatches to and
-//! keeps the others. The `Avx2Fma` entries need a machine (or a build)
-//! whose dispatch stops at AVX2+FMA; `Scalar` is checked in CI's
-//! forced-scalar step.
+//! which rewrites the entries of every tier the CPU can run (all three on
+//! an AVX-512 machine) and keeps the others.
 
 use subtab_binning::{BinnedTable, Binner, BinningConfig};
 use subtab_datasets::{DatasetKind, DatasetSize};
-use subtab_embed::{train_embedding, EmbeddingConfig};
+use subtab_embed::{train_embedding_with_isa, EmbeddingConfig};
+use subtab_kernels::Isa;
 
 const FIXTURE: &str = include_str!("golden/fast_kernel_digests.txt");
 
@@ -55,10 +55,11 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn digest(bt: &BinnedTable, threads: usize, deterministic: bool) -> u64 {
+fn digest(isa: Isa, bt: &BinnedTable, threads: usize, deterministic: bool) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325;
     for dim in DIMS {
-        let emb = train_embedding(
+        let emb = train_embedding_with_isa(
+            isa,
             bt,
             &EmbeddingConfig {
                 dim,
@@ -80,56 +81,68 @@ fn digest(bt: &BinnedTable, threads: usize, deterministic: bool) -> u64 {
     h
 }
 
-fn tier() -> String {
-    format!("{:?}", subtab_kernels::detect())
+/// The kernel tiers this CPU can run, best first.
+fn tiers() -> Vec<Isa> {
+    [Isa::Avx512, Isa::Avx2Fma, Isa::Scalar]
+        .into_iter()
+        .filter(|isa| isa.available())
+        .collect()
 }
 
-/// `<tier> <dataset> <mode> <digest>` lines for the dispatched tier.
-fn current_entries() -> Vec<String> {
-    let tier = tier();
+fn prefix(isa: Isa) -> String {
+    format!("{isa:?} ")
+}
+
+/// `<tier> <dataset> <mode> <digest>` lines for tier `isa`.
+fn current_entries(isa: Isa) -> Vec<String> {
     let mut lines = Vec::new();
     for kind in ALL_KINDS {
         let bt = binned(kind);
         for (mode, threads, deterministic) in MODES {
-            let d = digest(&bt, threads, deterministic);
-            lines.push(format!("{tier} {kind:?} {mode} {d:016x}"));
+            let d = digest(isa, &bt, threads, deterministic);
+            lines.push(format!("{isa:?} {kind:?} {mode} {d:016x}"));
         }
     }
     lines
 }
 
 #[test]
-fn fast_trainer_bits_match_the_fixture_for_the_dispatched_tier() {
-    let prefix = format!("{} ", tier());
-    let want: Vec<&str> = FIXTURE.lines().filter(|l| l.starts_with(&prefix)).collect();
-    assert_eq!(
-        want.len(),
-        ALL_KINDS.len() * MODES.len(),
-        "fixture has no complete entry set for tier {}",
-        tier()
-    );
-    for (got, want) in current_entries().iter().zip(want) {
-        assert_eq!(got, want, "fast trainer bits drifted");
+fn fast_trainer_bits_match_the_fixture_for_every_available_tier() {
+    for isa in tiers() {
+        let want: Vec<&str> = FIXTURE
+            .lines()
+            .filter(|l| l.starts_with(&prefix(isa)))
+            .collect();
+        assert_eq!(
+            want.len(),
+            ALL_KINDS.len() * MODES.len(),
+            "fixture has no complete entry set for tier {isa:?}"
+        );
+        for (got, want) in current_entries(isa).iter().zip(want) {
+            assert_eq!(got, want, "fast trainer bits drifted");
+        }
     }
 }
 
 #[test]
-#[ignore = "regenerates tests/golden/fast_kernel_digests.txt for the dispatched tier"]
+#[ignore = "regenerates tests/golden/fast_kernel_digests.txt for every available tier"]
 fn regenerate_fast_kernel_digests() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/fast_kernel_digests.txt"
     );
-    let prefix = format!("{} ", tier());
+    let tiers = tiers();
     let existing = std::fs::read_to_string(path).unwrap_or_default();
     let mut lines: Vec<String> = existing
         .lines()
-        .filter(|l| !l.starts_with(&prefix))
+        .filter(|l| !tiers.iter().any(|&isa| l.starts_with(&prefix(isa))))
         .map(str::to_owned)
         .collect();
     if lines.is_empty() {
         lines.push("# <tier> <dataset> <mode> <FNV-1a 64 of the trained weights>".into());
     }
-    lines.extend(current_entries());
+    for isa in tiers {
+        lines.extend(current_entries(isa));
+    }
     std::fs::write(path, lines.join("\n") + "\n").unwrap();
 }

@@ -1,8 +1,9 @@
-//! Cell coverage (Definition 3.6). [`CoverageIndex`] builds each rule's
-//! matching rows `T_R` the way vertical miners count supports (Zaki, IEEE
-//! TKDE 2000), as the AND of its items' row bitmaps from one
-//! [`VerticalIndex`] of the table; `tests/coverage_oracle` keeps the
-//! per-row-decoding build and the cell-bitset union it replaced.
+//! Cell coverage (Definition 3.6). [`CoverageIndex`] builds the matching
+//! rows `T_R` of each distinct itemset of the rules the way vertical miners
+//! count supports (Zaki, IEEE TKDE 2000), as the AND of its items' row
+//! bitmaps from one [`VerticalIndex`] of the table; `tests/coverage_oracle`
+//! keeps the per-rule, per-row-decoding build and the cell-bitset union it
+//! replaced.
 
 use subtab_binning::BinnedTable;
 use subtab_data::Bitmap;
@@ -14,10 +15,15 @@ use subtab_rules::RuleSet;
 ///
 /// For every rule `R` the index stores `U_R` (its columns, as a column mask)
 /// and `T_R` (the rows of the *full* table for which it holds, as a row
-/// bitmap), plus the normalisation factor `upcov = |⋃_R cell(R, T)|`. All
-/// row bitmaps share one word array and all column masks another, so
-/// building the index allocates a fixed number of times per table, whatever
-/// the number of rules.
+/// bitmap), plus the normalisation factor `upcov = |⋃_R cell(R, T)|`. Both
+/// depend only on the rule's itemset (antecedent ∪ consequent), and rules
+/// that split one itemset differently share it: the 5 000-row flights
+/// stand-in mines 16 288 rules over 2 761 itemsets at the default mining
+/// config. So the index keeps one `T_R` and one `U_R` per distinct itemset;
+/// since a covered-cell count is a union, that changes no count. All row
+/// bitmaps share one word array and all column masks another, so building
+/// the index allocates a fixed number of times per table, whatever the
+/// number of rules.
 ///
 /// A sub-table covers `R` when `U_R` lies in its columns and `T_R` meets its
 /// rows (Definition 3.6, d1); both tests are word-wise ANDs. The cells of a
@@ -25,8 +31,8 @@ use subtab_rules::RuleSet;
 /// covered iff `r` is in the `T_R` of some covered rule using `c`. Counting
 /// therefore ORs each covered rule's `T_R` into one row-bitmap accumulator
 /// per selected column it uses, and sums the popcounts of those accumulators:
-/// one pass over the rules, `l` row bitmaps for `l` selected columns. `upcov`
-/// is the same count over all rows and columns.
+/// one pass over the itemsets, `l` row bitmaps for `l` selected columns.
+/// `upcov` is the same count over all rows and columns.
 #[derive(Debug, Clone)]
 pub struct CoverageIndex {
     num_rows: usize,
@@ -35,25 +41,28 @@ pub struct CoverageIndex {
     /// Words per row bitmap, `⌈num_rows / 64⌉`, and per column mask.
     row_words: usize,
     col_words: usize,
-    /// Every rule's `T_R`, `row_words` words each, rule after rule.
+    /// Number of distinct itemsets.
+    num_itemsets: usize,
+    /// Every itemset's `T_R`, `row_words` words each, itemset after itemset.
     rows: Vec<u64>,
-    /// Every rule's `U_R` as a column mask, `col_words` words each.
+    /// Every itemset's `U_R` as a column mask, `col_words` words each.
     masks: Vec<u64>,
     upcov: usize,
 }
 
 impl CoverageIndex {
-    /// Builds the index: each rule's `T_R` is the AND of its items' row
+    /// Builds the index: each itemset's `T_R` is the AND of its items' row
     /// bitmaps over the full binned table.
     pub fn build(binned: &BinnedTable, rules: &RuleSet) -> Self {
         let (num_rows, num_cols) = (binned.num_rows(), binned.num_columns());
         let (row_words, col_words) = (num_rows.div_ceil(64), num_cols.div_ceil(64));
-        let mut rows = vec![0u64; rules.len() * row_words];
-        let mut masks = vec![0u64; rules.len() * col_words];
-        if !rules.is_empty() {
+        let itemsets = distinct_itemsets(rules);
+        let mut rows = vec![0u64; itemsets.len() * row_words];
+        let mut masks = vec![0u64; itemsets.len() * col_words];
+        if !itemsets.is_empty() {
             let vertical = VerticalIndex::build(binned, rules.interner(), None);
             let mut scratch = Bitmap::zeros(num_rows);
-            for (i, rule) in rules.iter().enumerate() {
+            for (i, rule) in itemsets.iter().map(|&r| rules.rule(r as usize)).enumerate() {
                 // An item absent from the table leaves `T_R` empty.
                 let ids = rule.item_ids().iter().copied();
                 if vertical.support_count_into(ids, &mut scratch) > Some(0) {
@@ -70,6 +79,7 @@ impl CoverageIndex {
             num_rules: rules.len(),
             row_words,
             col_words,
+            num_itemsets: itemsets.len(),
             rows,
             masks,
             upcov: 0,
@@ -83,6 +93,12 @@ impl CoverageIndex {
     /// Number of rules in the index.
     pub fn num_rules(&self) -> usize {
         self.num_rules
+    }
+
+    /// Number of distinct itemsets among the rules: the `T_R`/`U_R` pairs
+    /// the index stores and a count visits.
+    pub fn num_itemsets(&self) -> usize {
+        self.num_itemsets
     }
 
     /// The normalisation factor: the number of cells of the full table that
@@ -119,7 +135,7 @@ impl CoverageIndex {
         let slots: usize = selected_cols.iter().map(|w| w.count_ones() as usize).sum();
         let w = self.row_words;
         let mut per_column = vec![0u64; slots * w];
-        for i in 0..self.num_rules {
+        for i in 0..self.num_itemsets {
             let mask = &self.masks[i * self.col_words..(i + 1) * self.col_words];
             let rule_rows = &self.rows[i * w..(i + 1) * w];
             if mask.iter().zip(&selected_cols).any(|(m, s)| m & !s != 0)
@@ -144,6 +160,43 @@ impl CoverageIndex {
         }
         per_column.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// One rule index per distinct itemset of `rules`, the first of its rules,
+/// in rule order. An open-addressing table keys each rule by a sum of
+/// per-item hashes, which ignores item order, so rules that split one
+/// itemset differently (antecedent then consequent) meet in one chain; a
+/// rule holds one item per column, so equal lengths and containment mean
+/// equal sets. Two allocations, whatever the number of rules.
+fn distinct_itemsets(rules: &RuleSet) -> Vec<u32> {
+    const EMPTY: u32 = u32::MAX;
+    let bits = (2 * rules.len()).next_power_of_two().trailing_zeros();
+    let mut slots = vec![EMPTY; 1 << bits];
+    let mask = (1usize << bits) - 1;
+    let mut firsts = Vec::with_capacity(rules.len());
+    // A rule set's arena offsets are `u32`, so rule indices fit one.
+    for (i, rule) in (0u32..).zip(rules.iter()) {
+        let items = rule.item_ids();
+        let hash = items.iter().fold(0u64, |h, &id| {
+            let x = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h.wrapping_add(x ^ (x >> 29))
+        });
+        let mut slot = (hash.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> (64 - bits)) as usize;
+        loop {
+            let seen = slots[slot];
+            if seen == EMPTY {
+                slots[slot] = i;
+                firsts.push(i);
+                break;
+            }
+            let other = rules.rule(seen as usize).item_ids();
+            if other.len() == items.len() && items.iter().all(|id| other.contains(id)) {
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+    firsts
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@
 //! The [`Evaluator`] bundles a binned table, a rule set and `α` so that
 //! selection algorithms (the SubTab algorithm itself, and the greedy / MAB /
 //! random baselines) can score candidate sub-tables cheaply and consistently.
-//! Its [`CoverageIndex`] builds every rule's matching rows from item bitmaps
-//! into flat arrays and counts a sub-table's covered cells as one OR-ed row
-//! bitmap per selected column; scoring reads diversity from the full table's
-//! codes. Both metrics ignore out-of-range row and column indices.
+//! Its [`CoverageIndex`] builds the matching rows of every distinct itemset of
+//! the rules from item bitmaps into flat arrays and counts a sub-table's
+//! covered cells as one OR-ed row bitmap per selected column; scoring reads
+//! diversity from the full table's codes. Both metrics ignore out-of-range
+//! row and column indices.
 //!
 //! The unit tests of this crate reproduce the worked example of Figure 3/4 of
 //! the paper (the 8-row flights excerpt with its two sub-tables).

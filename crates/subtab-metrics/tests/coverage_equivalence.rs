@@ -1,9 +1,9 @@
 //! Differential suite for the coverage index: on all six planted datasets,
-//! with plain and target-partitioned rule sets, [`CoverageIndex`] (rule
-//! rows built as ANDs of item bitmaps, covered cells counted as per-column
-//! ORs of row bitmaps) must agree exactly with the per-row-decoding index in
-//! `coverage_oracle`, which lists the covered rules and unions their cells
-//! in an n·m bitset: the same `upcov`, the same covered-cell counts and the
+//! with plain and target-partitioned rule sets, [`CoverageIndex`] (one
+//! row bitmap per distinct itemset, built as the AND of its item bitmaps,
+//! covered cells counted as per-column ORs of row bitmaps) must agree
+//! exactly with the per-rule, per-row-decoding index in `coverage_oracle`,
+//! which lists the covered rules and unions their cells in an n·m bitset: the same `upcov`, the same covered-cell counts and the
 //! same coverage bits on seeded random sub-tables, plus the empty, the full,
 //! row-less, column-less, duplicate-index and out-of-range ones.
 //! [`Evaluator::score`]'s diversity, read from the full table's codes, must
@@ -17,7 +17,7 @@ use subtab_binning::{BinnedTable, Binner, BinningConfig};
 use subtab_data::Table;
 use subtab_datasets::{benchmark_target_column, DatasetKind, DatasetSize};
 use subtab_metrics::{diversity, CoverageIndex, Evaluator};
-use subtab_rules::{MiningConfig, RuleMiner, RuleSet};
+use subtab_rules::{ItemId, MiningConfig, RuleMiner, RuleSet};
 
 const KINDS: [DatasetKind; 6] = [
     DatasetKind::Flights,
@@ -128,7 +128,12 @@ fn flat_index_matches_the_per_row_oracle_on_every_planted_dataset() {
         let (binned, target) = binned_for(kind);
         let miner = RuleMiner::new(config_for(kind));
         let plain = miner.mine(&binned);
-        check_against_oracle(&format!("{kind:?} plain"), &binned, &plain);
+        let shared = check_against_oracle(&format!("{kind:?} plain"), &binned, &plain);
+        if kind == DatasetKind::Flights {
+            // The case the per-itemset store is for: rules that split one
+            // itemset differently share its row bitmap.
+            assert!(shared, "flights rules must share itemsets");
+        }
         let partitioned = miner.mine_with_targets(&binned, &[target]);
         check_against_oracle(&format!("{kind:?} target"), &binned, &partitioned);
     }
@@ -159,8 +164,8 @@ fn multi_word_column_masks_match_the_oracle_on_a_298_column_table() {
 }
 
 /// Pins the index to the oracle on one rule set over `binned`, on every
-/// sub-table of [`subtables`].
-fn check_against_oracle(label: &str, binned: &BinnedTable, rules: &RuleSet) {
+/// sub-table of [`subtables`]; returns whether some rules share an itemset.
+fn check_against_oracle(label: &str, binned: &BinnedTable, rules: &RuleSet) -> bool {
     let (n, m) = (binned.num_rows(), binned.num_columns());
     assert!(
         !rules.is_empty(),
@@ -169,6 +174,15 @@ fn check_against_oracle(label: &str, binned: &BinnedTable, rules: &RuleSet) {
     let oracle = coverage_oracle::CoverageIndex::build(binned, rules);
     let index = CoverageIndex::build(binned, rules);
     assert_eq!(index.num_rules(), oracle.num_rules(), "{label}: rules");
+    let itemsets: BTreeSet<Vec<ItemId>> = rules
+        .iter()
+        .map(|rule| {
+            let mut items = rule.item_ids().to_vec();
+            items.sort_unstable();
+            items
+        })
+        .collect();
+    assert_eq!(index.num_itemsets(), itemsets.len(), "{label}: itemsets");
     assert_eq!(index.upcov(), oracle.upcov(), "{label}: upcov");
     let evaluator = Evaluator::new(binned.clone(), rules, 0.5);
     for (rows, cols, in_range) in subtables(n, m, rules.len() as u64) {
@@ -199,4 +213,5 @@ fn check_against_oracle(label: &str, binned: &BinnedTable, rules: &RuleSet) {
         index.upcov(),
         "{label}"
     );
+    itemsets.len() < rules.len()
 }
