@@ -1,7 +1,8 @@
 //! Pre-processing hot-path scaling: times `SubTab::preprocess` under each
-//! execution mode of the sharded SGNS trainer, and `Binner::fit` under the
-//! exact and windowed KDE evaluators, and emits machine-readable JSON
-//! (`BENCH_preprocess.json`) for the CI bench-regression gate.
+//! embedding trainer mode (reference SGNS, count trainer), and
+//! `Binner::fit` under the exact and windowed KDE evaluators, and emits
+//! machine-readable JSON (`BENCH_preprocess.json`) for the CI
+//! bench-regression gate.
 //!
 //! The report and gate are the shared ones of [`crate::experiments::report`].
 
@@ -19,12 +20,11 @@ use subtab_embed::train_embedding;
 pub const POLICY: GatePolicy = GatePolicy::WALL_ONLY;
 
 /// The trainer modes `(label, threads, deterministic)`: the bit-exact
-/// reference, the fast single-thread kernels, and the 4-thread replica
-/// trainer.
+/// reference SGNS, and the count trainer on one thread and on four.
 const MODES: &[(&str, usize, bool)] = &[
     ("reference-1t", 1, true),
-    ("fast-1t", 1, false),
-    ("deterministic-4t", 4, true),
+    ("counts-1t", 1, false),
+    ("counts-4t", 4, true),
 ];
 
 /// The `Binner::fit` evaluator modes: `(label, threads, exact)`. The exact
@@ -50,10 +50,9 @@ pub fn run(scale: ExperimentScale) -> BenchReport {
 /// damping scheduler noise).
 ///
 /// Trainer modes report the full pre-processing wall and, as `train_ms`,
-/// SGNS training alone through `train_embedding`, the trainer
-/// `PreprocessedTable::new` calls (binning excluded) — the hot path the
-/// sharded trainer parallelises. The `binning-*` modes time `Binner::fit`
-/// alone.
+/// embedding training alone through `train_embedding`, the trainer
+/// `PreprocessedTable::new` calls (binning excluded). The `binning-*` modes
+/// time `Binner::fit` alone.
 pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchReport {
     let dataset = kind.build(scale.dataset_size(), 31);
     let base = scale.subtab_config();
@@ -83,7 +82,7 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         .collect();
     // Jobs, in rounds: the full preprocess of every trainer mode, then its
     // training alone, then every `Binner::fit` mode (the next fixed cost of
-    // preprocess after SGNS training). The preprocess jobs' tables are
+    // preprocess after embedding training). The preprocess jobs' tables are
     // cloned outside the timed region.
     let trainers = MODES.len();
     let walls = best_of_each_with(
@@ -156,7 +155,7 @@ pub fn render(report: &BenchReport) -> String {
         .iter()
         .partition(|r| r.mode.starts_with("binning-"));
     format!(
-        "Preprocess scaling on {} ({} rows, dim {}) per SGNS trainer mode\n{}\
+        "Preprocess scaling on {} ({} rows, dim {}) per embedding trainer mode\n{}\
          Binner::fit: windowed KDE speedup {:.2}x over the exact dense evaluator\n{}",
         report.meta("dataset"),
         report.meta("rows"),

@@ -119,9 +119,9 @@ impl BenchReport {
     /// A report of `rows` with no ratios yet. After the experiment's own
     /// `meta` it records the kernel tier the process dispatches to
     /// (`kernel_tier`) and whether `SUBTAB_FORCE_SCALAR_KERNELS` pinned it
-    /// (`force_scalar_kernels`): the fast trainer's bits and the kernel
-    /// timings differ per tier, so reports from different machines only
-    /// compare honestly alongside them. The gate ignores both, and reports
+    /// (`force_scalar_kernels`): the kernel timings differ per tier, so
+    /// reports from different machines only compare honestly alongside
+    /// them. The gate ignores both, and reports
     /// written without them still parse.
     pub fn new(
         experiment: &'static str,

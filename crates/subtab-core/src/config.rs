@@ -61,8 +61,11 @@ impl SubTabConfig {
 
     /// Sets the worker-thread count of every parallel stage: the embedding
     /// trainer, the per-column binning fit and the selection-time k-means
-    /// assignment (`0` = all available cores, `1` = single-threaded; for
-    /// the trainer, `1` selects the bit-exact reference).
+    /// assignment (`0` = all available cores, `1` = single-threaded). For
+    /// the trainer, `1` keeps the bit-exact reference SGNS (unless
+    /// [`SubTabConfig::with_deterministic`] turns it off), and `0` or more
+    /// than one selects the count trainer, which shards its counting pass
+    /// over the threads and gives the same bits at every count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self.binning.threads = threads;
@@ -71,9 +74,10 @@ impl SubTabConfig {
     }
 
     /// Sets the embedding trainer's single-thread mode: `true` selects the
-    /// bit-exact reference trainer, `false` the fast kernels. Parallel
-    /// training always averages per-worker replicas of the fast kernels,
-    /// whatever the flag, and is run-to-run reproducible.
+    /// bit-exact reference SGNS trainer, `false` the count trainer (shifted
+    /// positive PMI of the exact pair counts, factorised by a symmetric
+    /// eigensolve). At any thread count other than one (`0` included) the
+    /// count trainer always runs, whatever the flag.
     pub fn with_deterministic(mut self, deterministic: bool) -> Self {
         self.embedding.deterministic = deterministic;
         self

@@ -24,11 +24,14 @@
 //!   baseline's graph walks),
 //! * [`vocab`] — the token vocabulary with a unigram^0.75 negative-sampling
 //!   table,
-//! * [`sgns`] — a sharded skip-gram-with-negative-sampling trainer (the
-//!   fast Word2Vec variant of Mikolov et al. used by gensim) with a
-//!   bit-exact single-threaded reference path and fast kernels that scale
-//!   across cores by averaging per-worker weight replicas after every
-//!   epoch,
+//! * [`sgns`] — the trainers: the skip-gram-with-negative-sampling
+//!   reference (the Word2Vec variant of Mikolov et al. used by gensim),
+//!   bit-exact with the original single-threaded trainer and the default,
+//!   and a count trainer for `threads != 1` or `deterministic = false` that
+//!   counts the pair stream once and factorises the shifted positive PMI
+//!   matrix SGNS approximates (Levy & Goldberg, NeurIPS 2014) with a
+//!   symmetric eigensolve, the same bits at every thread count and on
+//!   every ISA,
 //! * [`model`] — the resulting [`CellEmbedding`]: one flat row-major f32
 //!   vector matrix over the (column, bin) tokens, plus the [`TokenPlane`] of
 //!   precomputed per-cell
@@ -42,13 +45,15 @@
 #![warn(clippy::all)]
 
 pub mod corpus;
+mod eigen;
 pub mod model;
+mod ppmi;
 pub mod sgns;
 pub mod stream;
 pub mod vocab;
 
 pub use corpus::Corpus;
 pub use model::{CellEmbedding, TokenPlane, NO_TOKEN};
-pub use sgns::{train_embedding, train_embedding_with_isa, EmbeddingConfig};
+pub use sgns::{train_embedding, EmbeddingConfig};
 pub use stream::{build_pair_stream, PairStream, StreamOptions};
-pub use vocab::{AliasTable, Vocab};
+pub use vocab::Vocab;

@@ -19,8 +19,9 @@
 //!    pairs on demand: it decodes the descriptors the range touches into a
 //!    scratch buffer and emits their windowed pairs, in the exact
 //!    enumeration order of materializing the corpus and flattening its
-//!    sentences. The SGNS trainer reads the stream in fixed chunks every
-//!    epoch, so memory is O(sentences), never O(pairs).
+//!    sentences. The trainers read the stream in fixed chunks (the SGNS
+//!    reference once per epoch, the count trainer once), so memory is
+//!    O(sentences), never O(pairs).
 //!
 //! With pruning and subsampling off the emitted pair stream is
 //! byte-identical to that materialized pipeline: the `corpus_equivalence`
@@ -204,6 +205,25 @@ impl PairSource for &[[u32; 2]] {
 
     fn fill(&self, range: Range<usize>, out: &mut Vec<[u32; 2]>) {
         out.extend_from_slice(&self[range]);
+    }
+}
+
+/// Reads pairs `range` of `pairs` into one reused buffer, at most `chunk`
+/// at a time, and hands each chunk to `train` in order. Inlined into each
+/// trainer so that its per-pair loop, the closure, compiles together with
+/// the trainer's locals.
+#[inline]
+pub(crate) fn for_each_chunk(
+    pairs: &dyn PairSource,
+    range: Range<usize>,
+    chunk: usize,
+    mut train: impl FnMut(&[[u32; 2]]),
+) {
+    let mut buf = Vec::with_capacity(chunk.min(range.len()));
+    for start in range.clone().step_by(chunk) {
+        buf.clear();
+        pairs.fill(start..(start + chunk).min(range.end), &mut buf);
+        train(&buf);
     }
 }
 

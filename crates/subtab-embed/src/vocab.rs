@@ -1,150 +1,19 @@
-//! Token vocabulary and negative-sampling tables.
-//!
-//! Two samplers over the same unigram^0.75 distribution are kept side by
-//! side:
-//!
-//! * the legacy *cumulative table* ([`Vocab::sample_negative`]), a 2^16-entry
-//!   inverse-CDF lookup whose draw sequence the bit-exact reference trainer
-//!   depends on, and
-//! * a Walker/Vose *alias table* ([`AliasTable`]), built in O(vocab) memory
-//!   with O(1) draws from a single `u64`, used by the fast sharded trainer.
+//! Token vocabulary and its negative-sampling table: the *cumulative
+//! table* ([`Vocab::sample_negative`]), a 2^16-entry inverse-CDF lookup over
+//! the unigram^0.75 distribution whose draw sequence the bit-exact
+//! reference trainer depends on.
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 use std::collections::HashMap;
 
-/// A Walker/Vose alias table: O(1) sampling from an arbitrary discrete
-/// distribution using one uniform `u64` per draw (one table probe plus at
-/// most one redirect), with O(n) construction and O(n) memory — unlike the
-/// inverse-CDF table, whose memory is fixed at 2^16 entries regardless of
-/// vocabulary size and whose accuracy degrades for vocabularies that
-/// approach it.
-///
-/// A draw is branch-free: the accept-or-redirect choice is a `cmov`
-/// ([`AliasTable::sample_from_u64`]). The SGNS trainer's AVX-512 tier
-/// (AVX512F + DQ + VL) makes eight draws at once from the same columns with
-/// one gather, an unsigned compare into a mask and a blend, each lane equal to
-/// the scalar draw. Replacing the compiled branch with the `cmov` took
-/// `train_pairs` on the 8 000 × 48 wide table from 1.97 s to 1.37 s
-/// (`threads = 2`, `deterministic = true`, 2-vCPU AVX-512 host; medians of
-/// 10 alternated runs).
-#[derive(Debug, Clone, Default)]
-pub struct AliasTable {
-    /// One word per column: the acceptance threshold in the low 32 bits,
-    /// scaled to 2^32 so the draw compares integers (no int→float
-    /// conversion on the sampling path), and the redirect target taken when
-    /// the fractional draw is not below it in the high 32 bits. One load
-    /// fetches both, so the select between the column and its redirect
-    /// works on registers and compiles to `cmov`; with a separate alias
-    /// load the compiler folds that load into the select and then turns
-    /// the select into a branch around it.
-    columns: Vec<u64>,
-}
-
-impl AliasTable {
-    /// Builds the table from non-negative weights (need not be normalised).
-    /// Returns an empty table when all weights are zero or `weights` is
-    /// empty.
-    pub fn from_weights(weights: &[f64]) -> Self {
-        let total: f64 = weights.iter().sum();
-        if weights.is_empty() || total <= 0.0 {
-            return AliasTable::default();
-        }
-        let n = weights.len();
-        // Scale each weight so the average column height is exactly 1.
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let mut threshold = vec![0u32; n];
-        let mut alias = vec![0u32; n];
-        let to_bits = |p: f64| (p.clamp(0.0, 1.0) * 4_294_967_295.0) as u32;
-        let mut small: Vec<u32> = Vec::with_capacity(n);
-        let mut large: Vec<u32> = Vec::with_capacity(n);
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            threshold[s as usize] = to_bits(scaled[s as usize]);
-            alias[s as usize] = l;
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers are full columns up to rounding error.
-        for &i in small.iter().chain(large.iter()) {
-            threshold[i as usize] = u32::MAX;
-            alias[i as usize] = i;
-        }
-        let columns = threshold
-            .iter()
-            .zip(&alias)
-            .map(|(&t, &a)| u64::from(a) << 32 | u64::from(t))
-            .collect();
-        AliasTable { columns }
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Whether the table is empty (no outcomes with positive weight).
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Draws one outcome index. A single `u64` supplies both the column
-    /// (high 32 bits, mapped by multiply-shift — no modulo bias worth
-    /// caring about at vocabulary sizes) and the acceptance fraction
-    /// (low 32 bits). The accept-or-redirect choice is a branch-free select
-    /// (see [`AliasTable::sample_from_u64`]).
-    ///
-    /// # Panics
-    /// Panics if the table is empty.
-    #[inline]
-    pub fn sample<R: RngCore>(&self, rng: &mut R) -> u32 {
-        self.sample_from_u64(rng.next_u64())
-    }
-
-    /// The packed columns (`alias << 32 | threshold`), for vectorised
-    /// draws that must match [`AliasTable::sample_from_u64`].
-    pub(crate) fn columns(&self) -> &[u64] {
-        &self.columns
-    }
-
-    /// The draw itself, from caller-supplied uniform bits — lets hot loops
-    /// use counter-based bit streams whose draws have no serial dependency
-    /// on one another. The choice goes through
-    /// [`std::hint::select_unpredictable`] and compiles to `cmov`: its
-    /// outcome is a coin flip the branch predictor cannot learn, and an
-    /// arithmetic select of the two candidates still compiled to a
-    /// `cmp` + `ja` around the alias load.
-    ///
-    /// # Panics
-    /// Panics if the table is empty.
-    #[inline]
-    pub fn sample_from_u64(&self, r: u64) -> u32 {
-        assert!(!self.columns.is_empty(), "alias table is empty");
-        let col = (((r >> 32) * self.columns.len() as u64) >> 32) as usize;
-        let column = self.columns[col];
-        let take_direct = (r as u32) < column as u32;
-        std::hint::select_unpredictable(take_direct, col as u32, (column >> 32) as u32)
-    }
-}
-
-/// A vocabulary of tokens with occurrence counts and pre-computed
-/// negative-sampling tables using the Word2Vec unigram^0.75 distribution.
+/// A vocabulary of tokens with occurrence counts and a pre-computed
+/// negative-sampling table using the Word2Vec unigram^0.75 distribution.
 #[derive(Debug, Clone, Default)]
 pub struct Vocab {
     tokens: Vec<String>,
     index: HashMap<String, u32>,
     counts: Vec<u64>,
     sampling_table: Vec<u32>,
-    alias: AliasTable,
 }
 
 impl Vocab {
@@ -174,7 +43,6 @@ impl Vocab {
             index,
             counts,
             sampling_table: Vec::new(),
-            alias: AliasTable::default(),
         }
     }
 
@@ -232,17 +100,14 @@ impl Vocab {
         &self.tokens
     }
 
-    /// Builds both negative-sampling tables (cumulative + alias). Must be
-    /// called after all tokens have been added and before
-    /// [`Vocab::sample_negative`] / [`Vocab::alias_table`].
+    /// Builds the negative-sampling table. Must be called after all tokens
+    /// have been added and before [`Vocab::sample_negative`].
     pub fn build_sampling_table(&mut self) {
         self.sampling_table.clear();
-        self.alias = AliasTable::default();
         if self.tokens.is_empty() {
             return;
         }
         let weights: Vec<f64> = self.counts.iter().map(|&c| (c as f64).powf(0.75)).collect();
-        self.alias = AliasTable::from_weights(&weights);
         let total: f64 = weights.iter().sum();
         self.sampling_table.reserve(Self::SAMPLING_TABLE_SIZE);
         let mut cumulative = 0.0;
@@ -269,39 +134,6 @@ impl Vocab {
         let idx = rng.gen_range(0..self.sampling_table.len());
         self.sampling_table[idx]
     }
-
-    /// The alias table over the unigram^0.75 distribution, used by the fast
-    /// sharded trainer. Empty until [`Vocab::build_sampling_table`] runs on a
-    /// non-empty vocabulary.
-    pub fn alias_table(&self) -> &AliasTable {
-        &self.alias
-    }
-}
-
-#[cfg(test)]
-impl AliasTable {
-    /// Draws that sit on the decision boundaries of every `stride`-th
-    /// column (and the last): the first and last `r >> 32` mapping to the
-    /// column, each with the fraction just below, at and just above the
-    /// column's threshold, and at 0 and `u32::MAX`.
-    pub(crate) fn boundary_draws(&self, stride: usize) -> Vec<u64> {
-        let len = self.len() as u128;
-        let mut cols: Vec<usize> = (0..self.len()).step_by(stride.max(1)).collect();
-        cols.push(self.len() - 1);
-        let mut draws = Vec::new();
-        for c in cols {
-            let c = c as u128;
-            let first = (c << 32).div_ceil(len);
-            let last = ((c + 1) << 32).div_ceil(len) - 1;
-            let t = self.columns[c as usize] as u32;
-            for hi in [first, last] {
-                for lo in [t.wrapping_sub(1), t, t.wrapping_add(1), 0, u32::MAX] {
-                    draws.push(((hi as u64) << 32) | u64::from(lo));
-                }
-            }
-        }
-        draws
-    }
 }
 
 #[cfg(test)]
@@ -309,42 +141,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// `sample_from_u64` must pick what the arithmetic select it replaced
-    /// picked, on every column boundary and threshold edge of several
-    /// tables plus a dense sweep of the `u64` range, in plain and (where
-    /// the CPU has it) AVX-512 code generation.
-    #[test]
-    fn sample_from_u64_matches_the_arithmetic_select() {
-        fn arithmetic(t: &AliasTable, r: u64) -> u32 {
-            let col = (((r >> 32) * t.len() as u64) >> 32) as usize;
-            let (threshold, redirect) = (t.columns[col] as u32, (t.columns[col] >> 32) as u32);
-            let take_direct = (r as u32) < threshold;
-            (take_direct as u32).wrapping_mul(col as u32)
-                + (1 - take_direct as u32).wrapping_mul(redirect)
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        unsafe fn sample_tier(t: &AliasTable, r: u64) -> u32 {
-            t.sample_from_u64(r)
-        }
-        for size in [1usize, 2, 3, 288, 5000] {
-            let weights: Vec<f64> = (0..size).map(|i| ((i * 37) % 11) as f64).collect();
-            let weights = if size == 1 { vec![1.0] } else { weights };
-            let t = AliasTable::from_weights(&weights);
-            let mut draws = t.boundary_draws(1);
-            draws.extend((0..200_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-            for r in draws {
-                let want = arithmetic(&t, r);
-                assert_eq!(t.sample_from_u64(r), want, "size {size}, r {r:#x}");
-                #[cfg(target_arch = "x86_64")]
-                if subtab_kernels::Isa::Avx512.available() {
-                    // SAFETY: the CPU supports the AVX-512 tier.
-                    assert_eq!(unsafe { sample_tier(&t, r) }, want, "avx512: r {r:#x}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn interning_and_counts() {
@@ -395,72 +191,5 @@ mod tests {
         let v = Vocab::default();
         let mut rng = StdRng::seed_from_u64(1);
         v.sample_negative(&mut rng);
-    }
-
-    #[test]
-    fn alias_table_handles_degenerate_weights() {
-        assert!(AliasTable::from_weights(&[]).is_empty());
-        assert!(AliasTable::from_weights(&[0.0, 0.0]).is_empty());
-        let single = AliasTable::from_weights(&[3.0]);
-        assert_eq!(single.len(), 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..50 {
-            assert_eq!(single.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "alias table is empty")]
-    fn sampling_empty_alias_table_panics() {
-        let t = AliasTable::default();
-        let mut rng = StdRng::seed_from_u64(1);
-        t.sample(&mut rng);
-    }
-
-    /// Chi-squared-style goodness-of-fit: alias-method draws must match the
-    /// unigram^0.75 distribution the cumulative table encodes.
-    #[test]
-    fn alias_sampling_matches_unigram_075_distribution() {
-        let mut v = Vocab::default();
-        // Skewed counts: 1, 4, 16, 64, 256 occurrences over five tokens.
-        let mut counts = Vec::new();
-        for (t, &c) in ["a", "b", "c", "d", "e"]
-            .iter()
-            .zip(&[1u64, 4, 16, 64, 256])
-        {
-            for _ in 0..c {
-                v.add(t);
-            }
-            counts.push(c);
-        }
-        v.build_sampling_table();
-        let expected: Vec<f64> = {
-            let w: Vec<f64> = counts.iter().map(|&c| (c as f64).powf(0.75)).collect();
-            let total: f64 = w.iter().sum();
-            w.iter().map(|x| x / total).collect()
-        };
-
-        let draws = 200_000usize;
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut observed = vec![0u64; expected.len()];
-        for _ in 0..draws {
-            observed[v.alias_table().sample(&mut rng) as usize] += 1;
-        }
-        // Pearson chi-squared statistic against the expected distribution.
-        let chi2: f64 = expected
-            .iter()
-            .zip(&observed)
-            .map(|(&p, &o)| {
-                let e = p * draws as f64;
-                (o as f64 - e) * (o as f64 - e) / e
-            })
-            .sum();
-        // 4 degrees of freedom; the 99.9th percentile of chi2(4) is 18.47.
-        // A correct sampler fails this with probability 0.001 — and the seed
-        // is fixed, so the test is deterministic.
-        assert!(
-            chi2 < 18.47,
-            "chi-squared {chi2:.2} too large; observed {observed:?}"
-        );
     }
 }

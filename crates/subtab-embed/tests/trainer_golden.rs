@@ -1,10 +1,10 @@
-//! Golden-value tests for the sharded SGNS trainer.
+//! Golden-value tests for the embedding trainers.
 //!
 //! The fixture in `tests/golden/embedding_ref_seed7.txt` was captured from
 //! the pre-refactor single-threaded trainer (hex `f32::to_bits` per
 //! component). The `threads = 1` reference path must keep reproducing it
-//! byte for byte; the parallel replica-averaging mode must stay run-to-run
-//! reproducible at any thread count, whatever `deterministic` says.
+//! byte for byte; the count trainer that every `threads > 1` setting runs
+//! must stay run-to-run reproducible, whatever `deterministic` says.
 
 use subtab_binning::{Binner, BinningConfig};
 use subtab_data::Table;
@@ -53,6 +53,18 @@ fn render_bits(emb: &CellEmbedding) -> String {
     out
 }
 
+/// The count trainer fails by collapsing to zero vectors. Every token of
+/// these tables has a positive PMI with some token, so each must get a
+/// finite, non-zero vector.
+fn assert_every_vector_non_zero(emb: &CellEmbedding) {
+    assert!(!emb.is_empty());
+    for token in emb.tokens() {
+        let v = emb.vector(token).unwrap();
+        assert!(v.iter().all(|x| x.is_finite()), "token {token}: {v:?}");
+        assert!(v.iter().any(|&x| x != 0.0), "token {token}: zero vector");
+    }
+}
+
 #[test]
 fn threads_1_reference_path_is_bit_exact_with_pre_refactor_golden() {
     let (bt, cfg) = golden_setup();
@@ -76,32 +88,35 @@ fn threads_4_deterministic_mode_is_run_to_run_reproducible() {
     let a = train_embedding(&bt, &cfg);
     let b = train_embedding(&bt, &cfg);
     assert_eq!(render_bits(&a), render_bits(&b));
+    assert_every_vector_non_zero(&a);
 }
 
 #[test]
 fn threads_4_give_the_same_bits_for_either_deterministic_flag() {
     let (bt, cfg) = golden_setup();
     let train = |deterministic| {
-        render_bits(&train_embedding(
+        train_embedding(
             &bt,
             &EmbeddingConfig {
                 threads: 4,
                 deterministic,
                 ..cfg.clone()
             },
-        ))
+        )
     };
     let fast = train(false);
-    assert_eq!(fast, train(true));
-    assert_eq!(fast, train(false));
+    assert_every_vector_non_zero(&fast);
+    let fast = render_bits(&fast);
+    assert_eq!(fast, render_bits(&train(true)));
+    assert_eq!(fast, render_bits(&train(false)));
 }
 
 #[test]
-fn parallel_replicas_learn_the_planted_co_occurrence() {
-    // `threads = 4, deterministic = false` trains four averaged replicas.
-    // The learned structure must hold: a=0 co-occurs with b="p" in every
-    // row sentence and never with b="q". A 4-way keyed pattern keeps the
-    // embedding space non-degenerate.
+fn count_trainer_learns_the_planted_co_occurrence() {
+    // `threads = 4, deterministic = false` runs the count trainer over four
+    // counting shards. The learned structure must hold: a=0 co-occurs with
+    // b="p" in every row sentence and never with b="q". A 4-way keyed
+    // pattern keeps the embedding space non-degenerate.
     let rows = 200usize;
     let labels = ["p", "q", "r", "s"];
     let t = Table::builder()
@@ -125,6 +140,7 @@ fn parallel_replicas_learn_the_planted_co_occurrence() {
             ..Default::default()
         },
     );
+    assert_every_vector_non_zero(&emb);
     let a_col = bt.column_index("a").unwrap();
     let b_col = bt.column_index("b").unwrap();
     let pos = emb
@@ -135,6 +151,6 @@ fn parallel_replicas_learn_the_planted_co_occurrence() {
         .unwrap();
     assert!(
         pos > neg,
-        "the replicas lost the planted co-occurrence: cos+ = {pos}, cos- = {neg}"
+        "the count trainer lost the planted co-occurrence: cos+ = {pos}, cos- = {neg}"
     );
 }

@@ -10,10 +10,8 @@ use std::sync::OnceLock;
 /// Instruction-set tier a kernel can dispatch to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Isa {
-    /// AVX-512 (F + DQ + VL): 16 f32 / 8 f64 lanes. DQ supplies the 64-bit
-    /// lane multiply and VL the 256-bit masked compares and blends of the
-    /// SGNS trainer's lane-parallel step; a CPU with AVX-512F alone runs the
-    /// AVX2+FMA tier.
+    /// AVX-512 (F + DQ + VL): 16 f32 / 8 f64 lanes. A CPU with AVX-512F
+    /// alone runs the AVX2+FMA tier.
     Avx512,
     /// AVX2 + FMA: 8 f32 / 4 f64 lanes.
     Avx2Fma,
@@ -95,22 +93,6 @@ fn cpu_has_avx2_fma() -> bool {
     false
 }
 
-/// Multiply-add with a compile-time choice between the fused contraction and
-/// the two-rounding `a * b + c` sequence.
-///
-/// `FUSED = false` is the bit-compatibility twin: it rounds the product
-/// before the add exactly like the scalar reference loops, so deterministic
-/// kernels must use it. `FUSED = true` maps to a hardware FMA where
-/// available and is reserved for paths that have opted out of determinism.
-#[inline(always)]
-pub fn fma_select<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
-    if FUSED {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,22 +118,6 @@ mod tests {
             assert_eq!(detect(), Isa::Scalar);
             assert!(!has_avx512());
             assert!(!has_avx2_fma());
-        }
-    }
-
-    #[test]
-    fn unfused_fma_matches_separate_rounding() {
-        let cases = [
-            (1.0e-7f32, 3.0e7, -3.0),
-            (0.1, 0.2, 0.3),
-            (f32::MAX, 2.0, f32::MIN),
-            (-0.0, 5.0, 0.0),
-        ];
-        for (a, b, c) in cases {
-            assert_eq!(
-                fma_select::<false>(a, b, c).to_bits(),
-                (a * b + c).to_bits()
-            );
         }
     }
 }

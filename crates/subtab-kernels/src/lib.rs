@@ -7,12 +7,11 @@
 //! representative search in `subtab-cluster`), and columnar predicate scans
 //! that compare a typed value plane against a constant and emit `u64`
 //! bitmap words directly (the compiled query leaves in `subtab-core`). The
-//! feature-detection and FMA helpers that used to be trapped inside
-//! `subtab-embed`'s SGNS trainer are exported from [`dispatch`] so every
-//! consumer shares one dispatch story. The workspace's one thread policy
-//! lives here too: [`threads`] resolves every `threads` knob and runs the
-//! order-preserving fan-outs of the binning fit, rule mining and the SGNS
-//! trainer's replicas.
+//! feature detection is exported from [`dispatch`] so every consumer shares
+//! one dispatch story. The workspace's one thread policy lives here too:
+//! [`threads`] resolves every `threads` knob and runs the order-preserving
+//! fan-outs of the binning fit, rule mining and the embedding count
+//! trainer's counting pass.
 //!
 //! # Dispatch tiers
 //!
@@ -52,7 +51,7 @@ pub mod scan;
 pub mod threads;
 
 pub use aligned::AlignedBuf;
-pub use dispatch::{detect, fma_select, force_scalar, has_avx2_fma, has_avx512, Isa};
+pub use dispatch::{detect, force_scalar, has_avx2_fma, has_avx512, Isa};
 pub use distance::{euclidean, nearest_centroid_scalar, squared_euclidean, PointBlocks};
 pub use scan::{
     scan_bools, scan_bools_masked, scan_codes, scan_codes_masked, scan_codes_with_isa, scan_f64,
