@@ -1,8 +1,7 @@
 //! Pre-processing hot-path scaling: times `SubTab::preprocess` under each
 //! embedding trainer mode (reference SGNS, count trainer), and
-//! `Binner::fit` under the exact and windowed KDE evaluators, and emits
-//! machine-readable JSON (`BENCH_preprocess.json`) for the CI
-//! bench-regression gate.
+//! `Binner::fit` on one thread and on four, and emits machine-readable JSON
+//! (`BENCH_preprocess.json`) for the CI bench-regression gate.
 //!
 //! The report and gate are the shared ones of [`crate::experiments::report`].
 
@@ -27,18 +26,9 @@ const MODES: &[(&str, usize, bool)] = &[
     ("counts-4t", 4, true),
 ];
 
-/// The `Binner::fit` evaluator modes: `(label, threads, exact)`. The exact
-/// mode evaluates the dense O(grid × samples) reference (infinite cutoff);
-/// the windowed modes use the default truncated-kernel evaluator, alone and
-/// with the per-column fan-out.
-const BINNING_MODES: &[(&str, usize, bool)] = &[
-    (BINNING_EXACT_MODE, 1, true),
-    ("binning-windowed-1t", 1, false),
-    ("binning-windowed-4t", 4, false),
-];
-
-/// Label of the exact-evaluator binning mode.
-const BINNING_EXACT_MODE: &str = "binning-exact-1t";
+/// The `Binner::fit` modes `(label, threads)`: the windowed KDE evaluator
+/// alone and with the per-column fan-out.
+const BINNING_MODES: &[(&str, usize)] = &[("binning-windowed-1t", 1), ("binning-windowed-4t", 4)];
 
 /// Runs the scaling benchmark on the Flights stand-in (the paper's largest).
 pub fn run(scale: ExperimentScale) -> BenchReport {
@@ -71,14 +61,7 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         .collect();
     let binning_configs: Vec<_> = BINNING_MODES
         .iter()
-        .map(|&(_, threads, exact)| {
-            let cfg = base.binning.clone().threads(threads);
-            if exact {
-                cfg.kde_cutoff(f64::INFINITY)
-            } else {
-                cfg
-            }
-        })
+        .map(|&(_, threads)| base.binning.clone().threads(threads))
         .collect();
     // Jobs, in rounds: the full preprocess of every trainer mode, then its
     // training alone, then every `Binner::fit` mode (the next fixed cost of
@@ -118,37 +101,24 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
         BINNING_MODES
             .iter()
             .zip(binning_walls)
-            .map(|(&(mode, threads, _), &wall_ms)| BenchRow {
+            .map(|(&(mode, threads), &wall_ms)| BenchRow {
                 threads: Some(threads),
                 ..BenchRow::new(mode, wall_ms)
             }),
     );
-    let binning = &rows[MODES.len()..];
-    let fastest_windowed = binning[1..]
-        .iter()
-        .map(|r| r.wall_ms)
-        .fold(f64::INFINITY, f64::min);
-    // `Binner::fit` wall ratio exact / fastest windowed mode.
-    let ratios = vec![(
-        "binning_speedup_windowed_vs_exact",
-        binning[0].wall_ms / fastest_windowed.max(1e-9),
-    )];
-    BenchReport {
-        ratios,
-        ..BenchReport::new(
-            "preprocess_scaling",
-            vec![
-                ("dataset", Meta::Text(kind.label().to_string())),
-                ("rows", Meta::Count(dataset.table.num_rows())),
-                ("dim", Meta::Count(base.embedding.dim)),
-            ],
-            rows,
-        )
-    }
+    BenchReport::new(
+        "preprocess_scaling",
+        vec![
+            ("dataset", Meta::Text(kind.label().to_string())),
+            ("rows", Meta::Count(dataset.table.num_rows())),
+            ("dim", Meta::Count(base.embedding.dim)),
+        ],
+        rows,
+    )
 }
 
 /// Renders the report as aligned text tables: trainer modes, then the
-/// `Binner::fit` evaluator modes.
+/// `Binner::fit` modes.
 pub fn render(report: &BenchReport) -> String {
     let (binning, trainer): (Vec<&BenchRow>, Vec<&BenchRow>) = report
         .rows
@@ -156,12 +126,11 @@ pub fn render(report: &BenchReport) -> String {
         .partition(|r| r.mode.starts_with("binning-"));
     format!(
         "Preprocess scaling on {} ({} rows, dim {}) per embedding trainer mode\n{}\
-         Binner::fit: windowed KDE speedup {:.2}x over the exact dense evaluator\n{}",
+         Binner::fit\n{}",
         report.meta("dataset"),
         report.meta("rows"),
         report.meta("dim"),
         format_rows(trainer),
-        report.ratio("binning_speedup_windowed_vs_exact"),
         format_rows(binning)
     )
 }
@@ -193,10 +162,9 @@ mod tests {
         for &(mode, ..) in BINNING_MODES {
             assert!(report.row(mode).unwrap().train_ms.is_none());
         }
-        assert!(report.ratio("binning_speedup_windowed_vs_exact") > 0.0);
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
-        assert!(rendered.contains(BINNING_EXACT_MODE));
+        assert!(rendered.contains(BINNING_MODES[0].0));
     }
 
     #[test]

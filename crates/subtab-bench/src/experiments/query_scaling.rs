@@ -1,7 +1,7 @@
 //! Query-time selection scaling: times `select` / `select_for_query` through
-//! the token-ID engine, plus the SIMD k-means assignment and compiled-leaf
-//! scans against their scalar runtime tiers, and emits machine-readable
-//! JSON (`BENCH_query.json`) for the CI bench-regression gate.
+//! the token-ID engine, the SIMD k-means assignment against its scalar
+//! twin, and the compiled-leaf plane scans, and emits machine-readable JSON
+//! (`BENCH_query.json`) for the CI bench-regression gate.
 //!
 //! Pre-processing (binning, corpus, SGNS) is paid once outside the timed
 //! region — this experiment measures what the paper calls the *interactive*
@@ -14,7 +14,7 @@ use crate::experiments::report::{
 };
 use subtab_cluster::{assign_blocks, assign_points_scalar, PointBlocks};
 use subtab_core::select::select_sub_table;
-use subtab_core::{leaf_bitmap, leaf_bitmap_scalar, PreprocessedTable, SelectionParams};
+use subtab_core::{leaf_bitmap, PreprocessedTable, SelectionParams};
 use subtab_data::Predicate;
 use subtab_datasets::{
     benchmark_ast_query, benchmark_deep_nest_query, benchmark_filter_query,
@@ -49,13 +49,10 @@ enum Workload {
         /// Time the pinned scalar twin instead of the SIMD scan.
         scalar: bool,
     },
-    /// The raw compiled-leaf plane scans of every predicate the benchmark
-    /// queries reference: kernel `leaf_bitmap` vs `leaf_bitmap_scalar`,
-    /// repeated [`KERNEL_INNER_ITERS`] times.
-    CompileLeaf {
-        /// Time the pinned scalar twin instead of the SIMD scan.
-        scalar: bool,
-    },
+    /// The raw compiled-leaf plane scans (`leaf_bitmap`) of every predicate
+    /// the benchmark queries reference, repeated [`KERNEL_INNER_ITERS`]
+    /// times.
+    CompileLeaf,
 }
 
 /// Inner repetitions of the raw kernel workloads inside one timed region —
@@ -85,16 +82,7 @@ const MODES: &[(&str, usize, Workload)] = &[
         1,
         Workload::KernelAssign { scalar: true },
     ),
-    (
-        "compile-leaf-simd-1t",
-        1,
-        Workload::CompileLeaf { scalar: false },
-    ),
-    (
-        "compile-leaf-scalar-1t",
-        1,
-        Workload::CompileLeaf { scalar: true },
-    ),
+    ("compile-leaf-simd-1t", 1, Workload::CompileLeaf),
 ];
 
 /// The headline ratios, `(key, slow mode, fast mode)`: the wall-time
@@ -105,12 +93,6 @@ const SPEEDUPS: &[(&str, &str, &str)] = &[
         "kernel_assign_speedup",
         "select-kernel-scalar-1t",
         "select-kernel-simd-1t",
-    ),
-    // Compiled-leaf plane scans over the benchmark queries' predicates.
-    (
-        "compile_leaf_speedup",
-        "compile-leaf-scalar-1t",
-        "compile-leaf-simd-1t",
     ),
 ];
 
@@ -177,15 +159,10 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
                 }
                 assert!(assign_buf.iter().all(|&a| a < k));
             }
-            Workload::CompileLeaf { scalar } => {
+            Workload::CompileLeaf => {
                 for _ in 0..KERNEL_INNER_ITERS {
                     for p in &leaves {
-                        let bitmap = if scalar {
-                            leaf_bitmap_scalar(pre.table(), p)
-                        } else {
-                            leaf_bitmap(pre.table(), p)
-                        }
-                        .expect("leaf compiles");
+                        let bitmap = leaf_bitmap(pre.table(), p).expect("leaf compiles");
                         std::hint::black_box(bitmap.count());
                     }
                 }
@@ -230,14 +207,12 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
 pub fn render(report: &BenchReport) -> String {
     format!(
         "Query-time selection on {} ({} rows × {} cols, query matches {} rows): \
-         SIMD kernels {:.2}x on the k-means assignment step, {:.2}x on \
-         compiled-leaf plane scans\n{}",
+         SIMD kernels {:.2}x on the k-means assignment step\n{}",
         report.meta("dataset"),
         report.meta("rows"),
         report.meta("cols"),
         report.meta("query_rows"),
         report.ratio("kernel_assign_speedup"),
-        report.ratio("compile_leaf_speedup"),
         format_rows(&report.rows)
     )
 }
@@ -278,7 +253,6 @@ mod tests {
             "select-kernel-simd-1t",
             "select-kernel-scalar-1t",
             "compile-leaf-simd-1t",
-            "compile-leaf-scalar-1t",
         ] {
             assert!(
                 report.row(kernel_mode).is_some(),

@@ -3,7 +3,7 @@
 use crate::binned::BinnedTable;
 use crate::categorical::group_categories;
 use crate::equal_width::equal_width_cuts;
-use crate::kde::kde_cuts_with_cutoff;
+use crate::kde::kde_cuts;
 use crate::quantile::quantile_cuts;
 use crate::strategy::{BinId, BinLabel, BinningConfig, BinningError, BinningStrategy};
 use crate::Result;
@@ -117,11 +117,6 @@ impl Binner {
         if config.max_categories < 1 {
             return Err(BinningError::InvalidConfig(
                 "max_categories must be at least 1".into(),
-            ));
-        }
-        if config.kde_cutoff_bandwidths.is_nan() || config.kde_cutoff_bandwidths <= 0.0 {
-            return Err(BinningError::InvalidConfig(
-                "kde_cutoff_bandwidths must be positive".into(),
             ));
         }
         let cols = table.columns();
@@ -416,12 +411,7 @@ fn fit_numeric(col: &subtab_data::Column, config: &BinningConfig) -> ColumnBinne
     let cuts = match config.strategy {
         BinningStrategy::EqualWidth => equal_width_cuts(&values, config.num_bins),
         BinningStrategy::Quantile => quantile_cuts(&values, config.num_bins),
-        BinningStrategy::Kde => kde_cuts_with_cutoff(
-            &values,
-            config.num_bins,
-            config.kde_grid_size,
-            config.kde_cutoff_bandwidths,
-        ),
+        BinningStrategy::Kde => kde_cuts(&values, config.num_bins),
     };
     let mut labels = Vec::with_capacity(cuts.len() + 2);
     let mut lower = f64::NEG_INFINITY;
@@ -610,13 +600,6 @@ mod tests {
             ..Default::default()
         };
         assert!(Binner::fit(&t, &bad).is_err());
-        for cutoff in [0.0, -1.0, f64::NAN] {
-            let bad = BinningConfig {
-                kde_cutoff_bandwidths: cutoff,
-                ..Default::default()
-            };
-            assert!(Binner::fit(&t, &bad).is_err(), "cutoff {cutoff} accepted");
-        }
     }
 
     #[test]

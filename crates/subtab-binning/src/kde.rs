@@ -10,37 +10,31 @@
 //! than requested (e.g. a unimodal column), the remaining cuts fall back to
 //! quantile cuts so the configured bin count is still honoured.
 //!
-//! Two grid evaluators are provided:
-//!
-//! * [`GaussianKde::density_grid`] — the **exact reference**: a dense
-//!   O(grid × samples) Gaussian sum with one `exp` per (grid point, sample)
-//!   pair, summed over the samples in ascending order. The golden fixture in
-//!   `tests/golden/kde_cuts_ref.txt` pins this evaluator's cuts on the
-//!   planted datasets.
-//! * [`GaussianKde::density_grid_windowed`] — the **windowed** evaluator the
-//!   binner uses by default: samples are sorted once at fit time, the kernel
-//!   is truncated at a configurable number of bandwidths
-//!   ([`DEFAULT_KDE_CUTOFF_BANDWIDTHS`]), and each sample scatters its
-//!   contribution into its grid window with a two-multiply Gaussian
-//!   recurrence instead of an `exp` per grid point, turning the evaluation
-//!   into O(grid × window + n log n). Per grid point the contributions still
-//!   accumulate in ascending-sample order, so the result is bit-compatible
-//!   with the reference up to the truncation tolerance (the dropped tail
-//!   terms are below `exp(−cutoff²/2)` relative, ≈ 1.3e−14 at the default
-//!   cutoff of 8 bandwidths — the same magnitude as f64 rounding across the
-//!   grid) plus the recurrence's rounding, and in practice selects identical
-//!   cut points (asserted against the exact evaluator on every planted
-//!   dataset).
+//! The density is evaluated by one windowed evaluator,
+//! [`GaussianKde::density_grid`], on a fixed 256-point grid. Samples are
+//! sorted once at fit time, the kernel is truncated at 8 bandwidths, and
+//! each sample scatters its contribution into its grid window with a
+//! two-multiply Gaussian recurrence instead of an `exp` per grid point, so
+//! the evaluation costs O(grid × window + n log n). When the grid step
+//! exceeds 4 bandwidths, a window covers only a few points and each gets a
+//! direct `exp` instead. Per grid point the contributions accumulate in
+//! ascending-sample order, as a dense sum over all samples would; the
+//! dropped tail is below `exp(−32) ≈ 1.3e−14` of the kernel peak.
+//! `tests/kde_golden.rs` checks the grid against such a dense sum on every
+//! planted dataset and pins the cuts to `tests/golden/kde_cuts_ref.txt`.
 
 use crate::quantile::quantile_cuts;
 
-/// Default truncation radius of the windowed evaluator, in bandwidths.
+/// Number of evaluation points of the density grid.
+const GRID_SIZE: usize = 256;
+
+/// Truncation radius of the kernel, in bandwidths.
 ///
 /// Contributions beyond 8 bandwidths are below `exp(−32) ≈ 1.3e−14` of the
-/// kernel peak — comparable to the f64 rounding the dense sum accumulates
-/// anyway — so cutting there keeps the windowed cuts identical to the exact
-/// evaluator's on real data while skipping far samples entirely.
-pub const DEFAULT_KDE_CUTOFF_BANDWIDTHS: f64 = 8.0;
+/// kernel peak — comparable to the f64 rounding a dense sum accumulates
+/// anyway — so cutting there keeps the cuts of a dense sum while skipping
+/// far samples entirely.
+const CUTOFF_BANDWIDTHS: f64 = 8.0;
 
 /// When the grid step exceeds this many bandwidths, a sample's window covers
 /// only a handful of grid points and the recurrence setup (two `exp` calls)
@@ -49,8 +43,8 @@ const DIRECT_EVAL_STEP_BANDWIDTHS: f64 = 4.0;
 
 /// A fitted one-dimensional Gaussian kernel density estimate.
 ///
-/// Samples are sorted at fit time; both grid evaluators sum contributions in
-/// ascending-sample order so their results are directly comparable.
+/// Samples are sorted at fit time, so the grid sums contributions in
+/// ascending-sample order.
 #[derive(Debug, Clone)]
 pub struct GaussianKde {
     /// Finite samples, sorted ascending.
@@ -90,20 +84,10 @@ impl GaussianKde {
         self.bandwidth
     }
 
-    /// Density estimate at `x` (dense sum over all samples).
-    pub fn density(&self, x: f64) -> f64 {
-        let h = self.bandwidth;
-        let norm = 1.0 / ((2.0 * std::f64::consts::PI).sqrt() * h * self.samples.len() as f64);
-        self.samples
-            .iter()
-            .map(|&s| (-0.5 * ((x - s) / h).powi(2)).exp())
-            .sum::<f64>()
-            * norm
-    }
-
     /// The grid point at index `i` of an `n`-point grid over `[lo, hi]`.
     ///
-    /// Shared by both evaluators so their grids are bit-identical.
+    /// One rounding sequence for every caller, so grids built from the
+    /// same bounds are bit-identical.
     fn grid_x(lo: f64, hi: f64, i: usize, n: usize) -> f64 {
         lo + (hi - lo) * i as f64 / (n - 1) as f64
     }
@@ -115,45 +99,20 @@ impl GaussianKde {
         (lo, hi)
     }
 
-    /// Evaluates the density on a uniform grid over the sample range
-    /// (slightly padded by one bandwidth on each side).
-    ///
-    /// This is the **exact reference evaluator**: one `exp` per
-    /// (grid point, sample) pair, no truncation. The windowed evaluator is
-    /// validated against it.
-    pub fn density_grid(&self, grid_size: usize) -> Vec<(f64, f64)> {
-        let (lo, hi) = self.grid_bounds();
-        let n = grid_size.max(8);
-        (0..n)
-            .map(|i| {
-                let x = Self::grid_x(lo, hi, i, n);
-                (x, self.density(x))
-            })
-            .collect()
-    }
-
-    /// Evaluates the density grid with a Gaussian kernel truncated at
-    /// `cutoff_bandwidths` bandwidths.
+    /// Evaluates the density on a uniform 256-point grid over the sample
+    /// range padded by one bandwidth per side, with the kernel truncated at
+    /// 8 bandwidths.
     ///
     /// Each (sorted) sample scatters into the grid points within its cutoff
     /// window; along the window the kernel value follows the recurrence
     /// `g(x + Δ) = g(x)·c(x)` with `c(x + Δ) = c(x)·exp(−(Δ/h)²)`, so only
     /// two `exp` calls are needed per sample instead of one per grid point.
-    /// A non-finite cutoff (e.g. `f64::INFINITY`) selects the exact dense
-    /// evaluator, making the truncation strictly opt-out.
-    pub fn density_grid_windowed(
-        &self,
-        grid_size: usize,
-        cutoff_bandwidths: f64,
-    ) -> Vec<(f64, f64)> {
-        if !cutoff_bandwidths.is_finite() {
-            return self.density_grid(grid_size);
-        }
+    pub fn density_grid(&self) -> Vec<(f64, f64)> {
         let (lo, hi) = self.grid_bounds();
-        let n = grid_size.max(8);
+        let n = GRID_SIZE;
         let h = self.bandwidth;
         let dx = (hi - lo) / (n - 1) as f64;
-        let radius = cutoff_bandwidths.max(0.0) * h;
+        let radius = CUTOFF_BANDWIDTHS * h;
         let mut acc = vec![0.0f64; n];
         // Grid step in bandwidth units; `r` is the constant second-order
         // factor of the Gaussian recurrence along the grid.
@@ -163,7 +122,7 @@ impl GaussianKde {
         for &s in &self.samples {
             // Grid indices whose |x - s| <= radius. Samples are processed in
             // ascending order, so each acc[i] accumulates its window's terms
-            // in the same order the dense evaluator sums them.
+            // in the order a dense sum over the samples would.
             let a = (((s - radius) - lo) / dx).ceil().max(0.0) as usize;
             let b = ((((s + radius) - lo) / dx).floor() as isize).min(n as isize - 1);
             if b < a as isize {
@@ -237,24 +196,7 @@ fn merge_cut_candidates(mut cuts: Vec<f64>, quantile: &[f64], want: usize) -> Ve
 
 /// Computes cut points at the deepest valleys of the KDE, topping up with
 /// quantile cuts when the density is not multi-modal enough.
-///
-/// Uses the windowed evaluator truncated at
-/// [`DEFAULT_KDE_CUTOFF_BANDWIDTHS`]; see [`kde_cuts_with_cutoff`] for an
-/// explicit cutoff (pass `f64::INFINITY` for the exact reference).
-pub fn kde_cuts(values: &[f64], num_bins: usize, grid_size: usize) -> Vec<f64> {
-    kde_cuts_with_cutoff(values, num_bins, grid_size, DEFAULT_KDE_CUTOFF_BANDWIDTHS)
-}
-
-/// [`kde_cuts`] with an explicit truncation cutoff in bandwidths.
-///
-/// `cutoff_bandwidths = f64::INFINITY` evaluates the dense exact reference;
-/// finite cutoffs use the windowed evaluator.
-pub fn kde_cuts_with_cutoff(
-    values: &[f64],
-    num_bins: usize,
-    grid_size: usize,
-    cutoff_bandwidths: f64,
-) -> Vec<f64> {
+pub fn kde_cuts(values: &[f64], num_bins: usize) -> Vec<f64> {
     if num_bins < 2 {
         return Vec::new();
     }
@@ -262,13 +204,18 @@ pub fn kde_cuts_with_cutoff(
     let Some(kde) = GaussianKde::fit(&finite) else {
         return quantile_cuts(&finite, num_bins);
     };
-    let grid = kde.density_grid_windowed(grid_size, cutoff_bandwidths);
+    valley_cuts(&kde.density_grid(), &finite, num_bins)
+}
+
+/// The `num_bins − 1` deepest valleys of a density `grid` over `finite`,
+/// topped up with `finite`'s quantile cuts.
+fn valley_cuts(grid: &[(f64, f64)], finite: &[f64], num_bins: usize) -> Vec<f64> {
     // A valley is a grid point whose density is a local minimum; its depth is
     // the smaller of the two peak-to-valley drops around it. Peaks on each
     // side are looked up in prefix/suffix running maxima.
     let mut prefix_max = Vec::with_capacity(grid.len());
     let mut run = f64::NEG_INFINITY;
-    for &(_, d) in &grid {
+    for &(_, d) in grid {
         prefix_max.push(run);
         run = run.max(d);
     }
@@ -294,19 +241,39 @@ pub fn kde_cuts_with_cutoff(
         .take(num_bins - 1)
         .map(|(_, x)| x)
         .collect();
-    merge_cut_candidates(cuts, &quantile_cuts(&finite, num_bins), num_bins - 1)
+    merge_cut_candidates(cuts, &quantile_cuts(finite, num_bins), num_bins - 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The dense sum the windowed grid is checked against: one `exp` per
+    /// (grid point, sample) pair, summed over the samples in ascending
+    /// order, on the same grid points.
+    fn dense_grid(kde: &GaussianKde) -> Vec<(f64, f64)> {
+        let (lo, hi) = kde.grid_bounds();
+        let h = kde.bandwidth;
+        let norm = 1.0 / ((2.0 * std::f64::consts::PI).sqrt() * h * kde.samples.len() as f64);
+        (0..GRID_SIZE)
+            .map(|i| {
+                let x = GaussianKde::grid_x(lo, hi, i, GRID_SIZE);
+                let sum: f64 = kde
+                    .samples
+                    .iter()
+                    .map(|&s| (-0.5 * ((x - s) / h).powi(2)).exp())
+                    .sum();
+                (x, sum * norm)
+            })
+            .collect()
+    }
+
     #[test]
     fn bimodal_data_cut_between_modes() {
         // Two clear modes around 0 and 100.
         let mut vals: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
         vals.extend((0..100).map(|i| 100.0 + (i % 10) as f64));
-        let cuts = kde_cuts(&vals, 2, 256);
+        let cuts = kde_cuts(&vals, 2);
         assert_eq!(cuts.len(), 1);
         assert!(cuts[0] > 15.0 && cuts[0] < 95.0, "cut at {}", cuts[0]);
     }
@@ -317,7 +284,7 @@ mod tests {
         for center in [0.0, 50.0, 100.0] {
             vals.extend((0..60).map(|i| center + (i % 6) as f64));
         }
-        let cuts = kde_cuts(&vals, 3, 256);
+        let cuts = kde_cuts(&vals, 3);
         assert_eq!(cuts.len(), 2);
         assert!(cuts[0] > 10.0 && cuts[0] < 50.0);
         assert!(cuts[1] > 60.0 && cuts[1] < 100.0);
@@ -326,7 +293,7 @@ mod tests {
     #[test]
     fn unimodal_data_falls_back_to_quantiles() {
         let vals: Vec<f64> = (0..200).map(|i| i as f64 * 0.5).collect();
-        let cuts = kde_cuts(&vals, 4, 128);
+        let cuts = kde_cuts(&vals, 4);
         assert_eq!(cuts.len(), 3);
         // Cuts must be strictly increasing.
         assert!(cuts.windows(2).all(|w| w[0] < w[1]));
@@ -334,17 +301,17 @@ mod tests {
 
     #[test]
     fn degenerate_data() {
-        assert!(kde_cuts(&[], 5, 64).is_empty());
-        assert!(kde_cuts(&[1.0], 5, 64).is_empty());
-        assert!(kde_cuts(&[2.0; 30], 5, 64).is_empty());
-        assert!(kde_cuts(&[1.0, 2.0, 3.0], 1, 64).is_empty());
+        assert!(kde_cuts(&[], 5).is_empty());
+        assert!(kde_cuts(&[1.0], 5).is_empty());
+        assert!(kde_cuts(&[2.0; 30], 5).is_empty());
+        assert!(kde_cuts(&[1.0, 2.0, 3.0], 1).is_empty());
     }
 
     #[test]
     fn kde_density_integrates_roughly_to_one() {
         let vals: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let kde = GaussianKde::fit(&vals).unwrap();
-        let grid = kde.density_grid(512);
+        let grid = kde.density_grid();
         let dx = grid[1].0 - grid[0].0;
         let integral: f64 = grid.iter().map(|&(_, d)| d * dx).sum();
         assert!((integral - 1.0).abs() < 0.1, "integral = {integral}");
@@ -365,8 +332,8 @@ mod tests {
         vals.extend((0..150).map(|i| 120.0 + (i % 11) as f64));
         vals.extend((0..80).map(|i| 300.0 + (i % 23) as f64 * 0.3));
         let kde = GaussianKde::fit(&vals).unwrap();
-        let exact = kde.density_grid(256);
-        let windowed = kde.density_grid_windowed(256, DEFAULT_KDE_CUTOFF_BANDWIDTHS);
+        let exact = dense_grid(&kde);
+        let windowed = kde.density_grid();
         assert_eq!(exact.len(), windowed.len());
         let peak = exact.iter().map(|&(_, d)| d).fold(0.0f64, f64::max);
         for (&(xe, de), &(xw, dw)) in exact.iter().zip(&windowed) {
@@ -376,9 +343,6 @@ mod tests {
                 "density at {xe} drifted: exact {de} vs windowed {dw}"
             );
         }
-        // An infinite cutoff IS the exact evaluator.
-        let inf = kde.density_grid_windowed(256, f64::INFINITY);
-        assert_eq!(exact, inf);
     }
 
     #[test]
@@ -389,8 +353,9 @@ mod tests {
             for center in [0.0, 50.0, 100.0] {
                 vals.extend((0..60).map(|i| (center + (i % 6) as f64) * scale + shift));
             }
-            let exact = kde_cuts_with_cutoff(&vals, 4, 256, f64::INFINITY);
-            let windowed = kde_cuts(&vals, 4, 256);
+            let kde = GaussianKde::fit(&vals).unwrap();
+            let exact = valley_cuts(&dense_grid(&kde), &vals, 4);
+            let windowed = kde_cuts(&vals, 4);
             assert_eq!(exact, windowed, "scale {scale} shift {shift}");
         }
     }
@@ -406,13 +371,13 @@ mod tests {
         vals.extend(vec![350.0; 25]);
         let kde = GaussianKde::fit(&vals).unwrap();
         let (lo, hi) = kde.grid_bounds();
-        let u = (hi - lo) / 255.0 / kde.bandwidth();
+        let u = (hi - lo) / (GRID_SIZE - 1) as f64 / kde.bandwidth();
         assert!(
             u > DIRECT_EVAL_STEP_BANDWIDTHS,
             "setup must trigger the direct path, step = {u} bandwidths"
         );
-        let exact = kde.density_grid(256);
-        let windowed = kde.density_grid_windowed(256, DEFAULT_KDE_CUTOFF_BANDWIDTHS);
+        let exact = dense_grid(&kde);
+        let windowed = kde.density_grid();
         let peak = exact.iter().map(|&(_, d)| d).fold(0.0f64, f64::max);
         assert!(peak > 0.0);
         for (&(xe, de), &(xw, dw)) in exact.iter().zip(&windowed) {
@@ -464,7 +429,7 @@ mod tests {
         // coarser relative tolerance would collapse the requested bin count
         // to 2.
         let vals: Vec<f64> = (0..500).map(|i| 1.7e9 + i as f64 * 0.002).collect();
-        let cuts = kde_cuts(&vals, 5, 256);
+        let cuts = kde_cuts(&vals, 5);
         assert_eq!(cuts.len(), 4, "cuts collapsed: {cuts:?}");
         assert!(cuts.windows(2).all(|w| w[0] < w[1]));
     }
@@ -474,7 +439,7 @@ mod tests {
         let mut vals: Vec<f64> = (0..200).map(|i| 1.0e12 + (i % 10) as f64 * 1e8).collect();
         vals.extend((0..200).map(|i| 3.0e12 + (i % 10) as f64 * 1e8));
         for bins in [2, 4, 6] {
-            let cuts = kde_cuts(&vals, bins, 128);
+            let cuts = kde_cuts(&vals, bins);
             for w in cuts.windows(2) {
                 assert!(
                     !cuts_close(w[0], w[1]) && w[0] < w[1],

@@ -47,7 +47,9 @@ pub enum BinningStrategy {
     /// Intervals with (approximately) equal numbers of values.
     Quantile,
     /// Cut points at valleys of a Gaussian kernel density estimate —
-    /// the strategy used by the paper's reference implementation.
+    /// the strategy used by the paper's reference implementation. The
+    /// density grid and the kernel truncation are fixed, not configured
+    /// (see [`crate::kde`]).
     Kde,
 }
 
@@ -64,17 +66,6 @@ pub struct BinningConfig {
     /// Numeric columns with at most this many distinct values are treated as
     /// categorical (e.g. a 0/1 `CANCELLED` column keeps its two categories).
     pub categorical_int_threshold: usize,
-    /// Number of evaluation points of the KDE grid.
-    pub kde_grid_size: usize,
-    /// Truncation radius of the windowed KDE evaluator, in bandwidths
-    /// (default [`crate::kde::DEFAULT_KDE_CUTOFF_BANDWIDTHS`]).
-    ///
-    /// Kernel contributions beyond this many bandwidths from a grid point
-    /// are skipped; at the default of 8 the dropped tail is below
-    /// `exp(−32)` relative, so the cuts match the exact evaluator's.
-    /// `f64::INFINITY` selects the exact dense reference evaluation
-    /// (the mode pinned by the golden fixture). Must be positive.
-    pub kde_cutoff_bandwidths: f64,
     /// Worker threads for fitting column binners: columns fan out across
     /// scoped threads. `0` uses all available cores; `1` (the default) fits
     /// sequentially. Per-column fits are independent, so the fitted binner
@@ -89,8 +80,6 @@ impl Default for BinningConfig {
             num_bins: 5,
             max_categories: 8,
             categorical_int_threshold: 10,
-            kde_grid_size: 256,
-            kde_cutoff_bandwidths: crate::kde::DEFAULT_KDE_CUTOFF_BANDWIDTHS,
             threads: 1,
         }
     }
@@ -114,13 +103,6 @@ impl BinningConfig {
     /// Sets the worker-thread count for fitting (`0` = all available cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the KDE truncation cutoff in bandwidths (`f64::INFINITY` = the
-    /// exact dense reference evaluator).
-    pub fn kde_cutoff(mut self, cutoff_bandwidths: f64) -> Self {
-        self.kde_cutoff_bandwidths = cutoff_bandwidths;
         self
     }
 }
@@ -172,21 +154,17 @@ mod tests {
         let c = BinningConfig::with_bins(7).strategy(BinningStrategy::Quantile);
         assert_eq!(c.num_bins, 7);
         assert_eq!(c.strategy, BinningStrategy::Quantile);
-        let c = BinningConfig::default()
-            .threads(4)
-            .kde_cutoff(f64::INFINITY);
+        let c = BinningConfig::default().threads(4);
         assert_eq!(c.threads, 4);
-        assert!(c.kde_cutoff_bandwidths.is_infinite());
     }
 
     #[test]
     fn defaults_use_the_windowed_evaluator_single_threaded() {
+        // The windowed KDE evaluator is the only one, so the default KDE
+        // strategy runs it; columns fit one after another.
         let c = BinningConfig::default();
+        assert_eq!(c.strategy, BinningStrategy::Kde);
         assert_eq!(c.threads, 1);
-        assert_eq!(
-            c.kde_cutoff_bandwidths,
-            crate::kde::DEFAULT_KDE_CUTOFF_BANDWIDTHS
-        );
     }
 
     #[test]

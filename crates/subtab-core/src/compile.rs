@@ -34,7 +34,10 @@
 //! walk may skip a branch that references an unknown column, while
 //! compilation always validates every leaf and therefore always reports it.
 //! The equivalence suite in `tests/expr_equivalence.rs` asserts
-//! bit-identical row sets on every planted dataset.
+//! bit-identical row sets on every planted dataset, and
+//! `tests/kernel_equivalence.rs` checks every leaf's bitmap words against
+//! the per-row `Predicate::matches` walk under both kernel dispatch
+//! settings.
 
 use crate::Result;
 use std::collections::HashMap;
@@ -281,10 +284,11 @@ fn leaf_bitmap_cached(
 /// non-null-test predicate matches a NULL row, so clearing sentinel-slot
 /// hits word-parallel is exact).
 ///
-/// Bit-identical to [`leaf_bitmap_scalar`] on every ISA tier — the kernels
-/// evaluate the exact boolean function `Predicate::matches_value` defines
-/// per row; `tests/kernel_equivalence.rs` pins this on the planted
-/// datasets.
+/// The same bits on every ISA tier — the kernels evaluate the exact boolean
+/// function `Predicate::matches_value` defines per row;
+/// `tests/kernel_equivalence.rs` pins this against the per-row
+/// `Predicate::matches` on the planted datasets, under both dispatch
+/// settings.
 pub fn leaf_bitmap(table: &Table, p: &Predicate) -> Result<Bitmap> {
     let col = resolve_column(table, p)?;
     let n = table.num_rows();
@@ -325,59 +329,6 @@ pub fn leaf_bitmap(table: &Table, p: &Predicate) -> Result<Bitmap> {
         return Ok(Bitmap::zeros(n));
     };
     Ok(Bitmap::from_words(words, n))
-}
-
-/// The pinned scalar twin of [`leaf_bitmap`]: the original row-at-a-time
-/// `matches_value` walk. Kept callable so the equivalence suite and the
-/// `compile-leaf-*` bench modes can compare the kernel path against it.
-pub fn leaf_bitmap_scalar(table: &Table, p: &Predicate) -> Result<Bitmap> {
-    let col = resolve_column(table, p)?;
-    let n = table.num_rows();
-    let validity = col.validity();
-    match p {
-        Predicate::NotNull { .. } => return Ok(validity.clone()),
-        Predicate::IsNull { .. } => {
-            let mut bm = validity.clone();
-            bm.negate_assign(n);
-            return Ok(bm);
-        }
-        _ => {}
-    }
-    let mut bm = Bitmap::zeros(n);
-    if let Some(v) = col.code_view() {
-        let code_matches: Vec<bool> = v
-            .dict
-            .iter()
-            .map(|s| p.matches_value(&Value::Str(s.clone())))
-            .collect();
-        if !code_matches.is_empty() {
-            for (r, &code) in v.codes.iter().enumerate() {
-                if code_matches[code as usize] {
-                    bm.set(r);
-                }
-            }
-        }
-    } else if let Some(v) = col.float_view() {
-        for (r, &x) in v.values.iter().enumerate() {
-            if p.matches_value(&Value::Float(x)) {
-                bm.set(r);
-            }
-        }
-    } else if let Some(v) = col.int_view() {
-        for (r, &x) in v.values.iter().enumerate() {
-            if p.matches_value(&Value::Int(x)) {
-                bm.set(r);
-            }
-        }
-    } else if let Some(v) = col.bool_view() {
-        for (r, &x) in v.values.iter().enumerate() {
-            if p.matches_value(&Value::Bool(x)) {
-                bm.set(r);
-            }
-        }
-    }
-    bm.and_assign(validity);
-    Ok(bm)
 }
 
 /// Lowers a scanning predicate over a *numeric* plane (float or int) onto
@@ -567,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_leaf_bitmaps_match_the_scalar_twin() {
+    fn kernel_leaf_bitmaps_match_the_per_row_reference() {
         let t = table();
         let leaves = [
             "airline = 'DL'",
@@ -592,9 +543,13 @@ mod tests {
             let QueryExpr::Leaf(p) = &q.expr else {
                 panic!("not a leaf: {text}");
             };
-            let kernel = leaf_bitmap(&t, p).unwrap();
-            let scalar = leaf_bitmap_scalar(&t, p).unwrap();
-            assert_eq!(kernel, scalar, "leaf: {text}");
+            let mut reference = Bitmap::zeros(t.num_rows());
+            for r in 0..t.num_rows() {
+                if p.matches(&t, r).unwrap() {
+                    reference.set(r);
+                }
+            }
+            assert_eq!(leaf_bitmap(&t, p).unwrap(), reference, "leaf: {text}");
         }
     }
 

@@ -53,8 +53,8 @@ pub mod select;
 pub mod subtab;
 
 pub use compile::{
-    compiled_selection_rows, compiled_selection_rows_cached, leaf_bitmap, leaf_bitmap_scalar,
-    query_bitmap, query_bitmap_cached, LeafBitmapCache,
+    compiled_selection_rows, compiled_selection_rows_cached, leaf_bitmap, query_bitmap,
+    query_bitmap_cached, LeafBitmapCache,
 };
 pub use config::{SelectionParams, SubTabConfig};
 pub use error::CoreError;

@@ -7,10 +7,9 @@
 //! Training reads a sequence of `(center, context)` pairs that is never
 //! stored whole: every mode reads it in chunks of at most 64 Ki pairs
 //! (512 KiB). [`train_embedding`] regenerates them from the binned table's
-//! code planes ([`build_pair_stream`]), [`train_on_corpus`] from an explicit
-//! sentence corpus through the same prefix-sum reader, and [`train_pairs`]
-//! copies them out of a caller's slice. Two trainers cover the
-//! fidelity/speed trade-off:
+//! code planes ([`build_pair_stream`]) and [`train_on_corpus`] from an
+//! explicit sentence corpus through the same prefix-sum reader. Two
+//! trainers cover the fidelity/speed trade-off:
 //!
 //! | `threads` | `deterministic` | trainer |
 //! |---|---|---|
@@ -195,17 +194,6 @@ pub fn train_on_corpus(corpus: &Corpus, config: &EmbeddingConfig) -> CellEmbeddi
     );
     let source = SentencePairs::new(&corpus.sentences, config.window);
     train_source(vocab, &source, config, CHUNK_PAIRS)
-}
-
-/// Trains an embedding over a caller's `(center, context)` pair slice and
-/// its vocabulary: the trainer behind [`train_embedding`] and
-/// [`train_on_corpus`], fed from one in-memory slice.
-///
-/// # Panics
-/// Panics if `vocab` is not empty and a pair names a token id outside it.
-pub fn train_pairs(vocab: &Vocab, pairs: &[[u32; 2]], config: &EmbeddingConfig) -> CellEmbedding {
-    assert_ids_in_vocab(vocab, pairs.iter().flatten().copied());
-    train_source(vocab, &pairs, config, CHUNK_PAIRS)
 }
 
 /// Both trainers index their rows by pair id, so a caller's ids are checked
@@ -670,7 +658,7 @@ mod tests {
     #[test]
     fn count_trainer_edge_cases_give_finite_vectors() {
         // Empty vocabulary: nothing to train.
-        let emb = train_pairs(&Vocab::default(), &[], &count_config());
+        let emb = train_source(&Vocab::default(), &&[][..], &count_config(), CHUNK_PAIRS);
         assert_eq!(emb.len(), 0);
 
         // `min_count` pruning every token leaves an empty vocabulary.
@@ -711,14 +699,14 @@ mod tests {
         let mut vocab = Vocab::from_tokens_and_counts(vec!["a".into(), "b".into()], vec![2, 2]);
         vocab.build_sampling_table();
         let independent = [[0, 0], [0, 1], [1, 0], [1, 1]];
-        let emb = train_pairs(&vocab, &independent, &count_config());
+        let emb = train_source(&vocab, &&independent[..], &count_config(), CHUNK_PAIRS);
         assert_eq!(emb.len(), 2);
         assert_all_zero_and_finite(&emb);
 
         // Tokens that never pair: zero vectors too.
         let mut vocab = Vocab::from_tokens_and_counts(vec!["a".into(), "b".into()], vec![1, 1]);
         vocab.build_sampling_table();
-        let emb = train_pairs(&vocab, &[], &count_config());
+        let emb = train_source(&vocab, &&[][..], &count_config(), CHUNK_PAIRS);
         assert_eq!(emb.len(), 2);
         assert_all_zero_and_finite(&emb);
     }
@@ -783,8 +771,9 @@ mod tests {
         assert_every_vector_non_zero(&a);
     }
 
-    /// A foreign id must stop the count trainer (the fast tier) before it
-    /// counts anything, with the message the reference path's check gives.
+    /// A foreign id in a corpus sentence must stop the count trainer (the
+    /// fast tier) before it counts anything, with the message the reference
+    /// path's check gives.
     #[test]
     #[should_panic(expected = "outside the vocabulary")]
     fn fast_kernels_reject_pair_ids_outside_the_vocabulary() {
@@ -795,7 +784,11 @@ mod tests {
             deterministic: false,
             ..small_config()
         };
-        train_pairs(&vocab, &[[0, 1], [1, 400_000_000]], &cfg);
+        let corpus = Corpus {
+            sentences: vec![vec![0, 1, 400_000_000]],
+            vocab,
+        };
+        train_on_corpus(&corpus, &cfg);
     }
 
     #[test]

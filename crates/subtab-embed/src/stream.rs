@@ -180,7 +180,7 @@ impl PairStream<'_> {
 
 /// A pair sequence the trainer reads in contiguous chunks, so it never
 /// holds the whole sequence: the code-plane [`PairStream`], an explicit
-/// sentence list ([`SentencePairs`]) or a caller's pair slice.
+/// sentence list ([`SentencePairs`]) or a pair slice (the unit tests').
 pub(crate) trait PairSource: Sync {
     /// Number of pairs in the sequence.
     fn num_pairs(&self) -> usize;

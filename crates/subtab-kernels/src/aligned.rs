@@ -3,9 +3,8 @@
 /// A 64-byte-aligned f32 buffer the fast paths work in: rows of the common
 /// dimensionalities then start on cache-line boundaries, so the wide loads
 /// and stores of the kernels never straddle two lines (straddling defeats
-/// store-to-load forwarding on hot, frequently re-visited rows). Contents
-/// are copied in from and back out to the caller's plain vectors around the
-/// kernel run.
+/// store-to-load forwarding on hot, frequently re-visited rows). The
+/// point-lane blocks of [`crate::PointBlocks`] live in one.
 pub struct AlignedBuf {
     raw: Vec<f32>,
     offset: usize,
@@ -23,13 +22,6 @@ impl AlignedBuf {
         AlignedBuf { raw, offset, len }
     }
 
-    /// An aligned copy of `src`.
-    pub fn from_slice(src: &[f32]) -> Self {
-        let mut buf = AlignedBuf::zeroed(src.len());
-        buf.as_mut_slice().copy_from_slice(src);
-        buf
-    }
-
     /// The aligned payload.
     pub fn as_slice(&self) -> &[f32] {
         &self.raw[self.offset..self.offset + self.len]
@@ -39,11 +31,6 @@ impl AlignedBuf {
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         let (offset, len) = (self.offset, self.len);
         &mut self.raw[offset..offset + len]
-    }
-
-    /// Copy the payload back out to `dst` (lengths must match).
-    pub fn copy_back(&self, dst: &mut [f32]) {
-        dst.copy_from_slice(self.as_slice());
     }
 }
 
@@ -55,12 +42,11 @@ mod tests {
     fn payload_is_cache_line_aligned_and_round_trips() {
         for len in [0usize, 1, 7, 16, 64, 129] {
             let src: Vec<f32> = (0..len).map(|i| i as f32 * 0.5 - 3.0).collect();
-            let buf = AlignedBuf::from_slice(&src);
+            let mut buf = AlignedBuf::zeroed(len);
             assert_eq!(buf.as_slice().as_ptr() as usize % 64, 0);
+            assert!(buf.as_slice().iter().all(|&x| x == 0.0));
+            buf.as_mut_slice().copy_from_slice(&src);
             assert_eq!(buf.as_slice(), &src[..]);
-            let mut out = vec![0.0f32; len];
-            buf.copy_back(&mut out);
-            assert_eq!(out, src);
         }
     }
 }

@@ -325,19 +325,18 @@ impl Shared {
     }
 
     /// Runs a selection, compiling query leaves through the session's
-    /// leaf-bitmap cache when one is supplied. The cache only affects how
-    /// leaf bitmaps are obtained — results are bit-identical either way, so
-    /// the shared result cache stays sound across sessions.
+    /// leaf-bitmap cache. The cache only affects how leaf bitmaps are
+    /// obtained — results are bit-identical to an uncached compile, so the
+    /// shared result cache stays sound across sessions.
     fn run_select(
         &self,
         query: Option<&Query>,
         params: &SelectionParams,
-        leaf_cache: Option<&LeafBitmapCache>,
+        leaf_cache: &LeafBitmapCache,
     ) -> Result<Arc<SubTableResult>, ServerError> {
-        let result = match (query, leaf_cache) {
-            (Some(q), Some(cache)) => self.subtab.select_for_query_cached(q, params, cache),
-            (Some(q), None) => self.subtab.select_for_query(q, params),
-            (None, _) => self.subtab.select(params),
+        let result = match query {
+            Some(q) => self.subtab.select_for_query_cached(q, params, leaf_cache),
+            None => self.subtab.select(params),
         }?;
         Ok(Arc::new(result))
     }
@@ -346,7 +345,7 @@ impl Shared {
         &self,
         query: Option<&Query>,
         params: &SelectionParams,
-        leaf_cache: Option<&LeafBitmapCache>,
+        leaf_cache: &LeafBitmapCache,
     ) -> Result<(Arc<SubTableResult>, bool), ServerError> {
         let key = self.select_key(query, params);
         self.selects
@@ -385,7 +384,7 @@ impl Shared {
     fn handle(
         &self,
         request: &Request,
-        leaf_cache: Option<&LeafBitmapCache>,
+        leaf_cache: &LeafBitmapCache,
     ) -> Result<Outcome, ServerError> {
         match request {
             // Normally normalised away at submission; parsing here keeps
@@ -586,7 +585,7 @@ impl ExplorationServer {
         let lane = request.lane();
         self.pool.submit(lane, move || {
             let start = Instant::now();
-            let outcome = contain_panic(|| shared.handle(&request, Some(&leaf_cache)));
+            let outcome = contain_panic(|| shared.handle(&request, &leaf_cache));
             let wall = start.elapsed();
             if let Ok(outcome) = &outcome {
                 let record = HistoryRecord {
