@@ -180,7 +180,7 @@ fn bench_ablation_binning(c: &mut Criterion) {
 /// costs gated by the `rules` experiment).
 fn bench_rule_engine(c: &mut Criterion) {
     use subtab_binning::Binner;
-    use subtab_core::highlight_rules;
+    use subtab_core::HighlightIndex;
     use subtab_datasets::benchmark_target_column;
     use subtab_rules::{MiningConfig, RuleMiner};
     let mut group = c.benchmark_group("rule_engine");
@@ -201,7 +201,7 @@ fn bench_rule_engine(c: &mut Criterion) {
     let cols: Vec<String> = binned.column_names().to_vec();
     let rows: Vec<usize> = (0..binned.num_rows().min(256)).collect();
     group.bench_function("highlight_indexed", |b| {
-        b.iter(|| black_box(highlight_rules(&binned, &rules, &rows, &cols)))
+        b.iter(|| black_box(HighlightIndex::build(&rules).probe(&binned, &rows, &cols)))
     });
     group.finish();
 }

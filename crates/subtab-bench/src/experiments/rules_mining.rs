@@ -1,16 +1,16 @@
 //! Load-time rule-engine scaling: times association-rule mining through the
 //! vertical bitmap engine, whole-table and target-partitioned, per-row rule
-//! highlighting through the column-mask index, the coverage index the
-//! quality metrics build over a rule set and the sub-table scores read from
-//! it, emitting machine-readable JSON (`BENCH_rules.json`) for the CI
-//! bench-regression gate.
+//! highlighting (one pass over the rule arena per selection), the coverage
+//! index the quality metrics build over a rule set and the sub-table scores
+//! read from it, emitting machine-readable JSON (`BENCH_rules.json`) for
+//! the CI bench-regression gate.
 //!
 //! Rule mining runs once per loaded table (and once per target-column
 //! choice) in the paper's architecture, feeding both the quality metrics
 //! and the UI's per-row highlights; highlighting runs on every displayed
-//! sub-table, and every quality evaluation starts by building the coverage
-//! index. The baselines (RAN, MAB, Greedy) then score thousands of
-//! candidate sub-tables each. None of these costs is covered by the query
+//! sub-table (timed large and in the server's `10 × 10` shape), and every
+//! quality evaluation starts by building the coverage index. The baselines
+//! (RAN, MAB, Greedy) then score thousands of candidate sub-tables each. None of these costs is covered by the query
 //! gate, which is why they get their own gate.
 
 use crate::experiments::common::ExperimentScale;
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use subtab_binning::Binner;
-use subtab_core::highlight_rules;
+use subtab_core::HighlightIndex;
 use subtab_datasets::{benchmark_target_column, DatasetKind};
 use subtab_metrics::Evaluator;
 use subtab_rules::{MiningConfig, RuleMiner};
@@ -37,8 +37,10 @@ enum Workload {
     Mine,
     /// Target-partitioned mining.
     Target,
-    /// Per-row highlighting via the column-mask index.
+    /// One highlight pass over 512 rows and every column.
     Highlight,
+    /// Highlighting [`SERVED_DRAWS`] served-shape selections.
+    HighlightServed,
     /// `Evaluator::new` (the coverage-index build) over the plain rules.
     Coverage,
     /// `Evaluator::score` over seeded random sub-tables, plain rules.
@@ -48,13 +50,19 @@ enum Workload {
 /// Sub-tables per score-mode run.
 const SCORE_DRAWS: usize = 2_000;
 
+/// Selections per served-highlight run.
+const SERVED_DRAWS: usize = 200;
+
 /// The benchmark modes: `(label, threads, workload)`. The `rules-*` modes
 /// time whole-table mining; `rules-target-*` times the Section 6.1
 /// per-target-bin run with its pooled post-processing (global support
-/// recompute, dedup, deterministic sort); the highlight mode times one
+/// recompute, dedup, deterministic sort); `highlight-1t` times one
 /// full-selection highlight pass over the probe rows with the target-mined
-/// rules; the coverage mode times one `Evaluator::new` over the
-/// whole-table rules (the binned table it takes by value is cloned before
+/// rules; `highlight-served-1t` highlights [`SERVED_DRAWS`] seeded `10 × 10`
+/// selections (the first score draws, with the target column leading up to
+/// 9 of each draw's columns) against target rules mined at the server's
+/// `min_support 0.2, max_rule_size 3`; the coverage mode times one
+/// `Evaluator::new` over the whole-table rules (the binned table it takes by value is cloned before
 /// the clock starts); the score mode sums the combined scores of
 /// [`SCORE_DRAWS`] seeded random `10 × 10` sub-tables through one evaluator
 /// over the whole-table rules, built and drawn before the clock starts.
@@ -62,7 +70,8 @@ const MODES: &[(&str, usize, Workload)] = &[
     ("rules-bitmap-1t", 1, Workload::Mine),
     ("rules-bitmap-4t", 4, Workload::Mine),
     ("rules-target-bitmap-1t", 1, Workload::Target),
-    ("highlight-indexed-1t", 1, Workload::Highlight),
+    ("highlight-1t", 1, Workload::Highlight),
+    ("highlight-served-1t", 1, Workload::HighlightServed),
     ("coverage-index-1t", 1, Workload::Coverage),
     ("score-1t", 1, Workload::Score),
 ];
@@ -89,8 +98,30 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
     let rules = RuleMiner::new(mining.clone()).mine_with_targets(&binned, &[target_idx]);
     let all_columns: Vec<String> = binned.column_names().to_vec();
     let probe_rows: Vec<usize> = (0..binned.num_rows().min(512)).collect();
-    let evaluator = Evaluator::new(binned.clone(), &plain_rules, 0.5);
+    let served_rules = RuleMiner::new(MiningConfig {
+        min_support: 0.2,
+        max_rule_size: 3,
+        ..mining.clone()
+    })
+    .mine_with_targets(&binned, &[target_idx]);
     let draws = random_subtables(binned.num_rows(), binned.num_columns());
+    let selections: Vec<(&[usize], Vec<String>)> = draws[..SERVED_DRAWS]
+        .iter()
+        .map(|(rows, cols)| {
+            let others = cols.iter().copied().filter(|&c| c != target_idx);
+            let cols = std::iter::once(target_idx).chain(others).take(10);
+            (&rows[..], cols.map(|c| all_columns[c].clone()).collect())
+        })
+        .collect();
+    let served_index = HighlightIndex::build(&served_rules);
+    let served = || {
+        selections
+            .iter()
+            .map(|(rows, cols)| served_index.probe(&binned, rows, cols))
+    };
+    let expected_served = served().collect::<Vec<_>>();
+    assert!(expected_served.iter().flatten().any(Option::is_some));
+    let evaluator = Evaluator::new(binned.clone(), &plain_rules, 0.5);
     let score_sum = || -> f64 {
         draws
             .iter()
@@ -111,12 +142,13 @@ pub fn run_on(kind: DatasetKind, scale: ExperimentScale, reps: usize) -> BenchRe
             rules.len()
         ),
         Workload::Highlight => {
-            let h = highlight_rules(&binned, &rules, &probe_rows, &all_columns);
+            let h = HighlightIndex::build(&rules).probe(&binned, &probe_rows, &all_columns);
             assert!(
                 h.iter().any(Option::is_some),
                 "planted data must produce at least one highlight"
             );
         }
+        Workload::HighlightServed => assert!(served().zip(&expected_served).all(|(h, e)| h == *e)),
         Workload::Coverage => {
             let table = table.expect("the coverage mode gets a table");
             let evaluator = Evaluator::new(table, &plain_rules, 0.5);
@@ -207,7 +239,8 @@ mod tests {
         }
         let rendered = render(report);
         assert!(rendered.contains("wall-ms"));
-        assert!(rendered.contains("highlight-indexed-1t"));
+        assert!(rendered.contains("highlight-1t"));
+        assert!(rendered.contains("highlight-served-1t"));
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! paper, shown in Figures 1–3: in each displayed row, the cells that
 //! participate in one covered rule are coloured).
 //!
-//! Highlighting is an indexed probe over integer item ids: rules are
-//! bucketed by their column mask, so a row only ever tests rules whose
-//! columns are all currently selected, and each test is a merge of the
-//! rule's sorted item-id slice against the row's own (column-ordered)
-//! item-id list — no string comparison, no per-rule column materialisation.
-//! The `highlight_equivalence` suite pins the probe to a linear scan over
-//! every rule on the six planted datasets.
+//! Highlighting is one pass over the rule arena in index order, on integer
+//! item ids: a rule whose column mask is not a subset of the selected
+//! columns is skipped after a few word ANDs, and a rule is tested against a
+//! row only if it would beat the row's best rule so far. Nothing is built,
+//! hashed by mask or sorted. The `highlight_equivalence` suite pins the
+//! probe to a linear scan over every rule on the six planted datasets.
 
 use std::collections::HashMap;
 use subtab_binning::BinnedTable;
@@ -27,129 +26,94 @@ pub struct RuleHighlight {
     pub description: String,
 }
 
-/// Rules bucketed by column mask, ready to be probed for any selection.
-///
-/// Build once per rule set (one pass over the rules); probing a selection
-/// touches only the buckets whose mask is a subset of the selected columns.
-#[derive(Debug)]
+/// A borrowed view of a [`RuleSet`] that highlights selections; it holds
+/// no derived state, so building one costs nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct HighlightIndex<'r> {
     rules: &'r RuleSet,
-    /// One bucket per distinct column mask (borrowed from the rule set's
-    /// arena), with the indices of its rules ascending.
-    buckets: Vec<(&'r [u64], Vec<usize>)>,
 }
 
 impl<'r> HighlightIndex<'r> {
-    /// Buckets the rules of `rules` by their column masks.
+    /// A view of `rules`.
     pub fn build(rules: &'r RuleSet) -> Self {
-        let mut by_mask: HashMap<&'r [u64], Vec<usize>> = HashMap::new();
-        for (i, rule) in rules.iter().enumerate() {
-            by_mask.entry(rule.mask_words()).or_default().push(i);
-        }
-        let mut buckets: Vec<(&'r [u64], Vec<usize>)> = by_mask.into_iter().collect();
-        // Deterministic bucket order (probe output is order-independent,
-        // but determinism keeps Debug output and iteration stable).
-        buckets.sort_by(|a, b| a.1[0].cmp(&b.1[0]));
-        HighlightIndex { rules, buckets }
+        HighlightIndex { rules }
     }
 
     /// For every probed row, picks at most one rule to highlight: among the
     /// rules whose columns are all in `selected_columns` and which hold for
-    /// the row, the largest one (most cells highlighted), ties broken by
-    /// support, then by rule index. This mirrors the paper's "to avoid
-    /// visual clutter we only highlight one rule per row".
+    /// the row, the largest one (most distinct columns, so most cells
+    /// highlighted), ties broken by greater support, then by lower rule
+    /// index. This mirrors the paper's "to avoid visual clutter we only
+    /// highlight one rule per row". Rows outside `binned_full` get `None`.
     pub fn probe(
         &self,
         binned_full: &BinnedTable,
         row_indices: &[usize],
         selected_columns: &[String],
     ) -> Vec<Option<RuleHighlight>> {
+        let mut highlights = vec![None; row_indices.len()];
         let interner = self.rules.interner();
-        let mut selected = vec![0u64; binned_full.num_columns().div_ceil(64)];
-        for c in selected_columns
+        let num_cols = binned_full.num_columns().min(interner.num_columns());
+        let cols: Vec<usize> = selected_columns
             .iter()
             .filter_map(|c| binned_full.column_index(c))
-        {
-            selected[c / 64] |= 1 << (c % 64);
-        }
-        // Candidate rules: every rule in a bucket whose mask is a subset of
-        // the selection, ordered best-first — the probe stops at the first
-        // candidate that holds for the row. Best-first is (size desc,
-        // support desc, index asc): the largest holding rule, ties broken
-        // by support, then by index.
-        let mut candidates: Vec<usize> = self
-            .buckets
-            .iter()
-            .filter(|(mask, _)| mask.iter().zip(&selected).all(|(m, s)| m & !s == 0))
-            .flat_map(|(_, idxs)| idxs.iter().copied())
+            .filter(|&c| c < num_cols)
             .collect();
-        candidates.sort_by(|&a, &b| {
-            let (ra, rb) = (self.rules.rule(a), self.rules.rule(b));
-            // Rank by distinct-column count (what the UI colours).
-            rb.num_columns()
-                .cmp(&ra.num_columns())
-                .then_with(|| rb.support.total_cmp(&ra.support))
-                .then_with(|| a.cmp(&b))
-        });
-        if candidates.is_empty() {
-            // No eligible rule (possibly an empty set with an empty
-            // interner) — nothing to probe, nothing to decode.
-            return vec![None; row_indices.len()];
+        if cols.is_empty() {
+            // No rule fits; an empty set's interner has no columns, so this
+            // also returns before any id lookup.
+            return highlights;
         }
-        // Rendered highlights are cached per rule: a rule highlighted on
-        // many rows is decoded to strings once.
-        let mut rendered: HashMap<usize, RuleHighlight> = HashMap::new();
-        let num_cols = binned_full.num_columns();
-        let mut row_ids: Vec<ItemId> = vec![0; num_cols];
-        row_indices
-            .iter()
-            .map(|&row| {
-                // The row's own item-id list, indexed by column (ids are
-                // column-major, so this is also ascending by id).
-                for (c, slot) in row_ids.iter_mut().enumerate() {
-                    *slot = interner.row_item_id(binned_full, row, c);
+        let mut selected = vec![0u64; interner.num_columns().div_ceil(64)];
+        // The probed rows inside the table, each with its item id at every
+        // selected column (the only columns a fitting rule reads).
+        let probed: Vec<usize> = (0..row_indices.len())
+            .filter(|&p| row_indices[p] < binned_full.num_rows())
+            .collect();
+        let mut row_ids: Vec<ItemId> = vec![0; probed.len() * num_cols];
+        for &c in &cols {
+            selected[c / 64] |= 1 << (c % 64);
+            for (ids, &p) in row_ids.chunks_exact_mut(num_cols).zip(&probed) {
+                ids[c] = interner.row_item_id(binned_full, row_indices[p], c);
+            }
+        }
+        // Each probed row's best holding rule so far: (distinct columns,
+        // support, index), 0 columns for none. Only a strictly better rule
+        // replaces it, so among equal rules the lowest index wins.
+        let mut best: Vec<(usize, f64, usize)> = vec![(0, 0.0, 0); probed.len()];
+        for (i, rule) in self.rules.iter().enumerate() {
+            let mask = rule.mask_words();
+            if mask.iter().zip(&selected).any(|(m, s)| m & !s != 0) {
+                continue;
+            }
+            let (size, support, items) = (rule.num_columns(), rule.support, rule.item_ids());
+            for (slot, ids) in best.iter_mut().zip(row_ids.chunks_exact(num_cols)) {
+                let beats = size > slot.0 || (size == slot.0 && support.total_cmp(&slot.1).is_gt());
+                // One item per column: the rule holds iff each of its ids is
+                // the row's id at that id's column.
+                if beats && items.iter().all(|&id| ids[interner.column_of(id)] == id) {
+                    *slot = (size, support, i);
                 }
-                let hit = candidates.iter().find(|&&i| {
-                    // A rule holds iff each of its ids equals the row's id
-                    // at that id's column — one item per column makes the
-                    // jump direct, no per-candidate decoding needed.
-                    self.rules
-                        .rule(i)
-                        .item_ids()
-                        .iter()
-                        .all(|&id| row_ids[interner.column_of(id)] == id)
-                })?;
-                let i = *hit;
-                Some(
-                    rendered
-                        .entry(i)
-                        .or_insert_with(|| {
-                            let rule = self.rules.rule(i);
-                            RuleHighlight {
-                                rule_index: i,
-                                columns: rule
-                                    .column_iter()
-                                    .map(|c| binned_full.column_names()[c].clone())
-                                    .collect(),
-                                description: rule.render(interner),
-                            }
-                        })
-                        .clone(),
-                )
-            })
-            .collect()
+            }
+        }
+        // A rule highlighted on many rows is decoded to strings once.
+        let mut rendered: HashMap<usize, RuleHighlight> = HashMap::new();
+        for (&p, (size, _, i)) in probed.iter().zip(best) {
+            highlights[p] = (size > 0).then(|| {
+                let rule = self.rules.rule(i);
+                let render = || RuleHighlight {
+                    rule_index: i,
+                    columns: rule
+                        .column_iter()
+                        .map(|c| binned_full.column_names()[c].clone())
+                        .collect(),
+                    description: rule.render(interner),
+                };
+                rendered.entry(i).or_insert_with(render).clone()
+            });
+        }
+        highlights
     }
-}
-
-/// Indexed per-row highlighting: builds a [`HighlightIndex`] and probes the
-/// given rows. See [`HighlightIndex::probe`] for the selection semantics.
-pub fn highlight_rules(
-    binned_full: &BinnedTable,
-    rules: &RuleSet,
-    row_indices: &[usize],
-    selected_columns: &[String],
-) -> Vec<Option<RuleHighlight>> {
-    HighlightIndex::build(rules).probe(binned_full, row_indices, selected_columns)
 }
 
 #[cfg(test)]
@@ -158,6 +122,15 @@ mod tests {
     use subtab_binning::{Binner, BinningConfig};
     use subtab_data::Table;
     use subtab_rules::{MiningConfig, RuleMiner};
+
+    fn highlight_rules(
+        binned: &BinnedTable,
+        rules: &RuleSet,
+        rows: &[usize],
+        cols: &[String],
+    ) -> Vec<Option<RuleHighlight>> {
+        HighlightIndex::build(rules).probe(binned, rows, cols)
+    }
 
     fn setup() -> (BinnedTable, RuleSet) {
         let t = Table::builder()
@@ -224,10 +197,69 @@ mod tests {
     }
 
     #[test]
-    fn buckets_group_rules_with_identical_masks() {
-        let (_, rules) = setup();
-        let index = HighlightIndex::build(&rules);
-        assert!(!index.buckets.is_empty());
-        assert!(index.buckets.len() <= rules.len());
+    fn out_of_range_rows_give_no_highlight() {
+        let (binned, rules) = setup();
+        let cols: Vec<String> = binned.column_names().to_vec();
+        let inside = highlight_rules(&binned, &rules, &[0, 3], &cols);
+        let mixed = highlight_rules(&binned, &rules, &[0, 6, usize::MAX, 3], &cols);
+        assert_eq!(
+            mixed,
+            vec![inside[0].clone(), None, None, inside[1].clone()]
+        );
+    }
+
+    /// The item id of each column of `cols` in `row`.
+    fn ids(binned: &BinnedTable, rules: &RuleSet, row: usize, cols: &[usize]) -> Vec<ItemId> {
+        cols.iter()
+            .map(|&c| rules.interner().row_item_id(binned, row, c))
+            .collect()
+    }
+
+    #[test]
+    fn equal_rules_go_to_the_lowest_index() {
+        let (binned, mined) = setup();
+        let [a, b] = ids(&binned, &mined, 0, &[0, 1])[..] else {
+            unreachable!()
+        };
+        // One itemset, two splits: same columns, same support.
+        let mut rules = RuleSet::new(6, mined.interner().clone());
+        rules.push(&[b], &[a], 3, 0.5, 1.0, 2.0);
+        rules.push(&[a], &[b], 3, 0.5, 1.0, 2.0);
+        let cols: Vec<String> = binned.column_names().to_vec();
+        let h = highlight_rules(&binned, &rules, &[0], &cols);
+        assert_eq!(h[0].as_ref().map(|h| h.rule_index), Some(0));
+    }
+
+    #[test]
+    fn a_larger_rule_that_fails_on_the_row_yields_to_one_that_holds() {
+        let (binned, mined) = setup();
+        let [a, b] = ids(&binned, &mined, 0, &[0, 1])[..] else {
+            unreachable!()
+        };
+        // Row 4's year (2016) is not row 0's.
+        let year = ids(&binned, &mined, 4, &[2])[0];
+        let mut rules = RuleSet::new(6, mined.interner().clone());
+        rules.push(&[a], &[b, year], 1, 0.9, 1.0, 2.0);
+        rules.push(&[a], &[b], 3, 0.5, 1.0, 2.0);
+        let cols: Vec<String> = binned.column_names().to_vec();
+        let h = highlight_rules(&binned, &rules, &[0, 4], &cols);
+        let h0 = h[0].as_ref().expect("the two-column rule holds on row 0");
+        assert_eq!(h0.rule_index, 1);
+        assert_eq!(h0.columns, ["cancelled", "dep"]);
+        assert!(h[1].is_none(), "neither rule holds on row 4");
+    }
+
+    #[test]
+    fn no_highlight_when_no_rule_fits_the_selection() {
+        let (binned, mined) = setup();
+        let [a, b] = ids(&binned, &mined, 0, &[0, 1])[..] else {
+            unreachable!()
+        };
+        let mut rules = RuleSet::new(6, mined.interner().clone());
+        rules.push(&[a], &[b], 3, 0.5, 1.0, 2.0);
+        let cols = ["cancelled".to_string(), "year".to_string()];
+        let h = highlight_rules(&binned, &rules, &[0, 1, 2], &cols);
+        assert!(!rules.is_empty());
+        assert_eq!(h, vec![None; 3]);
     }
 }

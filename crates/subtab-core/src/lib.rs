@@ -61,7 +61,7 @@ pub use error::CoreError;
 /// The error type of the query surface, under the paper's name for the
 /// system. Alias of [`CoreError`].
 pub use error::CoreError as SubTabError;
-pub use highlight::{highlight_rules, HighlightIndex, RuleHighlight};
+pub use highlight::{HighlightIndex, RuleHighlight};
 pub use preprocess::PreprocessedTable;
 pub use result::SubTableResult;
 pub use select::{select_sub_table, select_sub_table_cached};

@@ -121,16 +121,15 @@ impl SubTab {
     /// coloured-pattern display of the paper's UI). The rules are typically
     /// mined once per table with [`SubTab::mine_rules`].
     ///
-    /// Builds a fresh [`HighlightIndex`] per call; an interactive session
-    /// displaying many sub-tables against one rule set should build the
-    /// index once and use [`SubTab::with_highlights_indexed`].
+    /// Each call makes one pass over the rule set (see
+    /// [`HighlightIndex::probe`]); there is no index to build or keep.
     pub fn with_highlights(&self, result: SubTableResult, rules: &RuleSet) -> SubTableResult {
         self.with_highlights_indexed(result, &HighlightIndex::build(rules))
     }
 
-    /// Like [`SubTab::with_highlights`], but probing a pre-built
-    /// [`HighlightIndex`] — the build-once / probe-many path: one index per
-    /// mined rule set, one probe per displayed sub-table.
+    /// Like [`SubTab::with_highlights`], but probing a [`HighlightIndex`]
+    /// view the caller already holds. Both give the same highlights at the
+    /// same cost.
     pub fn with_highlights_indexed(
         &self,
         mut result: SubTableResult,
@@ -192,7 +191,7 @@ mod tests {
         // At least one row of a planted dataset should carry a highlight.
         assert!(r.highlights.iter().any(Option::is_some));
         assert!(!r.render_with_highlights().is_empty());
-        // The build-once/probe-many path produces the identical result.
+        // Probing through a held view produces the identical result.
         let index = HighlightIndex::build(&rules);
         let again = subtab.select(&params).unwrap();
         let again = subtab.with_highlights_indexed(again, &index);

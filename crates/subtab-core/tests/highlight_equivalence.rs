@@ -1,16 +1,17 @@
 //! Equivalence suite for rule highlighting: on all six planted datasets,
-//! the indexed probe ([`highlight_rules`]) must pick exactly the rule the
+//! the one-pass probe ([`HighlightIndex::probe`]) must pick exactly the rule the
 //! linear scan below picks, for every row of real selections and of fixed
 //! column sets.
 //!
 //! Rules are mined with `mine_with_targets` at the benchmark target column.
 //! Selections come from `select_sub_table` over the whole table and the
-//! benchmark queries; the fixed column sets are all columns, the first
-//! two, the first and third, and none.
+//! benchmark queries, at `8 × 4` and at the served `10 × 10`; the fixed
+//! column sets are all columns, the first two, the first and third, and
+//! none.
 
 use subtab_binning::BinnedTable;
 use subtab_core::{
-    highlight_rules, select_sub_table, PreprocessedTable, RuleHighlight, SelectionParams,
+    select_sub_table, HighlightIndex, PreprocessedTable, RuleHighlight, SelectionParams,
     SubTabConfig,
 };
 use subtab_datasets::{
@@ -31,7 +32,7 @@ const ALL_KINDS: [DatasetKind; 6] = [
 /// The pre-refactor linear scan, preserved as the reference twin: for every
 /// row, every rule of the set is tested (column containment and per-item
 /// match), keeping the largest holding rule with support as the
-/// tie-breaker. Output is pinned identical to [`highlight_rules`].
+/// tie-breaker. Output is pinned identical to [`HighlightIndex::probe`].
 pub fn highlight_rules_linear(
     binned_full: &BinnedTable,
     rules: &RuleSet,
@@ -99,7 +100,7 @@ fn mining_config() -> MiningConfig {
 }
 
 #[test]
-fn indexed_probe_matches_the_linear_scan_on_real_selections() {
+fn probe_matches_the_linear_scan_on_real_selections() {
     for kind in ALL_KINDS {
         let dataset = kind.build(DatasetSize::Tiny, 7);
         let pre = PreprocessedTable::new(dataset.table, &SubTabConfig::fast()).unwrap();
@@ -113,16 +114,19 @@ fn indexed_probe_matches_the_linear_scan_on_real_selections() {
         );
 
         let mut cases: Vec<(String, Vec<usize>, Vec<String>)> = Vec::new();
-        let params = SelectionParams::new(8, 4).with_targets(&[target.as_str()]);
+        let small = SelectionParams::new(8, 4).with_targets(&[target.as_str()]);
+        let served = SelectionParams::new(10, 10).with_targets(&[target.as_str()]);
         let queries = [
             ("whole", None),
             ("projected", Some(benchmark_projected_query(pre.table()))),
             ("ast", Some(benchmark_ast_query(pre.table()))),
             ("deep-nest", Some(benchmark_deep_nest_query(pre.table()))),
         ];
-        for (label, query) in &queries {
-            let r = select_sub_table(&pre, query.as_ref(), &params, 3, 1).unwrap();
-            cases.push((label.to_string(), r.row_indices, r.columns));
+        for (shape, params) in [("8x4", &small), ("10x10", &served)] {
+            for (label, query) in &queries {
+                let r = select_sub_table(&pre, query.as_ref(), params, 3, 1).unwrap();
+                cases.push((format!("{label} {shape}"), r.row_indices, r.columns));
+            }
         }
         let all_cols: Vec<String> = binned.column_names().to_vec();
         let rows: Vec<usize> = (0..binned.num_rows().min(64)).collect();
@@ -140,10 +144,10 @@ fn indexed_probe_matches_the_linear_scan_on_real_selections() {
 
         let mut highlighted = 0;
         for (label, rows, cols) in &cases {
-            let indexed = highlight_rules(binned, &rules, rows, cols);
+            let probed = HighlightIndex::build(&rules).probe(binned, rows, cols);
             let linear = highlight_rules_linear(binned, &rules, rows, cols);
-            assert_eq!(indexed, linear, "{kind:?} {label}: {cols:?}");
-            highlighted += indexed.iter().flatten().count();
+            assert_eq!(probed, linear, "{kind:?} {label}: {cols:?}");
+            highlighted += probed.iter().flatten().count();
         }
         assert!(highlighted > 0, "{kind:?}: no row was highlighted");
     }

@@ -72,6 +72,7 @@ impl<'a> AssociationRule<'a> {
     }
 
     /// All item ids of the rule (antecedent then consequent).
+    #[inline]
     pub fn item_ids(&self) -> &'a [ItemId] {
         self.ids
     }
@@ -89,11 +90,13 @@ impl<'a> AssociationRule<'a> {
     /// The rule's column-mask words (`U_R` in the paper): column `c` is bit
     /// `c % 64` of word `c / 64`, and every rule of one set has the same
     /// number of words.
+    #[inline]
     pub fn mask_words(&self) -> &'a [u64] {
         self.mask
     }
 
     /// Number of distinct columns the rule uses.
+    #[inline]
     pub fn num_columns(&self) -> usize {
         self.mask.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -290,6 +293,7 @@ impl RuleSet {
     /// # Panics
     ///
     /// If `i >= self.len()`.
+    #[inline]
     pub fn rule(&self, i: usize) -> AssociationRule<'_> {
         let r = &self.records[i];
         let offset = r.offset as usize;

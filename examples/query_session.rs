@@ -46,8 +46,8 @@ fn main() {
         ..Default::default()
     });
     println!("mined {} association rules at load time", rules.len());
-    // One highlight index for the whole session; each displayed sub-table
-    // below only probes it.
+    // A highlight view of the session's rules; each displayed sub-table
+    // below is probed against it in one pass over the rules.
     let highlighter = HighlightIndex::build(&rules);
     let params = SelectionParams::new(8, 6);
 
